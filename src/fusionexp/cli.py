@@ -131,9 +131,10 @@ def system_config_to_json(group: GroupParams, fld: FieldParams) -> dict:
 
 
 def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
-    with open(path) as fh:
-        text = fh.read()
     try:
+        # OSError passes through (exit 2); undecodable bytes are a ValueError
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         obj = json.loads(text)
         if "version" not in obj:
             raise FormatError("config lacks a schema version")
@@ -295,6 +296,8 @@ def _demo_reductions(group, fld, rng, trials: int, seed: int) -> tuple[dict, boo
 
 
 def cmd_demo(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     group, fld = load_system_config(args.config)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)

@@ -16,8 +16,7 @@ from typing import Callable
 
 from .errors import CapExceeded, IdentityBase, NotFound, ParamsMismatch
 from .field import FieldElement, fe, fe_inv, fe_mul
-from .field import _lambda_entries
-from .fusion import FusionBase, _pow_components, is_identity
+from .fusion import FusionBase, fusion_pow, is_identity
 from .group import GroupElement, GroupParams, generator_element
 
 BRUTE_CAP = 1 << 22
@@ -167,15 +166,30 @@ def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
 
 
 def fdlog_bruteforce(inst: FdlogInstance, cap: int = FUSION_BRUTE_CAP) -> FieldElement:
-    """Exhaustive scan over the exponent field; the reference tuple-dlog oracle."""
+    """Exhaustive scan over the exponent field; the reference tuple-dlog oracle.
+
+    Candidates are walked like an odometer in itertools.product order.
+    Tuple exponentiation is additive in the exponent, so moving digit k up
+    by one multiplies the current tuple by H_k = base**X^k; H_k has order
+    q, so the wrap from q-1 to 0 is one multiply as well.
+    """
     field = inst.base.field
     if field.field_order > cap:
         raise CapExceeded(f"field order {field.field_order} exceeds the scan cap {cap}")
+    n = field.n
     P = inst.base.group.modulus
-    base_res = tuple(c.residue for c in inst.base.components)
-    target_res = tuple(c.residue for c in inst.target.components)
-    for cand in itertools.product(range(field.q), repeat=field.n):
-        lam = _lambda_entries(field, cand)
-        if _pow_components(base_res, lam, P) == target_res:
+    steps = []
+    for k in range(n):
+        monomial = fe(field, [int(i == k) for i in range(n)])
+        steps.append(tuple(c.residue for c in fusion_pow(inst.base, monomial).components))
+    target = tuple(c.residue for c in inst.target.components)
+    cur = (1,) * n
+    prev = (0,) * n
+    for cand in itertools.product(range(field.q), repeat=n):
+        for k in range(n):
+            if cand[k] != prev[k]:
+                cur = tuple(a * h % P for a, h in zip(cur, steps[k]))
+        if cur == target:
             return fe(field, cand)
+        prev = cand
     raise NotFound("no exponent maps base to target; bijectivity violated")

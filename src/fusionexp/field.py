@@ -11,14 +11,17 @@ product terms per x_j yields
     (x * y)_i = sum_j x_j * lam[i][j](y)   (mod q),
 
 where each lam[i][j] is linear in the coefficients of y.  The n x n matrix
-of lam values for a fixed y is exposed as `lambda_matrix`; tuple
-exponentiation in the `fusion` module is driven directly by it, which is
-why multiplication here is routed through the same matrix rather than
-through plain polynomial remainder arithmetic.
+of lam values for a fixed y is exposed as `lambda_entries` (plain rows) and
+`lambda_matrix` (a validated value); tuple exponentiation in the `fusion`
+module is driven directly by it, which is why multiplication here is routed
+through the same matrix rather than through plain polynomial remainder
+arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -171,13 +174,18 @@ def fe_sub(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(a.params, tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def _reduction_rows(n: int, f_low: Sequence[int], q: int | None) -> list[list[int]]:
-    """Rows R[m] with X^m = sum_i R[m][i] X^i modulo the monic modulus.
+@functools.lru_cache(maxsize=64)
+def _reduction_columns(
+    n: int, f_low: tuple[int, ...], q: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """Columns C[i] with X^m = sum_i C[i][m] X^i modulo the monic modulus.
 
     Covers m = 0 .. 2n-2, which is every monomial a degree < n product can
-    reach.  Row m >= n is the shift of row m-1 with the overflow folded back
-    through X^n = -f.  With q None the recursion runs over the plain
-    integers, giving the canonical signed coefficients.
+    reach.  Row m >= n of the recursion is the shift of row m-1 with the
+    overflow folded back through X^n = -f.  With q None the recursion runs
+    over the plain integers, giving the canonical signed coefficients.
+    Cached per modulus, so a field's reduction is built once, not once per
+    product.
     """
     rows = [[0] * n for _ in range(2 * n - 1)]
     for m in range(n):
@@ -192,16 +200,21 @@ def _reduction_rows(n: int, f_low: Sequence[int], q: int | None) -> list[list[in
         if q is not None:
             row = [c % q for c in row]
         rows[m] = row
-    return rows
+    return tuple(zip(*rows))
 
 
-def _lambda_entries(params: FieldParams, coeffs: Sequence[int]) -> list[list[int]]:
+def lambda_entries(y: FieldElement) -> tuple[tuple[int, ...], ...]:
+    """Entries lam[i][j](y) of the coefficient matrix at y, as plain rows.
+
+    lam[i][j] = sum_k y_k * C[i][j + k], with C the cached reduction
+    columns of y's modulus.
+    """
+    params, coeffs = y.params, y.coeffs
     q, n = params.q, params.n
-    rows = _reduction_rows(n, params.f_low, q)
-    return [
-        [sum(coeffs[k] * rows[j + k][i] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
-    ]
+    return tuple(
+        tuple(sum(map(operator.mul, coeffs, col[j : j + n])) % q for j in range(n))
+        for col in _reduction_columns(n, params.f_low, q)
+    )
 
 
 def lambda_matrix(y: FieldElement) -> LambdaMatrix:
@@ -210,8 +223,7 @@ def lambda_matrix(y: FieldElement) -> LambdaMatrix:
     entries[i][j] is linear in the coefficients of y, and multiplication by
     y is the matrix-vector product: (x*y)_i = sum_j entries[i][j] * x_j.
     """
-    ent = _lambda_entries(y.params, y.coeffs)
-    return LambdaMatrix(q=y.params.q, entries=tuple(tuple(r) for r in ent))
+    return LambdaMatrix(q=y.params.q, entries=lambda_entries(y))
 
 
 def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -225,11 +237,8 @@ def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...]
         raise BadDegree(f"extension degree must be >= 1, got {n}")
     if len(f_low) != n:
         raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
-    rows = _reduction_rows(n, tuple(int(c) for c in f_low), None)
-    return tuple(
-        tuple(tuple(rows[j + k][i] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    cols = _reduction_columns(n, tuple(int(c) for c in f_low), None)
+    return tuple(tuple(col[j : j + n] for j in range(n)) for col in cols)
 
 
 def lambda_entry_expr(coeffs: Sequence[int]) -> str:
@@ -247,11 +256,10 @@ def lambda_entry_expr(coeffs: Sequence[int]) -> str:
 def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
     """Product via the lambda matrix of b; equals schoolbook multiply-then-reduce."""
     _check_same_params(a, b)
-    q, n = a.params.q, a.params.n
-    lam = _lambda_entries(a.params, b.coeffs)
+    q = a.params.q
+    lam = lambda_entries(b)
     return FieldElement(
-        a.params,
-        tuple(sum(a.coeffs[j] * lam[i][j] for j in range(n)) % q for i in range(n)),
+        a.params, tuple(sum(map(operator.mul, a.coeffs, row)) % q for row in lam)
     )
 
 
@@ -292,7 +300,7 @@ def lambda_mixing_report(params: FieldParams, y: FieldElement) -> MixingReport:
     """
     if y.params != params:
         raise ParamsMismatch("element does not belong to the given parameters")
-    ent = _lambda_entries(params, y.coeffs)
+    ent = lambda_entries(y)
     n = params.n
     zeros = sum(1 for row in ent for e in row if e == 0)
     adj = [[j for j in range(n) if ent[i][j] != 0] for i in range(n)]

@@ -6,7 +6,7 @@ same q.  Component i of base**exp is
 
     prod_j base_j ** lam[i][j](exp)
 
-with the lam values taken from `field.lambda_matrix`.  The map obeys the
+with the lam values taken from `field.lambda_entries`.  The map obeys the
 usual exponent laws, degenerates to ordinary exponentiation at n = 1, and
 is a bijection from the exponent field onto the product group for every
 non-identity base.
@@ -17,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IdentityBase, ParamsMismatch
-from .field import FieldElement, FieldParams, _lambda_entries, fe_one
+from .field import FieldElement, FieldParams, fe_one, lambda_entries
 from .group import GroupElement, GroupParams, g_inv, g_mul, identity, pow_sm
+
+# Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
+_TABLE_WIDTH = 8
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,59 @@ def fb_inv(a: FusionBase) -> FusionBase:
     return FusionBase(a.group, a.field, tuple(g_inv(c) for c in a.components))
 
 
-def _pow_components(
-    residues: tuple[int, ...], lam: list[list[int]], modulus: int
+def _subset_products(bases: tuple[int, ...], modulus: int) -> list[int]:
+    """prods[mask] = product of the bases[k] whose bit k is set in mask."""
+    prods = [1]
+    for g in bases:
+        prods += [p * g % modulus for p in prods]
+    return prods
+
+
+def _bit_columns(exps: tuple[int, ...], width: int) -> bytes:
+    """Byte b has bit k set iff exps[k] has bit width-1-b set.
+
+    Each exponent's binary digits are spread one per byte, then the k-th
+    exponent is shifted into bit k of every byte, so reading the bytes in
+    order walks the bit columns from the most significant down.
+    """
+    cols = 0
+    for k, e in enumerate(exps):
+        digits = format(e, f"0{width}b").encode().translate(_BIT_BYTES)
+        cols |= int.from_bytes(digits, "big") << k
+    return cols.to_bytes(width, "big")
+
+
+def _multi_pow(
+    residues: tuple[int, ...], lam: tuple[tuple[int, ...], ...], modulus: int
 ) -> tuple[int, ...]:
+    """Component i = prod_j residues[j] ** lam[i][j], all by one kernel.
+
+    Simultaneous exponentiation (Straus 1964; Moeller, SAC 2001): the
+    bases are split into groups of _TABLE_WIDTH, and each group gets one
+    table of its subset products, shared by every row.  A row then makes
+    one left-to-right pass over the bits of its exponents: per bit, one
+    squaring and one multiply by the product that the bit column selects.
+    With more than one table, the per-bit picks of the later tables are
+    first multiplied into one per-bit list, indexed from 1 by bit position.
+    """
+    tables = [
+        (s, _subset_products(residues[s : s + _TABLE_WIDTH], modulus))
+        for s in range(0, len(residues), _TABLE_WIDTH)
+    ]
+    first, later = tables[0][1], tables[1:]
     out = []
     for row in lam:
+        width = max(row).bit_length()
+        keys, lookup = _bit_columns(row[:_TABLE_WIDTH], width), first
+        for s, tab in later:
+            more = _bit_columns(row[s : s + _TABLE_WIDTH], width)
+            lookup = [1] + [lookup[a] * tab[b] % modulus for a, b in zip(keys, more)]
+            keys = [i if a or b else 0 for i, (a, b) in enumerate(zip(keys, more), 1)]
         acc = 1
-        for base, e in zip(residues, row):
-            if e and base != 1:
-                acc = acc * pow_sm(base, e, modulus) % modulus
+        for k in keys:
+            acc = acc * acc % modulus
+            if k:
+                acc = acc * lookup[k] % modulus
         out.append(acc)
     return tuple(out)
 
@@ -99,9 +147,8 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
     """Raise a tuple base to a field exponent through the lambda matrix."""
     if exp.params != base.field:
         raise ParamsMismatch("exponent from a different field")
-    lam = _lambda_entries(base.field, exp.coeffs)
     residues = tuple(c.residue for c in base.components)
-    powered = _pow_components(residues, lam, base.group.modulus)
+    powered = _multi_pow(residues, lambda_entries(exp), base.group.modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)
 

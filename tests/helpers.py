@@ -3,12 +3,15 @@
 Everything here recomputes results through a different route than the
 library: plain convolution plus top-down long division for field products,
 bilinear-form elimination for the symbolic coefficient matrices, factor
-enumeration for irreducibility, and iterated multiplication for powers.
+enumeration for irreducibility, iterated multiplication for powers, and
+one square-and-multiply per coefficient-matrix entry for tuple powers.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from fusionexp.group import pow_sm
 
 
 def schoolbook_mulmod(q, f_low, a, b):
@@ -107,6 +110,21 @@ def iterated_pow(g, e, modulus):
     for _ in range(e):
         acc = acc * g % modulus
     return acc
+
+
+def pow_components(residues, lam, modulus):
+    """Component i = prod_j residues[j] ** lam[i][j], one pow_sm per entry.
+
+    The slow path that tuple exponentiation's simultaneous kernel replaced.
+    """
+    out = []
+    for row in lam:
+        acc = 1
+        for base, e in zip(residues, row):
+            if e and base != 1:
+                acc = acc * pow_sm(base, e, modulus) % modulus
+        out.append(acc)
+    return tuple(out)
 
 
 def trial_division_prime(n):

@@ -227,3 +227,19 @@ def test_params_non_residue_characteristic_uses_search(capsys, tmp_path):
     obj = json.loads(stdout)
     assert int(obj["group"]["q"]) % 4 == 1
     load_system_config(str(out))  # construction revalidates irreducibility
+
+
+def test_non_utf8_config_is_malformed_input(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{bad")
+    code, out, err = run(capsys, "demo", "--config", str(bad), "--which", "dh")
+    assert code == EXIT_FORMAT
+    assert out == "" and "input error" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_demo_reductions_rejects_nonpositive_trials(capsys, config_path, trials):
+    code, out, err = run(capsys, "demo", "--config", config_path,
+                         "--which", "reductions", "--trials", trials)
+    assert code == EXIT_USAGE
+    assert out == "" and "--trials" in err

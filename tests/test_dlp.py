@@ -166,6 +166,34 @@ def test_fdlog_bruteforce_cap(g23, f121):
         fdlog_bruteforce(inst, cap=100)
 
 
+def test_fdlog_bruteforce_cap_is_inclusive(g23, f121):
+    g = generator_element(g23)
+    base = scalar_embed(g, fe(f121, [1, 2]))
+    target = fusion_pow(base, fe(f121, [10, 10]))  # the last candidate scanned
+    assert fdlog_bruteforce(FdlogInstance(base, target), cap=121) == fe(f121, [10, 10])
+    with pytest.raises(CapExceeded):
+        fdlog_bruteforce(FdlogInstance(base, target), cap=120)
+
+
+def test_fdlog_bruteforce_exhaustive_roundtrip(g23, f121):
+    # every exponent, for a full tuple base and for one with an identity component
+    g = generator_element(g23)
+    for base in (scalar_embed(g, fe(f121, [3, 7])), scalar_embed(g, fe(f121, [0, 5]))):
+        for coeffs in itertools.product(range(11), repeat=2):
+            x = fe(f121, coeffs)
+            assert fdlog_bruteforce(FdlogInstance(base, fusion_pow(base, x))) == x
+
+
+def test_fdlog_bruteforce_agrees_with_solve_degree_three(g23, q11_fields):
+    params = q11_fields[3]
+    g = generator_element(g23)
+    rng = random.Random(12)
+    for _ in range(10):
+        base = scalar_embed(g, fe_random(params, rng, nonzero=True))
+        inst = FdlogInstance(base, fusion_pow(base, fe_random(params, rng)))
+        assert fdlog_bruteforce(inst) == fdlog_solve(inst, dlog_bsgs)
+
+
 def test_fdlog_solve_exhaustive_small_degrees(g23, q11_fields):
     g = generator_element(g23)
     for n in (1, 2, 3):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import helpers
 from fusionexp import (
     GroupElement,
     IdentityBase,
@@ -16,11 +17,13 @@ from fusionexp import (
     fe_one,
     fe_random,
     fe_zero,
+    find_irreducible,
     fusion_pow,
     g_pow,
     generator_element,
     identity,
     is_identity,
+    lambda_matrix,
     make_field_params,
     scalar_embed,
     unit_embed,
@@ -174,3 +177,94 @@ def test_serialization_roundtrip(g23, f121):
         fusion_base_from_json(g23, f121, ["2", "5"])  # 5 not in the subgroup
     with pytest.raises(ParamsMismatch):
         fusion_base_from_json(g23, f121, ["2"])
+
+
+# Degrees 9 and 10 put bases past the eighth into a second subset table.
+KERNEL_DEGREES = (1, 2, 3, 4, 8, 9, 10)
+
+
+def kernel_cases(group, fields, seed):
+    """(base, exponent) pairs covering zero, single-coefficient and full exponents."""
+    rng = random.Random(seed)
+    g = generator_element(group)
+    for n in KERNEL_DEGREES:
+        fld = fields[n]
+        q = fld.q
+        full = fe(fld, [rng.randrange(1, q) for _ in range(n)])
+        bases = [
+            scalar_embed(g, full),
+            scalar_embed(g, fe_random(fld, rng, nonzero=True)),
+            unit_embed(g, fld),  # identity in every component but the first
+            fb_identity(group, fld),
+        ]
+        exps = [fe_zero(fld), fe(fld, [q - 1] * n), fe_random(fld, rng)]
+        for k in range(n):
+            coeffs = [0] * n
+            coeffs[k] = rng.randrange(1, q)
+            exps.append(fe(fld, coeffs))
+        for base in bases:
+            for x in exps:
+                yield base, x
+
+
+def assert_kernel_matches_oracle(group, fields, seed):
+    checked = 0
+    for base, x in kernel_cases(group, fields, seed):
+        expected = helpers.pow_components(
+            residues(base), lambda_matrix(x).entries, group.modulus
+        )
+        assert residues(fusion_pow(base, x)) == expected, (base.field.n, x.coeffs)
+        checked += 1
+    assert checked == sum(4 * (3 + n) for n in KERNEL_DEGREES)
+
+
+def kernel_fields(q, known):
+    fields = dict(known)
+    for n in KERNEL_DEGREES:
+        if n not in fields:
+            fields[n] = make_field_params(q, n, find_irreducible(q, n, seed=n))
+    return fields
+
+
+def test_fusion_pow_matches_per_entry_oracle_q11(g23, q11_fields):
+    assert_kernel_matches_oracle(g23, kernel_fields(11, q11_fields), seed=31)
+
+
+def test_fusion_pow_matches_per_entry_oracle_64_bit(group64, fields64):
+    assert_kernel_matches_oracle(group64, kernel_fields(group64.q, fields64), seed=32)
+
+
+def test_fusion_pow_multiplication_budget(group64, fields64):
+    # subset tables once per call, then per row and bit one squaring plus one
+    # multiply per table; one square-and-multiply per entry would need up to
+    # 2 * n**2 * bitlen(q)
+    count = 0
+
+    class CountingInt(int):
+        def __mul__(self, other):
+            nonlocal count
+            count += 1
+            return CountingInt(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __mod__(self, other):
+            return CountingInt(int(self) % int(other))
+
+    fields = kernel_fields(group64.q, fields64)
+    rng = random.Random(33)
+    bitlen = group64.q.bit_length()
+    for n in (1, 4, 8, 10):
+        fld = fields[n]
+        g = generator_element(group64)
+        comps = tuple(g_pow(g, rng.randrange(1, fld.q)) for _ in range(n))
+        counted = tuple(GroupElement(group64, CountingInt(c.residue)) for c in comps)
+        base = FusionBase(group64, fld, counted)
+        x = fe(fld, [fld.q - 1] * n)
+        count = 0
+        got = residues(fusion_pow(base, x))
+        tables = [min(8, n - s) for s in range(0, n, 8)]
+        budget = sum(2**w - 1 for w in tables) + n * bitlen * (1 + len(tables))
+        assert 0 < count <= budget, (n, count, budget)
+        assert count < 2 * n * n * bitlen or n == 1
+        assert got == residues(fusion_pow(FusionBase(group64, fld, comps), x))
