@@ -136,8 +136,8 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         obj = json.loads(text)
-        if "version" not in obj:
-            raise FormatError("config lacks a schema version")
+        if "version" not in obj or obj["version"] != SCHEMA_VERSION:
+            raise FormatError(f"config schema version must be {SCHEMA_VERSION!r}")
         group = group_params_from_json(obj["group"])
         fld = field_params_from_json(obj["field"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, FusionExpError) as exc:

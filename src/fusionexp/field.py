@@ -11,11 +11,10 @@ product terms per x_j yields
     (x * y)_i = sum_j x_j * lam[i][j](y)   (mod q),
 
 where each lam[i][j] is linear in the coefficients of y.  The n x n matrix
-of lam values for a fixed y is exposed as `lambda_entries` (plain rows) and
-`lambda_matrix` (a validated value); tuple exponentiation in the `fusion`
-module is driven directly by it, which is why multiplication here is routed
-through the same matrix rather than through plain polynomial remainder
-arithmetic.
+of lam values for a fixed y is exposed as `lambda_entries`; tuple
+exponentiation in the `fusion` module is driven directly by it, which is why
+multiplication here is routed through the same matrix rather than through
+plain polynomial remainder arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadDegree, NotIrreducible, NotPrime, ParamsMismatch, ZeroInverse
-from .primes import is_prime
+from .primes import is_prime, parse_decimal
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,11 @@ class FieldParams:
             raise BadDegree(
                 f"f_low must have length n={self.n}, got {len(self.f_low)}"
             )
-        if not is_prime(self.q):
-            raise NotPrime(f"coefficient modulus {self.q} is not prime")
+        # is_irreducible raises NotPrime for a q that is not prime
+        irreducible = is_irreducible(self.q, self.f_low + (1,))
         if any(not 0 <= c < self.q for c in self.f_low):
             raise BadDegree("f coefficients must lie in [0, q)")
-        if not is_irreducible(self.q, self.f_low + (1,)):
+        if not irreducible:
             raise NotIrreducible(
                 f"X^{self.n} + {list(self.f_low)} is reducible mod {self.q}"
             )
@@ -78,21 +77,6 @@ class FieldElement:
 
 
 @dataclass(frozen=True)
-class LambdaMatrix:
-    """The n x n matrix of lam[i][j](y) values for one fixed multiplier y."""
-
-    q: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise BadDegree("matrix must be square")
-        if any(not 0 <= e < self.q for row in self.entries for e in row):
-            raise BadDegree("entries must lie in [0, q)")
-
-
-@dataclass(frozen=True)
 class MixingReport:
     """Zero-entry count and reducibility of one lambda matrix."""
 
@@ -101,24 +85,16 @@ class MixingReport:
 
 
 def make_field_params(q: int, n: int, f_low: Sequence[int]) -> FieldParams:
-    """Build validated field parameters for GF(q^n) with modulus X^n + f.
+    """Field parameters for GF(q^n) with modulus X^n + f.
 
-    The low coefficients are reduced mod q; q must be prime and the modulus
-    polynomial irreducible.
+    q must be prime, the low coefficients must lie in [0, q) and the modulus
+    polynomial must be irreducible; FieldParams checks all three.
     """
-    if n < 1:
-        raise BadDegree(f"extension degree must be >= 1, got {n}")
-    if len(f_low) != n:
-        raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
-    if q < 2 or not is_prime(q):
-        raise NotPrime(f"coefficient modulus {q} is not prime")
-    return FieldParams(q=q, n=n, f_low=tuple(int(c) % q for c in f_low))
+    return FieldParams(q, n, tuple(f_low))
 
 
 def fe(params: FieldParams, coeffs: Sequence[int]) -> FieldElement:
     """Field element from any integer vector of length n (reduced mod q)."""
-    if len(coeffs) != params.n:
-        raise BadDegree(f"need {params.n} coefficients, got {len(coeffs)}")
     return FieldElement(params, tuple(int(c) % params.q for c in coeffs))
 
 
@@ -215,15 +191,6 @@ def lambda_entries(y: FieldElement) -> tuple[tuple[int, ...], ...]:
         tuple(sum(map(operator.mul, coeffs, col[j : j + n])) % q for j in range(n))
         for col in _reduction_columns(n, params.f_low, q)
     )
-
-
-def lambda_matrix(y: FieldElement) -> LambdaMatrix:
-    """Matrix of the coefficient functions evaluated at y.
-
-    entries[i][j] is linear in the coefficients of y, and multiplication by
-    y is the matrix-vector product: (x*y)_i = sum_j entries[i][j] * x_j.
-    """
-    return LambdaMatrix(q=y.params.q, entries=lambda_entries(y))
 
 
 def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -438,12 +405,10 @@ def find_irreducible(q: int, n: int, seed: int) -> tuple[int, ...]:
 
     Seeded random search filtered by is_irreducible; deterministic for a
     fixed (q, n, seed).  Roughly one in n monic candidates is irreducible,
-    so the search is short.
+    so the search is short.  The first is_irreducible call rejects a q
+    that is not prime (NotPrime) or an n below 1 (BadDegree); a q below 1
+    already fails the first draw (ValueError).
     """
-    if not is_prime(q):
-        raise NotPrime(f"coefficient modulus {q} is not prime")
-    if n < 1:
-        raise BadDegree(f"extension degree must be >= 1, got {n}")
     rng = random.Random(seed)
     while True:
         cand = tuple(rng.randrange(q) for _ in range(n))
@@ -465,7 +430,12 @@ def field_params_to_json(params: FieldParams) -> dict:
 
 
 def field_params_from_json(obj: dict) -> FieldParams:
-    return make_field_params(int(obj["q"], 10), int(obj["n"]), [int(c, 10) for c in obj["f"]])
+    n, f = obj["n"], obj["f"]
+    if type(n) is not int:
+        raise ValueError(f"field degree n must be a JSON integer, got {n!r}")
+    if not isinstance(f, list):
+        raise ValueError("field modulus f must be a JSON array")
+    return make_field_params(parse_decimal(obj["q"]), n, [parse_decimal(c) for c in f])
 
 
 def fe_to_json(a: FieldElement) -> list[str]:
@@ -475,4 +445,4 @@ def fe_to_json(a: FieldElement) -> list[str]:
 def fe_from_json(params: FieldParams, data: Sequence[str]) -> FieldElement:
     if len(data) != params.n:
         raise BadDegree(f"need {params.n} coefficients, got {len(data)}")
-    return fe(params, [int(c, 10) for c in data])
+    return fe(params, [parse_decimal(c) for c in data])

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
-from .group import GroupElement, GroupParams, g_inv, g_mul, identity, pow_sm
+from .group import (
+    GroupElement,
+    GroupParams,
+    g_inv,
+    g_mul,
+    group_element,
+    identity,
+    pow_sm,
+)
+from .primes import parse_decimal
 
 # Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
 _TABLE_WIDTH = 8
@@ -165,9 +174,7 @@ def fusion_base_to_json(a: FusionBase) -> list[str]:
 def fusion_base_from_json(
     group: GroupParams, field: FieldParams, data: list[str]
 ) -> FusionBase:
-    from .group import group_element
-
     if len(data) != field.n:
         raise ParamsMismatch(f"need {field.n} components, got {len(data)}")
-    comps = tuple(group_element(group, int(r, 10)) for r in data)
+    comps = tuple(group_element(group, parse_decimal(r)) for r in data)
     return FusionBase(group, field, comps)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
-from .primes import is_prime
+from .primes import is_prime, parse_decimal
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def group_params_to_json(params: GroupParams) -> dict:
 
 def group_params_from_json(obj: dict) -> GroupParams:
     return GroupParams(
-        modulus=int(obj["modulus"], 10),
-        q=int(obj["q"], 10),
-        generator=int(obj["generator"], 10),
+        modulus=parse_decimal(obj["modulus"]),
+        q=parse_decimal(obj["q"]),
+        generator=parse_decimal(obj["generator"]),
     )
 
 
@@ -146,4 +146,4 @@ def group_element_to_json(a: GroupElement) -> str:
 
 
 def group_element_from_json(params: GroupParams, data: str) -> GroupElement:
-    return group_element(params, int(data, 10))
+    return group_element(params, parse_decimal(data))

@@ -1,4 +1,5 @@
-"""Primality testing for arbitrary-precision integers."""
+"""Arbitrary-precision integers: primality testing and the decimal form of
+every integer in the JSON interchange format."""
 
 from __future__ import annotations
 
@@ -51,3 +52,15 @@ def is_prime(n: int) -> bool:
     if n >= _MR_DETERMINISTIC_BOUND:
         witnesses = _MR_WITNESSES + _MR_EXTRA
     return all(_miller_rabin(n, w) for w in witnesses)
+
+
+def parse_decimal(text: str) -> int:
+    """Non-negative integer from a decimal string of ASCII digits only.
+
+    The interchange format writes every integer as str(value), so a sign,
+    whitespace, an underscore or a non-ASCII digit (all of which int()
+    would take) is a ValueError here.
+    """
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
+    return int(text)

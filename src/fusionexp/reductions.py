@@ -26,7 +26,7 @@ from .dlp import (
     fdlog_solve,
 )
 from .errors import IdentityBase, OracleInconsistent
-from .field import FieldParams, fe_add, fe_mul, fe_random
+from .field import FieldElement, FieldParams, fe_add, fe_mul, fe_random
 from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
 from .group import GroupElement, GroupParams, g_pow, generator_element, identity
 
@@ -52,34 +52,6 @@ class CountingOracle:
     @property
     def calls(self) -> int:
         return self._calls
-
-    def reset(self) -> None:
-        with self._lock:
-            self._calls = 0
-
-
-@dataclass
-class OracleSuite:
-    """One counting oracle per problem, for reduction experiments."""
-
-    dlog: CountingOracle
-    fdlog: CountingOracle
-    dh: CountingOracle
-    fdh: CountingOracle
-    ddh: CountingOracle
-    fddh: CountingOracle
-
-
-def bruteforce_suite(group: GroupParams, field: FieldParams) -> OracleSuite:
-    """Exact oracles for every problem, backed by exhaustive scans."""
-    return OracleSuite(
-        dlog=CountingOracle(dlog_bruteforce),
-        fdlog=CountingOracle(fdlog_bruteforce),
-        dh=CountingOracle(dh_from_dlog(dlog_bruteforce)),
-        fdh=CountingOracle(fdh_from_fdlog(fdlog_bruteforce)),
-        ddh=CountingOracle(ddh_from_dh(dh_from_dlog(dlog_bruteforce))),
-        fddh=CountingOracle(fddh_from_fdh(fdh_from_fdlog(fdlog_bruteforce))),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +202,94 @@ class ReductionReport:
         }
 
 
+def _exact_dlog(inst: DlogInstance) -> int:
+    # Looked up at call time, so a solver rebound in this module (a
+    # profiler span, a test double) is the one every oracle below calls.
+    return dlog_bruteforce(inst)
+
+
+def _exact_fdlog(inst: FdlogInstance) -> FieldElement:
+    return fdlog_bruteforce(inst)
+
+
+def _ddh_exponents(rng: random.Random, q: int) -> tuple[int, int, int, bool]:
+    """x1, x2, x3 and a fair coin that says whether x3 = x1 * x2 mod q."""
+    x1, x2 = rng.randrange(q), rng.randrange(q)
+    genuine = rng.random() < 0.5
+    x3 = x1 * x2 % q if genuine else (x1 * x2 + rng.randrange(1, q)) % q
+    return x1, x2, x3, genuine
+
+
+def _trial_dlp_le_fdlp(oracle, rng, g, fld) -> bool:
+    x = rng.randrange(g.params.q)
+    return reduce_dlp_to_fdlp(g_pow(g, x), g, fld, oracle) == x
+
+
+def _trial_fdlp_le_dlp(oracle, rng, g, fld) -> bool:
+    base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+    x = fe_random(fld, rng)
+    return fdlog_solve(FdlogInstance(base, fusion_pow(base, x)), oracle) == x
+
+
+def _trial_dhp_le_fdhp(oracle, rng, g, fld) -> bool:
+    q = g.params.q
+    x1, x2 = rng.randrange(q), rng.randrange(q)
+    got = reduce_dhp_to_fdhp(g_pow(g, x1), g_pow(g, x2), g, fld, oracle)
+    return got == g_pow(g, x1 * x2)
+
+
+def _trial_ddp_le_fddp(oracle, rng, g, fld) -> bool:
+    x1, x2, x3, genuine = _ddh_exponents(rng, g.params.q)
+    got = reduce_ddp_to_fddp(g_pow(g, x1), g_pow(g, x2), g_pow(g, x3), g, fld, oracle)
+    return got == genuine
+
+
+def _trial_dhp_le_dlp(oracle, rng, g, fld) -> bool:
+    q = g.params.q
+    x1, x2 = rng.randrange(q), rng.randrange(q)
+    return dh_from_dlog(oracle)(g_pow(g, x1), g_pow(g, x2), g) == g_pow(g, x1 * x2)
+
+
+def _trial_ddp_le_dhp(oracle, rng, g, fld) -> bool:
+    x1, x2, x3, genuine = _ddh_exponents(rng, g.params.q)
+    ddh = ddh_from_dh(oracle)
+    return ddh(g_pow(g, x1), g_pow(g, x2), g_pow(g, x3), g) == genuine
+
+
+def _trial_fdhp_le_fdlp(oracle, rng, g, fld) -> bool:
+    base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+    x1, x2 = fe_random(fld, rng), fe_random(fld, rng)
+    got = fdh_from_fdlog(oracle)(fusion_pow(base, x1), fusion_pow(base, x2), base)
+    return got == fusion_pow(base, fe_mul(x1, x2))
+
+
+def _trial_fddp_le_fdhp(oracle, rng, g, fld) -> bool:
+    base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+    x1, x2 = fe_random(fld, rng), fe_random(fld, rng)
+    genuine = rng.random() < 0.5
+    x3 = fe_mul(x1, x2)
+    if not genuine:
+        x3 = fe_add(x3, fe_random(fld, rng, nonzero=True))
+    got = fddh_from_fdh(oracle)(
+        fusion_pow(base, x1), fusion_pow(base, x2), fusion_pow(base, x3), base
+    )
+    return got == genuine
+
+
+# (arrow, exact oracle for the problem reduced to, one trial on a fresh
+# instance).  Trials draw from one shared rng in this order.
+_ARROWS = (
+    ("dlp_le_fdlp", _exact_fdlog, _trial_dlp_le_fdlp),
+    ("fdlp_le_dlp", _exact_dlog, _trial_fdlp_le_dlp),
+    ("dhp_le_fdhp", fdh_from_fdlog(_exact_fdlog), _trial_dhp_le_fdhp),
+    ("ddp_le_fddp", fddh_from_fdh(fdh_from_fdlog(_exact_fdlog)), _trial_ddp_le_fddp),
+    ("dhp_le_dlp", _exact_dlog, _trial_dhp_le_dlp),
+    ("ddp_le_dhp", dh_from_dlog(_exact_dlog), _trial_ddp_le_dhp),
+    ("fdhp_le_fdlp", _exact_fdlog, _trial_fdhp_le_fdlp),
+    ("fddp_le_fdhp", fdh_from_fdlog(_exact_fdlog), _trial_fddp_le_fdhp),
+)
+
+
 def run_reduction_matrix(
     group: GroupParams, fld: FieldParams, trials: int, seed: int
 ) -> ReductionReport:
@@ -237,101 +297,16 @@ def run_reduction_matrix(
 
     All oracles are exact (exhaustive-scan backed), so on correct code every
     arrow succeeds on every trial; per-arrow query counts are accumulated
-    from the counting wrappers.  Desk-scale parameters only.
+    from the counting wrappers.  Desk-scale parameters only.  trials must
+    be at least 1: a report with no trial would read as a vacuous success.
     """
-    report = ReductionReport()
-    if trials <= 0:
-        return report
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     g = generator_element(group)
-    q = group.q
-
-    def record(name: str, run_trial: Callable[[CountingOracle], bool], oracle_fn):
-        oracle = CountingOracle(oracle_fn)
-        stats = ArrowStats()
-        for _ in range(trials):
-            stats.trials += 1
-            if run_trial(oracle):
-                stats.successes += 1
-        stats.oracle_calls = oracle.calls
-        report.arrows[name] = stats
-
-    def trial_dlp_le_fdlp(oracle):
-        x = rng.randrange(q)
-        return reduce_dlp_to_fdlp(g_pow(g, x), g, fld, oracle) == x
-
-    record("dlp_le_fdlp", trial_dlp_le_fdlp, fdlog_bruteforce)
-
-    def trial_fdlp_le_dlp(oracle):
-        base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
-        x = fe_random(fld, rng)
-        return fdlog_solve(FdlogInstance(base, fusion_pow(base, x)), oracle) == x
-
-    record("fdlp_le_dlp", trial_fdlp_le_dlp, dlog_bruteforce)
-
-    def trial_dhp_le_fdhp(oracle):
-        x1, x2 = rng.randrange(q), rng.randrange(q)
-        got = reduce_dhp_to_fdhp(g_pow(g, x1), g_pow(g, x2), g, fld, oracle)
-        return got == g_pow(g, x1 * x2)
-
-    record("dhp_le_fdhp", trial_dhp_le_fdhp, fdh_from_fdlog(fdlog_bruteforce))
-
-    def trial_ddp_le_fddp(oracle):
-        x1, x2 = rng.randrange(q), rng.randrange(q)
-        genuine = rng.random() < 0.5
-        x3 = x1 * x2 % q if genuine else (x1 * x2 + rng.randrange(1, q)) % q
-        got = reduce_ddp_to_fddp(
-            g_pow(g, x1), g_pow(g, x2), g_pow(g, x3), g, fld, oracle
-        )
-        return got == genuine
-
-    record(
-        "ddp_le_fddp",
-        trial_ddp_le_fddp,
-        fddh_from_fdh(fdh_from_fdlog(fdlog_bruteforce)),
-    )
-
-    def trial_dhp_le_dlp(oracle):
-        dh = dh_from_dlog(oracle)
-        x1, x2 = rng.randrange(q), rng.randrange(q)
-        return dh(g_pow(g, x1), g_pow(g, x2), g) == g_pow(g, x1 * x2)
-
-    record("dhp_le_dlp", trial_dhp_le_dlp, dlog_bruteforce)
-
-    def trial_ddp_le_dhp(oracle):
-        ddh = ddh_from_dh(oracle)
-        x1, x2 = rng.randrange(q), rng.randrange(q)
-        genuine = rng.random() < 0.5
-        x3 = x1 * x2 % q if genuine else (x1 * x2 + rng.randrange(1, q)) % q
-        return ddh(g_pow(g, x1), g_pow(g, x2), g_pow(g, x3), g) == genuine
-
-    record("ddp_le_dhp", trial_ddp_le_dhp, dh_from_dlog(dlog_bruteforce))
-
-    def trial_fdhp_le_fdlp(oracle):
-        fdh = fdh_from_fdlog(oracle)
-        base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
-        x1, x2 = fe_random(fld, rng), fe_random(fld, rng)
-        got = fdh(fusion_pow(base, x1), fusion_pow(base, x2), base)
-        return got == fusion_pow(base, fe_mul(x1, x2))
-
-    record("fdhp_le_fdlp", trial_fdhp_le_fdlp, fdlog_bruteforce)
-
-    def trial_fddp_le_fdhp(oracle):
-        fddh = fddh_from_fdh(oracle)
-        base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
-        x1, x2 = fe_random(fld, rng), fe_random(fld, rng)
-        genuine = rng.random() < 0.5
-        x3 = fe_mul(x1, x2)
-        if not genuine:
-            x3 = fe_add(x3, fe_random(fld, rng, nonzero=True))
-        got = fddh(
-            fusion_pow(base, x1),
-            fusion_pow(base, x2),
-            fusion_pow(base, x3),
-            base,
-        )
-        return got == genuine
-
-    record("fddp_le_fdhp", trial_fddp_le_fdhp, fdh_from_fdlog(fdlog_bruteforce))
-
+    report = ReductionReport()
+    for name, exact, trial in _ARROWS:
+        oracle = CountingOracle(exact)
+        successes = sum(trial(oracle, rng, g, fld) for _ in range(trials))
+        report.arrows[name] = ArrowStats(trials, successes, oracle.calls)
     return report

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import fusionexp.field
+import fusionexp.group
 from fusionexp.cli import (
     EXIT_FAIL,
     EXIT_FORMAT,
@@ -209,6 +211,59 @@ def test_config_without_version_rejected(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--config", str(bad),
                      "--base", '["2","4"]', "--exp", '["1","0"]')
     assert code == EXIT_FORMAT
+
+
+@pytest.mark.parametrize("exp", ['["-3","5"]', '["3_0","5"]', '[" 8","5"]',
+                                 '["\u0668","5"]'])
+def test_eval_rejects_noncanonical_exponent(capsys, config_path, exp):
+    # int() reads each of these as 8 mod 11; the interchange format does not
+    code, out, err = run(capsys, "eval", "--config", config_path,
+                         "--base", '["2","4"]', "--exp", exp)
+    assert code == EXIT_FORMAT
+    assert out == "" and "ASCII digits" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"version": "999"},
+    {"field": {"n": 2.9}},
+    {"field": {"n": True}},
+    {"field": {"f": ["12", "0"]}},  # 12 lies outside [0, q) for q = 11
+    {"field": {"f": "10"}},
+    {"group": {"q": "+11"}},
+], ids=["version", "n-float", "n-bool", "f-range", "f-string", "q-sign"])
+def test_config_with_noncanonical_values_rejected(capsys, tmp_path, config_path, change):
+    obj = json.loads(Path(config_path).read_text())
+    for key, value in change.items():
+        if isinstance(value, dict):
+            obj[key].update(value)
+        else:
+            obj[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "eval", "--config", str(bad),
+                         "--base", '["2","4"]', "--exp", '["3","5"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "input error" in err
+
+
+def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
+    # modulus and order in GroupParams, q once in FieldParams' irreducibility test
+    calls = {"is_prime": 0, "is_irreducible": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fusionexp.group, "is_prime")
+    counted(fusionexp.field, "is_prime")
+    counted(fusionexp.field, "is_irreducible")
+    load_system_config(config_path)
+    assert calls == {"is_prime": 3, "is_irreducible": 1}
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from fusionexp import (
     fe_zero,
     find_irreducible,
     is_irreducible,
-    lambda_matrix,
+    lambda_entries,
     lambda_mixing_report,
     lambda_symbolic,
     make_field_params,
@@ -63,6 +63,9 @@ def test_rejects_composite_q():
         make_field_params(12, 2, [1, 0])
     with pytest.raises(NotPrime):
         make_field_params(1, 1, [0])
+    for q in (0, -7):
+        with pytest.raises(NotPrime):
+            make_field_params(q, 1, [0])
 
 
 def test_rejects_reducible_modulus():
@@ -71,6 +74,14 @@ def test_rejects_reducible_modulus():
     assert roots == [2, 3]
     with pytest.raises(NotIrreducible):
         make_field_params(5, 2, [1, 0])
+
+
+def test_rejects_coefficients_outside_range():
+    # X^2 + 12 = X^2 + 1 mod 11 is irreducible, but f is not reduced silently
+    with pytest.raises(BadDegree):
+        make_field_params(11, 2, [12, 0])
+    with pytest.raises(BadDegree):
+        make_field_params(11, 2, [-1, 0])
 
 
 def test_rejects_wrong_length():
@@ -297,7 +308,7 @@ def test_fe_pow_group_order(f121):
 def test_lambda_matrix_degree_one():
     params = make_field_params(11, 1, [0])
     for y0 in range(11):
-        assert lambda_matrix(fe(params, [y0])).entries == ((y0,),)
+        assert lambda_entries(fe(params, [y0])) == ((y0,),)
 
 
 def test_lambda_matrix_quadratic_shape(f121):
@@ -305,7 +316,7 @@ def test_lambda_matrix_quadratic_shape(f121):
     for _ in range(200):
         y = fe_random(f121, rng)
         y0, y1 = y.coeffs
-        assert lambda_matrix(y).entries == ((y0, -y1 % 11), (y1, y0))
+        assert lambda_entries(y) == ((y0, -y1 % 11), (y1, y0))
 
 
 def test_lambda_matrix_is_multiplication_matrix(q11_fields):
@@ -317,8 +328,8 @@ def test_lambda_matrix_is_multiplication_matrix(q11_fields):
             x = fe_random(params, rng)
             y = fe_random(params, rng)
             prod = fe_mul(x, y)
-            ly = lambda_matrix(y).entries
-            lx = lambda_matrix(x).entries
+            ly = lambda_entries(y)
+            lx = lambda_entries(x)
             via_y = tuple(
                 sum(ly[i][j] * x.coeffs[j] for j in range(n)) % q for i in range(n)
             )
@@ -336,9 +347,9 @@ def test_lambda_linearity(q11_fields, fields64):
         for _ in range(trials):
             x = fe_random(params, rng)
             y = fe_random(params, rng)
-            lx = lambda_matrix(x).entries
-            ly = lambda_matrix(y).entries
-            lsum = lambda_matrix(fe_add(x, y)).entries
+            lx = lambda_entries(x)
+            ly = lambda_entries(y)
+            lsum = lambda_entries(fe_add(x, y))
             for i in range(n):
                 for j in range(n):
                     assert (lx[i][j] + ly[i][j]) % q == lsum[i][j]
@@ -357,7 +368,7 @@ def test_lambda_symbolic_lifts_to_numeric(q11_fields):
         sym = lambda_symbolic(n, params.f_low)
         for k in range(n):
             unit = fe(params, [1 if i == k else 0 for i in range(n)])
-            num = lambda_matrix(unit).entries
+            num = lambda_entries(unit)
             for i in range(n):
                 for j in range(n):
                     assert sym[i][j][k] % q == num[i][j]
@@ -394,7 +405,7 @@ def test_mixing_report_cubic_all_ones():
     y = fe(params, [1, 1, 1])
     # reference matrix at y = (1,1,1): rows (1,-1,-1), (1,0,-2), (1,1,0) mod 5
     expected = [[1, 4, 4], [1, 0, 3], [1, 1, 0]]
-    assert [list(r) for r in lambda_matrix(y).entries] == expected
+    assert [list(r) for r in lambda_entries(y)] == expected
     report = lambda_mixing_report(params, y)
     assert report.zero_entry_count == 2
     assert report.is_reducible == helpers.reducible_by_permutation(expected)
@@ -405,7 +416,7 @@ def test_mixing_report_matches_permutation_oracle_exhaustively(f27):
     q3_n2 = make_field_params(3, 2, find_irreducible(3, 2, seed=1))
     for params in (q3_n2, f27):
         for y in all_elements(params):
-            entries = [list(r) for r in lambda_matrix(y).entries]
+            entries = [list(r) for r in lambda_entries(y)]
             report = lambda_mixing_report(params, y)
             assert report.is_reducible == helpers.reducible_by_permutation(entries)
             assert report.zero_entry_count == sum(r.count(0) for r in entries)

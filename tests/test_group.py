@@ -23,6 +23,7 @@ from fusionexp.group import (
     group_params_to_json,
     pow_sm,
 )
+from fusionexp.primes import parse_decimal
 
 
 def test_gen_group_params_4_bits():
@@ -149,6 +150,17 @@ def test_serialization_roundtrip(g23):
     a = GroupElement(g23, 13)
     assert group_element_to_json(a) == "13"
     assert group_element_from_json(g23, "13") == a
+
+
+def test_parse_decimal_takes_ascii_digits_only(g23):
+    assert [parse_decimal(s) for s in ("0", "13", "4" * 80)] == [0, 13, int("4" * 80)]
+    for text in ("", "-3", "+3", "3_0", " 8", "8\n", "\u0668", "\u00b9", "0x1f", "1e3", 8, None):
+        with pytest.raises(ValueError):
+            parse_decimal(text)
+    with pytest.raises(ValueError):
+        group_element_from_json(g23, " 13")
+    with pytest.raises(ValueError):
+        group_params_from_json({"modulus": "23", "q": "11", "generator": "+2"})
 
 
 def test_deserialization_rejects_non_member(g23):

@@ -1,11 +1,15 @@
-"""Package layering: no module imports another module's private helpers."""
+"""Package layering: no module imports another module's private helpers, and
+every package name the benchmark scripts in perfbench/ use still exists."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import fusionexp
 
 SRC = Path(fusionexp.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def private_cross_imports(path):
@@ -44,4 +48,107 @@ def test_checker_flags_a_private_import(tmp_path):
         (2, "field", "_private"),
         (3, "fusionexp.group", "_other"),
         (5, None, "_inner"),
+    ]
+
+
+def package_aliases(tree):
+    """Local name -> fusionexp module for each import of the package in tree."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "fusionexp":
+                    target = alias.name if alias.asname else "fusionexp"
+                    aliases[alias.asname or "fusionexp"] = importlib.import_module(target)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fusionexp"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name, None)
+                if isinstance(value, types.ModuleType):
+                    aliases[alias.asname or alias.name] = value
+    return aliases
+
+
+def unresolved_package_names(path):
+    """(line, dotted name) for each `alias.name...` that the package lacks.
+
+    A dotted chain is followed while it names modules, so `fx.fe_mul` and
+    `fx.field.fe_mul` are both checked, and `from fusionexp.x import y`
+    checks that y exists.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = package_aliases(tree)
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fusionexp"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    missing.append((node.lineno, f"{node.module}.{alias.name}"))
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = [node.attr]
+        inner = node.value
+        while isinstance(inner, ast.Attribute):
+            chain.insert(0, inner.attr)
+            inner = inner.value
+        if not (isinstance(inner, ast.Name) and inner.id in aliases):
+            continue
+        obj = aliases[inner.id]
+        for i, attr in enumerate(chain):
+            if not isinstance(obj, types.ModuleType):
+                break
+            if not hasattr(obj, attr):
+                missing.append((node.lineno, ".".join([inner.id, *chain[: i + 1]])))
+                break
+            obj = getattr(obj, attr)
+    return sorted(missing)
+
+
+def literal_assignment(path, name):
+    """The literal value assigned to a module-level name in path."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_uses_only_existing_package_names():
+    scripts = sorted(PERFBENCH.glob("*.py"))
+    assert len(scripts) > 5
+    missing = {p.name: hits for p in scripts if (hits := unresolved_package_names(p))}
+    assert missing == {}
+
+
+def test_benchmark_traced_and_faulted_functions_exist():
+    traced = literal_assignment(PERFBENCH / "tracer.py", "TRACED")
+    faulted = [fault[:2] for _, _, fault in literal_assignment(PERFBENCH / "selftest.py", "CASES")]
+    targets = [(m, n) for m, names in traced.items() for n in names] + faulted
+    assert len(targets) > 20
+    missing = [
+        (m, n) for m, n in targets
+        if not callable(getattr(importlib.import_module(f"fusionexp.{m}"), n, None))
+    ]
+    assert missing == []
+
+
+def test_name_checker_flags_a_missing_name(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import fusionexp as fx\n"
+        "import fusionexp.cli as fx_cli\n"
+        "from fusionexp import field\n"
+        "from fusionexp.group import pow_sm, no_such_import\n"
+        "fx.fusion_pow, fx.gone, fx.field.fe_mul, fx.field.gone\n"
+        "fx_cli.main, fx_cli.gone, field.fe_mul, field.gone\n"
+        "fx.FusionBase.anything\n"
+    )
+    assert unresolved_package_names(sample) == [
+        (4, "fusionexp.group.no_such_import"),
+        (5, "fx.field.gone"),
+        (5, "fx.gone"),
+        (6, "field.gone"),
+        (6, "fx_cli.gone"),
     ]

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
+import fusionexp.reductions
 from fusionexp import (
     CountingOracle,
-    DlogInstance,
-    FdlogInstance,
     GroupElement,
     OracleInconsistent,
-    bruteforce_suite,
     ddh_from_dh,
     dh_from_dlog,
     dlog_bruteforce,
@@ -164,32 +162,6 @@ def test_counting_oracle_thread_safety():
     assert oracle.calls == 8000
 
 
-def test_counting_oracle_reset():
-    oracle = CountingOracle(lambda v: v)
-    assert oracle.calls == 0
-    oracle(1)
-    oracle(2)
-    assert oracle.calls == 2
-    oracle.reset()
-    assert oracle.calls == 0
-
-
-def test_bruteforce_suite_answers_correctly(g23, f121):
-    suite = bruteforce_suite(g23, f121)
-    g = generator_element(g23)
-    inst = FdlogInstance(scalar_embed(g, fe(f121, [1, 2])),
-                         fusion_pow(scalar_embed(g, fe(f121, [1, 2])), fe(f121, [3, 5])))
-    assert suite.fdlog(inst).coeffs == (3, 5)
-    assert suite.dlog(_dlog_inst(g23, 13)) == 7
-    assert suite.dh(g_pow(g, 3), g_pow(g, 4), g) == g_pow(g, 1)
-    assert suite.ddh(g_pow(g, 3), g_pow(g, 4), g_pow(g, 1), g)
-    assert suite.fdlog.calls == 1 and suite.dlog.calls == 1
-
-
-def _dlog_inst(params, target):
-    return DlogInstance(generator_element(params), GroupElement(params, target))
-
-
 def test_run_reduction_matrix_quick(g23, f121):
     report = run_reduction_matrix(g23, f121, trials=25, seed=12)
     assert set(report.arrows) == {
@@ -210,9 +182,35 @@ def test_run_reduction_matrix_quick(g23, f121):
 
 
 def test_run_reduction_matrix_zero_trials(g23, f121):
-    report = run_reduction_matrix(g23, f121, trials=0, seed=1)
-    assert report.arrows == {}
-    assert report.to_json_dict() == {}
+    # a report with no trial would read as a vacuous success
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials"):
+            run_reduction_matrix(g23, f121, trials=trials, seed=1)
+
+
+def test_run_reduction_matrix_calls_rebound_solvers(g23, f121, monkeypatch):
+    # the exact oracles look the scan solvers up per call, so a solver
+    # rebound in the module (a profiler span, a test double) sees every query
+    seen = {"dlog_bruteforce": 0, "fdlog_bruteforce": 0}
+    for name in seen:
+        original = getattr(fusionexp.reductions, name)
+
+        def spy(inst, name=name, original=original):
+            seen[name] += 1
+            return original(inst)
+
+        monkeypatch.setattr(fusionexp.reductions, name, spy)
+    arrows = run_reduction_matrix(g23, f121, trials=3, seed=2).arrows
+    by_solver = {
+        "dlog_bruteforce": ("fdlp_le_dlp", "dhp_le_dlp", "ddp_le_dhp"),
+        "fdlog_bruteforce": ("dlp_le_fdlp", "dhp_le_fdhp", "ddp_le_fddp",
+                             "fdhp_le_fdlp", "fddp_le_fdhp"),
+    }
+    assert seen == {
+        solver: sum(arrows[a].oracle_calls for a in names)
+        for solver, names in by_solver.items()
+    }
+    assert seen["dlog_bruteforce"] == 3 * (2 * f121.n + 2)
 
 
 def test_run_reduction_matrix_deterministic(g23, f121):
