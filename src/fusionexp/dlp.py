@@ -10,6 +10,7 @@ generator via a scalar-dlog oracle, then divide in the exponent field.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -85,9 +86,7 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     params = inst.params
     P, q = params.modulus, params.q
     g, y = inst.g.residue, inst.y.residue
-    m = 1
-    while m * m < q:
-        m += 1
+    m = math.isqrt(q - 1) + 1  # ceil(sqrt(q)) for q >= 1
     mults = 0
     table = {}
     cur = 1

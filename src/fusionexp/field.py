@@ -4,17 +4,21 @@ An element is the coefficient vector (x_0, ..., x_{n-1}) of a residue
 polynomial, index i holding the coefficient of X^i.  The modulus f is monic
 of degree n and is stored through its n low coefficients only.
 
-Multiplication is organised around the coefficient functions lam[i][j]:
-reducing X^n, ..., X^{2n-2} to the base monomials and collecting the
-product terms per x_j yields
+Every product mod f is formed in one place, `_mul`: the plain integer
+convolution of two coefficient vectors is folded back below degree n
+through the reduction columns of f (each X^m, m < 2n - 1, written in the
+base monomials; built once per modulus and cached), with one reduction mod
+q per output coefficient.  `fe_mul`, `fe_pow` and the irreducibility test
+all go through it.  Inversion and the gcd of the irreducibility test share
+one extended Euclid, `_pgcdex`.
+
+The same columns give the coefficient functions lam[i][j]:
 
     (x * y)_i = sum_j x_j * lam[i][j](y)   (mod q),
 
 where each lam[i][j] is linear in the coefficients of y.  The n x n matrix
 of lam values for a fixed y is exposed as `lambda_entries`; tuple
-exponentiation in the `fusion` module is driven directly by it, which is why
-multiplication here is routed through the same matrix rather than through
-plain polynomial remainder arithmetic.
+exponentiation in the `fusion` module is driven directly by it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class FieldParams:
     f_low: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f_low", tuple(int(c) for c in self.f_low))
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "f_low", tuple(map(operator.index, self.f_low)))
         if self.n < 1:
             raise BadDegree(f"extension degree must be >= 1, got {self.n}")
         if len(self.f_low) != self.n:
@@ -67,7 +72,7 @@ class FieldElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
         if len(self.coeffs) != self.params.n:
             raise BadDegree(
                 f"need {self.params.n} coefficients, got {len(self.coeffs)}"
@@ -95,7 +100,7 @@ def make_field_params(q: int, n: int, f_low: Sequence[int]) -> FieldParams:
 
 def fe(params: FieldParams, coeffs: Sequence[int]) -> FieldElement:
     """Field element from any integer vector of length n (reduced mod q)."""
-    return FieldElement(params, tuple(int(c) % params.q for c in coeffs))
+    return FieldElement(params, tuple(operator.index(c) % params.q for c in coeffs))
 
 
 def fe_zero(params: FieldParams) -> FieldElement:
@@ -204,7 +209,7 @@ def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...]
         raise BadDegree(f"extension degree must be >= 1, got {n}")
     if len(f_low) != n:
         raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
-    cols = _reduction_columns(n, tuple(int(c) for c in f_low), None)
+    cols = _reduction_columns(n, tuple(map(operator.index, f_low)), None)
     return tuple(tuple(col[j : j + n] for j in range(n)) for col in cols)
 
 
@@ -220,42 +225,65 @@ def lambda_entry_expr(coeffs: Sequence[int]) -> str:
     return "".join(terms) if terms else "0"
 
 
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product via the lambda matrix of b; equals schoolbook multiply-then-reduce."""
-    _check_same_params(a, b)
-    q = a.params.q
-    lam = lambda_entries(b)
-    return FieldElement(
-        a.params, tuple(sum(map(operator.mul, a.coeffs, row)) % q for row in lam)
+def _mul(
+    a: Sequence[int], b: Sequence[int], f_low: tuple[int, ...], q: int
+) -> tuple[int, ...]:
+    """Product of two length-n residue vectors modulo (f, q).
+
+    The plain integer convolution is folded through the cached reduction
+    columns, so each output coefficient is reduced mod q once.
+    """
+    n = len(f_low)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    return tuple(
+        sum(map(operator.mul, prod, col)) % q
+        for col in _reduction_columns(n, f_low, q)
     )
+
+
+def _pow(a: Sequence[int], k: int, f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """a**k modulo (f, q) for k >= 0, by square and multiply over `_mul`."""
+    result = (1,) + (0,) * (len(f_low) - 1)
+    while k:
+        if k & 1:
+            result = _mul(result, a, f_low, q)
+        a = _mul(a, a, f_low, q)
+        k >>= 1
+    return result
+
+
+def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
+    """Product: schoolbook convolution folded through the reduction columns."""
+    _check_same_params(a, b)
+    params = a.params
+    return FieldElement(params, _mul(a.coeffs, b.coeffs, params.f_low, params.q))
 
 
 def fe_pow(a: FieldElement, k: int) -> FieldElement:
     """a to a nonnegative integer power, by square and multiply."""
     if k < 0:
         raise ValueError("negative exponent; invert first")
-    result = fe_one(a.params)
-    base = a
-    while k:
-        if k & 1:
-            result = fe_mul(result, base)
-        base = fe_mul(base, base)
-        k >>= 1
-    return result
+    params = a.params
+    return FieldElement(params, _pow(a.coeffs, k, params.f_low, params.q))
 
 
 def fe_inv(a: FieldElement) -> FieldElement:
     """Multiplicative inverse by the extended Euclidean algorithm on polynomials."""
     if fe_is_zero(a):
         raise ZeroInverse("zero has no multiplicative inverse")
-    q = a.params.q
-    f_full = list(a.params.f_low) + [1]
-    g, u, _ = _pxgcd(list(a.coeffs), f_full, q)
-    # gcd of a nonzero element with an irreducible modulus is a unit
+    params = a.params
+    q = params.q
+    g, u = _pgcdex(a.coeffs, params.f_low + (1,), q)
+    # gcd of a nonzero element with an irreducible modulus is a unit, and
+    # the cofactor of a has degree below n
     c_inv = pow(g[0], -1, q)
-    inv = [x * c_inv % q for x in u]
-    inv += [0] * (a.params.n - len(inv))
-    return FieldElement(a.params, tuple(inv[: a.params.n]))
+    return FieldElement(
+        params, tuple(c * c_inv % q for c in u) + (0,) * (params.n - len(u))
+    )
 
 
 def lambda_mixing_report(params: FieldParams, y: FieldElement) -> MixingReport:
@@ -288,8 +316,8 @@ def _reaches_all(adj: list[list[int]], n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over Z_q (coefficient lists, little-endian, trimmed).
-# Used by the irreducibility test and by inversion, not by fe_mul.
+# Polynomials of any degree over Z_q (coefficient lists, little-endian,
+# trimmed), for the gcds of inversion and of the irreducibility test.
 # ---------------------------------------------------------------------------
 
 
@@ -299,83 +327,30 @@ def _ptrim(p: list[int]) -> list[int]:
     return p
 
 
-def _pmul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _ptrim(out)
-
-
-def _psub(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % q
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], m: list[int], q: int) -> list[int]:
-    a = list(a)
-    _ptrim(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, q)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % q
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * c) % q
-        _ptrim(a)
-    return a
-
-
-def _ppowmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _pmod(list(base), m, q)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, q), m, q)
-        base = _pmod(_pmul(base, base, q), m, q)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = list(a), list(b)
-    _ptrim(a)
-    _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, q)
-    return a
-
-
-def _pxgcd(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int], list[int]]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
+def _pgcdex(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """Extended Euclid over Z_q: (g, u) with g = gcd(a, b) and u*a = g mod b."""
     r0, r1 = _ptrim(list(a)), _ptrim(list(b))
     u0, u1 = [1], []
-    v0, v1 = [], [1]
     while r1:
-        # quotient of r0 by r1 via repeated leading-term elimination
-        quot: list[int] = []
-        rem = list(r0)
+        # reduce r0 mod r1 in place by leading-term elimination; quot
+        # collects the quotient
+        quot = [0] * (len(r0) - len(r1) + 1)
         inv_lead = pow(r1[-1], -1, q)
-        while len(rem) >= len(r1) and rem:
-            shift = len(rem) - len(r1)
-            factor = rem[-1] * inv_lead % q
-            if len(quot) < shift + 1:
-                quot += [0] * (shift + 1 - len(quot))
+        while len(r0) >= len(r1):
+            shift = len(r0) - len(r1)
+            factor = r0[-1] * inv_lead % q
             quot[shift] = factor
-            for i, c in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - factor * c) % q
-            _ptrim(rem)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _psub(u0, _pmul(quot, u1, q), q)
-        v0, v1 = v1, _psub(v0, _pmul(quot, v1, q), q)
-    return r0, u0, v0
+            for i, c in enumerate(r1, shift):
+                r0[i] = (r0[i] - factor * c) % q
+            _ptrim(r0)
+        # u0 - quot * u1, reduced once per coefficient
+        u = u0 + [0] * (len(quot) + len(u1) - 1 - len(u0))
+        for i, c in enumerate(quot):
+            for j, d in enumerate(u1, i):
+                u[j] -= c * d
+        r0, r1 = r1, r0
+        u0, u1 = u1, _ptrim([c % q for c in u])
+    return r0, u0
 
 
 def is_irreducible(q: int, poly: Sequence[int]) -> bool:
@@ -386,16 +361,18 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     """
     if not is_prime(q):
         raise NotPrime(f"coefficient modulus {q} is not prime")
-    p = [int(c) % q for c in poly]
+    p = [operator.index(c) % q for c in poly]
     if len(p) < 2 or p[-1] != 1:
         raise BadDegree("polynomial must be monic of degree >= 1")
     n = len(p) - 1
-    x = [0, 1]
-    h = list(x)
+    f_low = tuple(p[:n])
+    h = (0, 1) + (0,) * (n - 2)  # X, for the n >= 2 that run the loop
     for _ in range(n // 2):
-        h = _ppowmod(h, q, p, q)
-        g = _pgcd(p, _psub(h, x, q), q)
-        if len(g) - 1 > 0:
+        h = _pow(h, q, f_low, q)
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % q
+        g, _ = _pgcdex(p, h_minus_x, q)
+        if len(g) > 1:
             return False
     return True
 
@@ -445,4 +422,4 @@ def fe_to_json(a: FieldElement) -> list[str]:
 def fe_from_json(params: FieldParams, data: Sequence[str]) -> FieldElement:
     if len(data) != params.n:
         raise BadDegree(f"need {params.n} coefficients, got {len(data)}")
-    return fe(params, [parse_decimal(c) for c in data])
+    return FieldElement(params, tuple(parse_decimal(c) for c in data))

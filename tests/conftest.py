@@ -36,7 +36,7 @@ def group64():
 def fields64(group64):
     q = group64.q
     fields = {1: make_field_params(q, 1, [0])}
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 8):
         fields[n] = make_field_params(q, n, find_irreducible(q, n, seed=n))
     return fields
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results through a different route than the
-library: plain convolution plus top-down long division for field products,
+library: plain convolution plus top-down long division for field products
+(and left-to-right square-and-multiply over it for field powers),
 bilinear-form elimination for the symbolic coefficient matrices, factor
 enumeration for irreducibility, iterated multiplication for powers, and
 one square-and-multiply per coefficient-matrix entry for tuple powers.
@@ -28,6 +29,16 @@ def schoolbook_mulmod(q, f_low, a, b):
             for i in range(n):
                 prod[m - n + i] = (prod[m - n + i] - c * f_low[i]) % q
     return tuple(prod[:n])
+
+
+def schoolbook_powmod(q, f_low, a, k):
+    """a**k by left-to-right square and multiply over schoolbook_mulmod."""
+    acc = (1,) + (0,) * (len(f_low) - 1)
+    for bit in bin(k)[2:]:
+        acc = schoolbook_mulmod(q, f_low, acc, acc)
+        if bit == "1":
+            acc = schoolbook_mulmod(q, f_low, acc, a)
+    return acc
 
 
 def bilinear_lambda(n, f_low):

@@ -223,6 +223,15 @@ def test_eval_rejects_noncanonical_exponent(capsys, config_path, exp):
     assert out == "" and "ASCII digits" in err
 
 
+@pytest.mark.parametrize("exp", ['["11","0"]', '["12","0"]'])
+def test_eval_rejects_exponent_coefficient_outside_range(capsys, config_path, exp):
+    # q = 11: these are 0 and 1 mod q, but an exponent is not reduced silently
+    code, out, err = run(capsys, "eval", "--config", config_path,
+                         "--base", '["2","4"]', "--exp", exp)
+    assert code == EXIT_FORMAT
+    assert out == "" and "[0, q)" in err
+
+
 @pytest.mark.parametrize("change", [
     {"version": "999"},
     {"field": {"n": 2.9}},

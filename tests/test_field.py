@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import helpers
 from fusionexp import (
     BadDegree,
+    FieldElement,
     NotIrreducible,
     NotPrime,
     ParamsMismatch,
@@ -38,9 +41,19 @@ from fusionexp.field import (
 )
 
 
+Q64 = 2**64 - 59
+Q256 = 2**256 - 189
+
+
 def all_elements(params):
     for coeffs in itertools.product(range(params.q), repeat=params.n):
         yield fe(params, coeffs)
+
+
+@pytest.fixture(scope="module")
+def field256():
+    """GF(q^8) at a 256-bit q, the size of the protocol benchmark."""
+    return make_field_params(Q256, 8, find_irreducible(Q256, 8, seed=8))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +95,22 @@ def test_rejects_coefficients_outside_range():
         make_field_params(11, 2, [12, 0])
     with pytest.raises(BadDegree):
         make_field_params(11, 2, [-1, 0])
+
+
+def test_rejects_non_integer_values(f121):
+    # a float is a TypeError, not a coefficient truncated towards zero
+    with pytest.raises(TypeError):
+        make_field_params(11, 2, [1.9, 0.2])
+    with pytest.raises(TypeError):
+        make_field_params(11, 2.0, [1, 0])
+    with pytest.raises(TypeError):
+        fe(f121, [2.7, 1])
+    with pytest.raises(TypeError):
+        FieldElement(f121, (2.0, 1))
+    with pytest.raises(TypeError):
+        is_irreducible(11, [1.0, 0, 1])
+    with pytest.raises(TypeError):
+        lambda_symbolic(2, [1.9, 0.2])
 
 
 def test_rejects_wrong_length():
@@ -136,6 +165,29 @@ def test_find_irreducible_deterministic_and_verified():
     assert a == b
     assert is_irreducible(11, list(a) + [1])
     assert not helpers.poly_has_factor(11, list(a) + [1])
+
+
+# sha256 prefixes of repr(find_irreducible(q, n, seed=n)), recorded from the
+# earlier schoolbook-stack irreducibility test: a changed verdict on any
+# drawn candidate changes the output, and with it every generated config
+FIND_IRREDUCIBLE_PINS = {
+    (Q64, 2): "f6180534d76a375e",
+    (Q64, 3): "b1ce489163fb62a0",
+    (Q64, 4): "322a6d7c8b06e911",
+    (Q64, 8): "d4a90d013be15ab4",
+    (Q256, 2): "53561768a2ba74fe",
+    (Q256, 3): "a60ae142d3f0f412",
+    (Q256, 4): "53423dee0784ede7",
+    (Q256, 8): "4630591216b5bc41",
+}
+
+
+@pytest.mark.parametrize("q, n", FIND_IRREDUCIBLE_PINS,
+                         ids=[f"q{q.bit_length()}-n{n}" for q, n in FIND_IRREDUCIBLE_PINS])
+def test_find_irreducible_outputs_pinned(q, n):
+    f_low = find_irreducible(q, n, seed=n)
+    digest = hashlib.sha256(repr(f_low).encode()).hexdigest()[:16]
+    assert digest == FIND_IRREDUCIBLE_PINS[q, n]
 
 
 def test_find_irreducible_degree_one():
@@ -217,16 +269,44 @@ def test_fe_mul_matches_schoolbook_exhaustive_cubic():
             )
 
 
-def test_fe_mul_matches_schoolbook_random(q11_fields, fields64):
+def test_fe_mul_matches_schoolbook_random(q11_fields, fields64, field256):
     rng = random.Random(7)
-    for params in (q11_fields[5], fields64[2]):
-        for _ in range(10_000):
+    for params, trials in ((q11_fields[5], 10_000), (fields64[2], 10_000),
+                           (fields64[8], 2_000), (field256, 1_000)):
+        for _ in range(trials):
             a = fe_random(params, rng)
             b = fe_random(params, rng)
             assert (
                 fe_mul(a, b).coeffs
                 == helpers.schoolbook_mulmod(params.q, params.f_low, a.coeffs, b.coeffs)
             )
+
+
+def test_fe_mul_reduction_budget(fields64):
+    # one reduction mod q per output coefficient; the lambda route reduces
+    # each of the n**2 matrix entries and then each of the n outputs
+    count = 0
+
+    class CountingModulus(int):
+        def __rmod__(self, other):
+            nonlocal count
+            count += 1
+            return other % int(self)
+
+    n = 8
+    params = make_field_params(CountingModulus(fields64[n].q), n, fields64[n].f_low)
+    rng = random.Random(12)
+    for _ in range(20):
+        a, b = fe_random(params, rng), fe_random(params, rng)
+        count = 0
+        got = fe_mul(a, b)
+        assert 0 < count <= n
+        count = 0
+        via_lambda = tuple(
+            sum(map(operator.mul, a.coeffs, row)) % params.q for row in lambda_entries(b)
+        )
+        assert count == n * n + n
+        assert got.coeffs == via_lambda
 
 
 def test_fe_mul_cubic_closed_form():
@@ -274,30 +354,46 @@ def test_fe_inv_zero_raises(f121):
         fe_inv(fe_zero(f121))
 
 
-def test_fe_inv_random_large(fields64):
+def test_fe_inv_random_large(fields64, field256):
     rng = random.Random(11)
-    params = fields64[3]
-    one = fe_one(params)
-    for _ in range(100):
-        a = fe_random(params, rng, nonzero=True)
-        assert fe_mul(a, fe_inv(a)) == one
+    for params in (fields64[3], fields64[8], field256):
+        one = fe_one(params).coeffs
+        for _ in range(100):
+            a = fe_random(params, rng, nonzero=True)
+            inv = fe_inv(a).coeffs
+            assert helpers.schoolbook_mulmod(params.q, params.f_low, a.coeffs, inv) == one
 
 
-def test_fe_pow_matches_repeated_mul(f121):
+def test_fe_pow_matches_repeated_mul(f121, fields64, field256):
     rng = random.Random(5)
-    for _ in range(30):
-        a = fe_random(f121, rng)
-        acc = fe_one(f121)
-        for k in range(8):
-            assert fe_pow(a, k) == acc
-            acc = fe_mul(acc, a)
+    for params in (f121, fields64[8], field256):
+        for _ in range(30):
+            a = fe_random(params, rng)
+            acc = fe_one(params).coeffs
+            for k in range(8):
+                assert fe_pow(a, k).coeffs == acc
+                acc = helpers.schoolbook_mulmod(params.q, params.f_low, acc, a.coeffs)
 
 
-def test_fe_pow_group_order(f121):
+def test_fe_pow_matches_schoolbook_square_and_multiply(fields64, field256):
+    rng = random.Random(6)
+    for params in (fields64[8], field256):
+        for _ in range(5):
+            a = fe_random(params, rng)
+            k = rng.randrange(params.q)
+            expected = helpers.schoolbook_powmod(params.q, params.f_low, a.coeffs, k)
+            assert fe_pow(a, k).coeffs == expected
+
+
+def test_fe_pow_group_order(f121, field256):
     # the multiplicative group has order q^n - 1
     for a in all_elements(f121):
         if not fe_is_zero(a):
             assert fe_pow(a, 120) == fe_one(f121)
+    rng = random.Random(10)
+    for _ in range(2):
+        a = fe_random(field256, rng, nonzero=True)
+        assert fe_pow(a, field256.field_order - 1) == fe_one(field256)
 
 
 # ---------------------------------------------------------------------------
