@@ -205,6 +205,10 @@ def cmd_fdlog(args) -> int:
     group, fld = load_system_config(args.config)
     if group.q > BRUTE_CAP:
         raise CapExceeded(f"q={group.q} exceeds the desk-scale cap {BRUTE_CAP}")
+    if args.solver == "rho" and group.q <= 3:
+        raise UsageError(
+            f"--solver rho needs q > 3, got q={group.q}; use bruteforce or bsgs"
+        )
     try:
         base = fusion_base_from_json(group, fld, _parse_json_vector(args.base, "base"))
         target = fusion_base_from_json(

@@ -1,7 +1,10 @@
 """Discrete-logarithm solvers for the scalar group and for tuple bases.
 
 The scalar solvers (linear scan, baby-step giant-step, Pollard rho) all
-return the unique exponent in [0, q).  The tuple problem is solved either
+return the unique exponent in [0, q).  Baby-step giant-step keeps the
+baby-step table of the last generator it saw, so the 2n calls of one tuple
+dlog build it once; Pollard rho walks with Teske's r-adding walk and finds
+the cycle by Brent's method.  The tuple problem is solved either
 by exhaustive scan over the exponent field or by the generator-relative
 reduction: express base and target componentwise as powers of the group
 generator via a scalar-dlog oracle, then divide in the exponent field.
@@ -9,6 +12,7 @@ generator via a scalar-dlog oracle, then divide in the exponent field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -75,30 +79,38 @@ def dlog_bruteforce(inst: DlogInstance, cap: int = BRUTE_CAP) -> int:
     raise NotFound("target is not a power of the base")
 
 
+@functools.lru_cache(maxsize=1)
+def _baby_steps(P: int, g: int, m: int) -> tuple[dict[int, int], int]:
+    """The table {g^j: j} for j < m and the giant stride g^-m, mod P.
+
+    One entry is cached: fdlog_solve makes all its 2n calls against one
+    generator, and a process holds at most one table.
+    """
+    table = {}
+    cur = 1
+    for j in range(m):
+        table.setdefault(cur, j)
+        cur = cur * g % P
+    return table, pow(cur, -1, P)
+
+
 def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     """Baby-step giant-step: O(sqrt(q)) time and memory.
 
-    With m = ceil(sqrt(q)), builds a table of g^j for j < m, then walks
-    y * (g^-m)^i; the first table hit gives x = i*m + j.  When a stats dict
-    is supplied, 'mults' records the group multiplications performed
-    (at most 2m, plus one inversion for the giant stride).
+    With m = ceil(sqrt(q)), takes the table of g^j for j < m, then walks
+    y * (g^-m)^i; the first table hit gives x = i*m + j.  The table and the
+    stride are built once per (P, g, m) and reused by later calls with the
+    same generator.  When a stats dict is supplied, 'mults' records the
+    group multiplications this call made: the giant steps, plus m when the
+    call built the table (at most 2m in all, and one inversion).
     """
     params = inst.params
     P, q = params.modulus, params.q
     g, y = inst.g.residue, inst.y.residue
     m = math.isqrt(q - 1) + 1  # ceil(sqrt(q)) for q >= 1
-    mults = 0
-    table = {}
-    cur = 1
-    for j in range(m):
-        if cur not in table:
-            table[cur] = j
-        if j < m - 1:
-            cur = cur * g % P
-            mults += 1
-    cur = cur * g % P  # g^m
-    mults += 1
-    stride = pow(cur, -1, P)
+    misses = _baby_steps.cache_info().misses
+    table, stride = _baby_steps(P, g, m)
+    mults = m if _baby_steps.cache_info().misses != misses else 0
     cur = y
     for i in range(m):
         j = table.get(cur)
@@ -111,40 +123,53 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     raise NotFound("target is not a power of the base")
 
 
-def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
-    """Pollard rho with Floyd cycle detection; expected O(sqrt(q)) steps.
+# Teske (Math. Comp. 2001): from r = 20 on, an r-adding walk collides about
+# as soon as a random mapping does; the mod-3 walk needs markedly more steps.
+_RHO_MULTIPLIERS = 20
 
-    The walk partitions elements by residue mod 3: square, multiply by the
-    base, or multiply by the target.  A collision with distinct target
-    exponents yields x; degenerate collisions restart with seed + 1.
+
+def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
+    """Pollard rho on Teske's r-adding walk; expected O(sqrt(q)) steps.
+
+    Each attempt draws r = 20 multipliers M_s = g^a_s * y^b_s and a start
+    point from random.Random(seed + attempt); a step multiplies the point
+    by M_s with s = point % r.  Brent's method finds the cycle: the walk
+    point is saved at each power of two, so a step is one group
+    multiplication.  A collision with distinct target exponents yields x;
+    a degenerate one starts the next attempt, up to 256.
     """
     params = inst.params
     P, q = params.modulus, params.q
     if q <= 3:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
-
-    def step(x: int, a: int, b: int) -> tuple[int, int, int]:
-        r = x % 3
-        if r == 0:
-            return x * x % P, a * 2 % q, b * 2 % q
-        if r == 1:
-            return x * g % P, (a + 1) % q, b
-        return x * y % P, a, (b + 1) % q
-
+    r = _RHO_MULTIPLIERS
     for attempt in range(256):
         rng = random.Random(seed + attempt)
-        a = rng.randrange(q)
-        b = rng.randrange(q)
+        add_a = [rng.randrange(q) for _ in range(r)]
+        add_b = [rng.randrange(q) for _ in range(r)]
+        mult = [pow(g, a, P) * pow(y, b, P) % P for a, b in zip(add_a, add_b)]
+        a, b = rng.randrange(q), rng.randrange(q)
         x = pow(g, a, P) * pow(y, b, P) % P
-        tx, ta, tb = x, a, b
-        hx, ha, hb = step(x, a, b)
-        while tx != hx:
-            tx, ta, tb = step(tx, ta, tb)
-            hx, ha, hb = step(*step(hx, ha, hb))
-        if tb == hb:
+        # x = g^a * y^b throughout; a and b grow unreduced until the collision
+        saved_x, saved_a, saved_b = x, a, b
+        power = lam = 1
+        while True:
+            s = x % r
+            x = x * mult[s] % P
+            a += add_a[s]
+            b += add_b[s]
+            if x == saved_x:
+                break
+            if lam == power:
+                saved_x, saved_a, saved_b = x, a, b
+                power <<= 1
+                lam = 0
+            lam += 1
+        db = (saved_b - b) % q
+        if db == 0:
             continue
-        x_val = (ha - ta) * pow(tb - hb, -1, q) % q
+        x_val = (a - saved_a) * pow(db, -1, q) % q
         if pow(g, x_val, P) == y:
             return x_val
     raise NotFound("rho failed to converge; target may not be a power of the base")

@@ -182,6 +182,22 @@ def test_fdlog_desk_scale_cap(capsys, tmp_path):
     assert code == EXIT_FAIL and "cap" in err
 
 
+def test_fdlog_rho_rejects_tiny_group(capsys, tmp_path):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "version": "1",
+        "group": {"modulus": "7", "q": "3", "generator": "2"},
+        "field": {"q": "3", "n": 1, "f": ["0"]},
+    }))
+    argv = ("fdlog", "--config", str(config), "--base", '["2"]', "--target", '["4"]')
+    code, out, err = run(capsys, *argv, "--solver", "rho")
+    assert code == EXIT_USAGE and out == ""
+    assert "bruteforce" in err and "bsgs" in err and "Traceback" not in err
+    for solver in ("bruteforce", "bsgs"):
+        code, out, _ = run(capsys, *argv, "--solver", solver)
+        assert code == EXIT_OK and json.loads(out) == ["2"]
+
+
 def test_vectors_out_file(capsys, tmp_path):
     out = tmp_path / "vec.json"
     code, stdout, _ = run(capsys, "vectors", "--n", "2,3", "--out", str(out))

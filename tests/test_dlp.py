@@ -9,6 +9,7 @@ from fusionexp import (
     DlogInstance,
     FdlogInstance,
     GroupElement,
+    GroupParams,
     IdentityBase,
     dlog_bruteforce,
     dlog_bsgs,
@@ -99,6 +100,82 @@ def test_bsgs_multiplication_budget():
             x = rng.randrange(params.q)
             assert dlog_bsgs(make_instance(params, x), stats=stats) == x
             assert stats["mults"] <= bound
+
+
+def counting_group(q_bits, seed):
+    """gen_group_params(q_bits, seed) with a modulus that counts the reductions
+    mod P made by it, one per group multiplication; returns (params, counts)."""
+    counts = [0]
+
+    class CountingModulus(int):
+        def __rmod__(self, other):
+            counts[0] += 1
+            return other % int(self)
+
+    plain = gen_group_params(q_bits, seed)
+    return GroupParams(CountingModulus(plain.modulus), plain.q, plain.generator), counts
+
+
+def test_bsgs_reuses_baby_steps_per_generator():
+    params = gen_group_params(20, seed=31)
+    other = gen_group_params(20, seed=32)
+    g = generator_element(params)
+    bases = (g, g, g_pow(g, 3), g_pow(g, 3), generator_element(other), g)
+    rng = random.Random(14)
+    prev = None
+    for base in bases:
+        q = base.params.q
+        m = math.isqrt(q - 1) + 1
+        x = rng.randrange(q)
+        stats = {}
+        assert dlog_bsgs(DlogInstance(base, g_pow(base, x)), stats=stats) == x
+        if prev is None:
+            assert stats["mults"] <= 2 * m + 4
+        elif base == prev:  # the table of the previous call is reused
+            assert stats["mults"] <= m
+        else:  # another generator or modulus: the table is built again
+            assert m <= stats["mults"] <= 2 * m + 4
+        prev = base
+
+
+def test_rho_multiplication_budget():
+    # the r-adding walk with Brent's cycle finding averages about 2.1*sqrt(q)
+    # group multiplications per solve; the mod-3 walk with Floyd's about 4.1*sqrt(q)
+    params, counts = counting_group(24, seed=1)
+    rng = random.Random(13)
+    trials = 200
+    total = 0
+    for trial in range(trials):
+        x = rng.randrange(params.q)
+        inst = make_instance(params, x)
+        counts[0] = 0
+        assert dlog_pollard_rho(inst, seed=trial) == x
+        total += counts[0]
+    assert total / trials <= 3 * math.sqrt(params.q)
+
+
+def test_rho_fixed_seed_repeats():
+    params, counts = counting_group(24, seed=1)
+    inst = make_instance(params, 1234567)
+    runs = []
+    for _ in range(2):
+        counts[0] = 0
+        runs.append((dlog_pollard_rho(inst, seed=5), counts[0]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1234567
+
+
+@pytest.mark.parametrize("modulus, q, gen", [(11, 5, 4), (23, 11, 2)])
+def test_rho_matches_bruteforce_tiny_groups(modulus, q, gen):
+    # degenerate collisions and restarts are common at tiny q
+    params = GroupParams(modulus, q, gen)
+    g = generator_element(params)
+    for base in (g_pow(g, k) for k in range(1, q)):
+        for x in range(q):
+            inst = DlogInstance(base, g_pow(base, x))
+            want = dlog_bruteforce(inst)
+            for seed in range(21):
+                assert dlog_pollard_rho(inst, seed) == want
 
 
 def test_fdlog_solve_worked_example(g23, f121):
