@@ -52,6 +52,7 @@ from .group import (
     group_params_from_json,
     group_params_to_json,
 )
+from .primes import parse_decimal
 from .protocols import (
     VssShare,
     ciphertext_to_json,
@@ -74,6 +75,13 @@ EXIT_USAGE = 64
 EXIT_FORMAT = 65
 
 SCHEMA_VERSION = "1"
+
+# Size caps on parameters from outside (a config file or params flags),
+# checked before any primality or irreducibility test, whose cost grows
+# with them.
+MAX_MODULUS_BITS = 2048  # P and q
+MAX_DEGREE = 64  # n: the Frobenius steps take about n^3 operations mod q
+MAX_FIELD_BITS = 8192  # n * bits(q): bounds the cost of the power X^q
 
 # The five reference moduli whose coefficient matrices the vectors command dumps.
 VECTOR_MODULI = {
@@ -116,7 +124,7 @@ def _resolve_seed(seed: int | None) -> int:
     env = os.environ.get("FUSION_EXP_SEED")
     if env is not None:
         try:
-            return int(env, 10)
+            return parse_decimal(env)
         except ValueError as exc:
             raise FormatError(f"FUSION_EXP_SEED is not an integer: {env!r}") from exc
     return 0
@@ -130,6 +138,17 @@ def system_config_to_json(group: GroupParams, fld: FieldParams) -> dict:
     }
 
 
+def _size_error(modulus_bits: int, q_bits: int, n: int) -> str | None:
+    """What breaks the size caps, or None when the sizes are within them."""
+    if modulus_bits > MAX_MODULUS_BITS or q_bits > MAX_MODULUS_BITS:
+        return f"P and q may have at most {MAX_MODULUS_BITS} bits"
+    if n > MAX_DEGREE:
+        return f"n may be at most {MAX_DEGREE}, got {n}"
+    if n * q_bits > MAX_FIELD_BITS:
+        return f"n * bits(q) may be at most {MAX_FIELD_BITS}, got {n * q_bits}"
+    return None
+
+
 def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
     try:
         # OSError passes through (exit 2); undecodable bytes are a ValueError
@@ -138,8 +157,15 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
         obj = json.loads(text)
         if "version" not in obj or obj["version"] != SCHEMA_VERSION:
             raise FormatError(f"config schema version must be {SCHEMA_VERSION!r}")
-        group = group_params_from_json(obj["group"])
-        fld = field_params_from_json(obj["field"])
+        group_obj, field_obj = obj["group"], obj["field"]
+        q = max(parse_decimal(group_obj["q"]), parse_decimal(field_obj["q"]))
+        n = field_obj["n"] if type(field_obj["n"]) is int else 1  # rejected below
+        problem = _size_error(parse_decimal(group_obj["modulus"]).bit_length(),
+                              q.bit_length(), n)
+        if problem:
+            raise FormatError(f"config too large: {problem}")
+        group = group_params_from_json(group_obj)
+        fld = field_params_from_json(field_obj)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, FusionExpError) as exc:
         raise FormatError(f"bad config {path}: {exc}") from exc
     if group.q != fld.q:
@@ -162,6 +188,10 @@ def cmd_params(args) -> int:
         raise UsageError(f"--q-bits must be >= 4, got {args.q_bits}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    # P = 2q + 1 has one bit more than q
+    problem = _size_error(args.q_bits + 1, args.q_bits, args.n)
+    if problem:
+        raise UsageError(f"--q-bits {args.q_bits} --n {args.n}: {problem}")
     seed = _resolve_seed(args.seed)
     group = gen_group_params(args.q_bits, seed)
     if args.n == 2 and group.q % 4 == 3:

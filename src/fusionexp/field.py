@@ -354,10 +354,15 @@ def _pgcdex(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list
 
 
 def is_irreducible(q: int, poly: Sequence[int]) -> bool:
-    """True iff the monic polynomial has no nontrivial factor over Z_q.
+    """True iff the monic polynomial f has no nontrivial factor over Z_q.
 
-    Uses the gcd test against X^(q^i) - X for i up to deg/2: any factor of
+    Ben-Or's test: gcd(f, X^(q^i) - X) = 1 for i = 1 .. deg/2.  A factor of
     degree d <= deg/2 divides X^(q^d) - X and is caught by the gcd.
+
+    X^q is one power mod f.  The map h -> h^q is Z_q-linear on Z_q[X]/(f),
+    and its matrix has the columns (X^q)^j, j < deg.  So from i = 2 on,
+    which needs deg >= 4, each X^(q^i) is one matrix-vector product mod q
+    instead of a power with exponent q (von zur Gathen-Shoup 1992).
     """
     if not is_prime(q):
         raise NotPrime(f"coefficient modulus {q} is not prime")
@@ -365,10 +370,19 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     if len(p) < 2 or p[-1] != 1:
         raise BadDegree("polynomial must be monic of degree >= 1")
     n = len(p) - 1
+    if n == 1:
+        return True
     f_low = tuple(p[:n])
-    h = (0, 1) + (0,) * (n - 2)  # X, for the n >= 2 that run the loop
-    for _ in range(n // 2):
-        h = _pow(h, q, f_low, q)
+    x_q = _pow((0, 1) + (0,) * (n - 2), q, f_low, q)
+    h = x_q
+    for i in range(n // 2):
+        if i == 1:
+            cols = [(1,) + (0,) * (n - 1), x_q]
+            while len(cols) < n:
+                cols.append(_mul(cols[-1], x_q, f_low, q))
+            frobenius_rows = tuple(zip(*cols))
+        if i:
+            h = tuple(sum(map(operator.mul, h, row)) % q for row in frobenius_rows)
         h_minus_x = list(h)
         h_minus_x[1] = (h_minus_x[1] - 1) % q
         g, _ = _pgcdex(p, h_minus_x, q)

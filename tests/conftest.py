@@ -1,6 +1,31 @@
+import signal
+
 import pytest
 
 from fusionexp import GroupParams, find_irreducible, gen_group_params, make_field_params
+
+
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs longer than the limit instead of stalling the suite.
+
+    A loop that never ends (a Lucas test without its square check, a cycle
+    finder that never moves its saved point) then fails its test.  The
+    suite's slowest test takes a few seconds.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

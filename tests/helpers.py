@@ -4,8 +4,10 @@ Everything here recomputes results through a different route than the
 library: plain convolution plus top-down long division for field products
 (and left-to-right square-and-multiply over it for field powers),
 bilinear-form elimination for the symbolic coefficient matrices, factor
-enumeration for irreducibility, iterated multiplication for powers, and
-one square-and-multiply per coefficient-matrix entry for tuple powers.
+enumeration for irreducibility, Ben-Or's test with a fresh power for every
+X^(q^i), iterated multiplication for powers, one square-and-multiply per
+coefficient-matrix entry for tuple powers, and Miller-Rabin with 28 fixed
+witnesses for primality.
 """
 
 from __future__ import annotations
@@ -115,6 +117,34 @@ def _poly_rem(a, m, q):
     return a
 
 
+def _poly_gcd(a, b, q):
+    """Monic gcd over Z_q by repeated remainders (an empty list is zero)."""
+    a = [c % q for c in a]
+    b = [c % q for c in b]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, q)
+        b = [c * inv % q for c in b]
+        a, b = b, _poly_rem(a, b, q)
+    return a
+
+
+def ben_or_irreducible(q, poly):
+    """Ben-Or's test with a fresh power for each step: gcd(f, X^(q^i) - X) = 1
+    for i = 1 .. deg/2, each X^(q^i) computed as (X^(q^(i-1)))**q."""
+    n = len(poly) - 1
+    f_low = tuple(c % q for c in poly[:n])
+    h = (0, 1) + (0,) * (n - 2)
+    for _ in range(n // 2):
+        h = schoolbook_powmod(q, f_low, h, q)
+        h_minus_x = list(h)
+        h_minus_x[1] -= 1
+        if len(_poly_gcd(poly, h_minus_x, q)) > 1:
+            return False
+    return True
+
+
 def iterated_pow(g, e, modulus):
     """Exponentiation by e-fold multiplication; the slow reference."""
     acc = 1
@@ -136,6 +166,40 @@ def pow_components(residues, lam, modulus):
                 acc = acc * pow_sm(base, e, modulus) % modulus
         out.append(acc)
     return tuple(out)
+
+
+_MR_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
+)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime_fixed_witnesses(n):
+    """Miller-Rabin with fixed witnesses: the first 12 primes below 3.3e24,
+    where that set is a proof, and the first 28 primes from there on."""
+    if n < 2:
+        return False
+    for p in _MR_SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    witnesses = _MR_SMALL_PRIMES[:12] if n < _MR_BOUND else _MR_SMALL_PRIMES[:28]
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for w in witnesses:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def trial_division_prime(n):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import fusionexp.cli
 import fusionexp.field
 import fusionexp.group
 from fusionexp.cli import (
@@ -292,9 +293,84 @@ def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("FUSION_EXP_SEED", "not-a-number")
-    code, _, _ = run(capsys, "params", "--q-bits", "4", "--n", "2")
+    # int() would read "3_0" as 30 and " 8" as 8; a seed is ASCII digits only
+    for env in ("not-a-number", "3_0", " 8", "-1"):
+        monkeypatch.setenv("FUSION_EXP_SEED", env)
+        code, out, _ = run(capsys, "params", "--q-bits", "4", "--n", "2")
+        assert code == EXIT_FORMAT, env
+        assert out == ""
+
+
+class Reached(Exception):
+    """Raised by a stand-in to show that a command got past its size caps."""
+
+
+def reached(*args):
+    raise Reached
+
+
+def write_config(path, modulus, q, field_q, n):
+    path.write_text(json.dumps({
+        "version": "1",
+        "group": {"modulus": str(modulus), "q": str(q), "generator": "4"},
+        "field": {"q": str(field_q), "n": n, "f": ["1"] * n},
+    }))
+
+
+Q256 = 2**256 - 189
+
+OVER_SIZE_CAPS = {
+    "modulus-2049-bits": (2**2048 + 1, 11, 11, 2),
+    "group-q-2049-bits": (23, 2**2048 + 1, 11, 2),
+    "field-q-2049-bits": (23, 11, 2**2048 + 1, 2),
+    "n-65": (23, 11, 11, 65),
+    "n33-times-256-bits": (2 * Q256 + 1, Q256, Q256, 33),
+    "n32-times-257-bits": (2**257 + 1, 2**256 + 1, 2**256 + 1, 32),
+}
+
+
+@pytest.mark.parametrize("sizes", OVER_SIZE_CAPS.values(), ids=OVER_SIZE_CAPS)
+def test_config_over_size_cap_rejected_before_checks(capsys, tmp_path, monkeypatch, sizes):
+    for module, name in ((fusionexp.group, "is_prime"), (fusionexp.field, "is_prime"),
+                         (fusionexp.field, "is_irreducible")):
+        monkeypatch.setattr(module, name, reached)
+    cfg = tmp_path / "big.json"
+    write_config(cfg, *sizes)
+    code, out, err = run(capsys, "eval", "--config", str(cfg),
+                         "--base", '["2"]', "--exp", '["1"]')
     assert code == EXIT_FORMAT
+    assert out == "" and "too large" in err
+
+
+AT_SIZE_CAPS = {
+    "modulus-and-q-2048-bits-n4": (2**2048 - 1, 2**2048 - 3, 2**2048 - 3, 4),
+    "n-64": (23, 11, 11, 64),
+    "n32-times-256-bits": (2 * Q256 + 1, Q256, Q256, 32),
+}
+
+
+@pytest.mark.parametrize("sizes", AT_SIZE_CAPS.values(), ids=AT_SIZE_CAPS)
+def test_config_at_size_cap_reaches_checks(tmp_path, monkeypatch, sizes):
+    monkeypatch.setattr(fusionexp.cli, "group_params_from_json", reached)
+    cfg = tmp_path / "cap.json"
+    write_config(cfg, *sizes)
+    with pytest.raises(Reached):
+        load_system_config(str(cfg))
+
+
+@pytest.mark.parametrize("q_bits, n", ((2048, 1), (4, 65), (256, 33), (257, 32)))
+def test_params_over_size_cap_rejected(capsys, q_bits, n):
+    code, out, err = run(capsys, "params", "--q-bits", str(q_bits), "--n", str(n),
+                         "--seed", "1")
+    assert code == EXIT_USAGE
+    assert out == "" and "at most" in err
+
+
+@pytest.mark.parametrize("q_bits, n", ((2047, 4), (4, 64), (256, 32), (128, 64)))
+def test_params_at_size_cap_accepted(monkeypatch, q_bits, n):
+    monkeypatch.setattr(fusionexp.cli, "gen_group_params", reached)
+    with pytest.raises(Reached):
+        main(["params", "--q-bits", str(q_bits), "--n", str(n), "--seed", "1"])
 
 
 def test_params_non_residue_characteristic_uses_search(capsys, tmp_path):

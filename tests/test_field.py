@@ -207,6 +207,43 @@ def test_find_irreducible_quadratics_over_z3():
         assert find_irreducible(3, 2, seed) in expected
 
 
+def poly_mul(q, a, b):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    return prod
+
+
+BEN_OR_MODULI = (11, Q64, Q256)
+
+
+@pytest.mark.parametrize("q", BEN_OR_MODULI, ids=lambda q: f"q{q.bit_length()}")
+def test_is_irreducible_matches_ben_or_oracle(q):
+    # random candidates, most of which fail at X^q, plus an irreducible of
+    # each degree, which runs every Frobenius step (at 256 bits the search
+    # is slow; the pinned find_irreducible outputs above cover that case)
+    rng = random.Random(q)
+    for n in range(2, 9):
+        polys = [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(4)]
+        if q != Q256:
+            polys.append(list(find_irreducible(q, n, seed=n)) + [1])
+            assert is_irreducible(q, polys[-1])
+        for poly in polys:
+            assert is_irreducible(q, poly) == helpers.ben_or_irreducible(q, poly), poly
+
+
+@pytest.mark.parametrize("q", BEN_OR_MODULI, ids=lambda q: f"q{q.bit_length()}")
+@pytest.mark.parametrize("degrees", ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)))
+def test_is_irreducible_rejects_products_without_linear_factor(q, degrees):
+    # X^q - X shares no factor with these, so only a later Frobenius step,
+    # X^(q^i) for i = min(degrees), catches them
+    a, b = (list(find_irreducible(q, d, seed=d + k)) + [1] for k, d in enumerate(degrees))
+    poly = poly_mul(q, a, b)
+    assert not helpers.ben_or_irreducible(q, poly)
+    assert not is_irreducible(q, poly)
+
+
 # ---------------------------------------------------------------------------
 # Addition and negation
 # ---------------------------------------------------------------------------
