@@ -82,6 +82,11 @@ SCHEMA_VERSION = "1"
 MAX_MODULUS_BITS = 2048  # P and q
 MAX_DEGREE = 64  # n: the Frobenius steps take about n^3 operations mod q
 MAX_FIELD_BITS = 8192  # n * bits(q): bounds the cost of the power X^q
+# A config within the caps above takes under 6 kB in params' own format.
+MAX_CONFIG_BYTES = 1 << 16
+# A demo reductions trial runs every arrow once: about 70 ms at q = 11 and
+# n = 4, and more on larger desk-scale fields.
+MAX_TRIALS = 1000
 
 # The five reference moduli whose coefficient matrices the vectors command dumps.
 VECTOR_MODULI = {
@@ -104,6 +109,14 @@ class FormatError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _flag_int(text: str) -> int:
+    """An integer flag: ASCII digits only, like every interchange integer."""
+    try:
+        return parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _dump(obj) -> str:
@@ -152,9 +165,11 @@ def _size_error(modulus_bits: int, q_bits: int, n: int) -> str | None:
 def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
     try:
         # OSError passes through (exit 2); undecodable bytes are a ValueError
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        obj = json.loads(text)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise FormatError(f"config too large: more than {MAX_CONFIG_BYTES} bytes")
+        obj = json.loads(data.decode("utf-8"))
         if "version" not in obj or obj["version"] != SCHEMA_VERSION:
             raise FormatError(f"config schema version must be {SCHEMA_VERSION!r}")
         group_obj, field_obj = obj["group"], obj["field"]
@@ -204,11 +219,9 @@ def cmd_params(args) -> int:
 
 def cmd_vectors(args) -> int:
     try:
-        degrees = sorted({int(s) for s in args.n.split(",") if s.strip()})
+        degrees = sorted({parse_decimal(s) for s in args.n.split(",")})
     except ValueError as exc:
-        raise UsageError(f"--n must be a comma-separated list of integers: {exc}")
-    if not degrees:
-        raise UsageError("--n selected no degrees")
+        raise UsageError(f"--n must be a comma-separated list of degrees: {exc}")
     for n in degrees:
         if n not in VECTOR_MODULI:
             raise UsageError(f"unsupported degree {n}; choose from 1..5")
@@ -330,8 +343,8 @@ def _demo_reductions(group, fld, rng, trials: int, seed: int) -> tuple[dict, boo
 
 
 def cmd_demo(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     group, fld = load_system_config(args.config)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
@@ -353,9 +366,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("params", help="generate group and field parameters")
-    p.add_argument("--q-bits", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--q-bits", type=_flag_int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--seed", type=_flag_int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_params)
 
@@ -375,14 +388,14 @@ def build_parser() -> _Parser:
     p.add_argument("--base", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--solver", choices=("bruteforce", "bsgs", "rho"), default="bsgs")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_flag_int, default=None)
     p.set_defaults(func=cmd_fdlog)
 
     p = sub.add_parser("demo", help="run a protocol or reduction demo")
     p.add_argument("--config", required=True)
     p.add_argument("--which", choices=("dh", "elgamal", "vss", "reductions"), required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=_flag_int, default=None)
+    p.add_argument("--trials", type=_flag_int, default=20)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -1,18 +1,23 @@
 """Discrete-logarithm solvers for the scalar group and for tuple bases.
 
 The scalar solvers (linear scan, baby-step giant-step, Pollard rho) all
-return the unique exponent in [0, q).  Baby-step giant-step keeps the
-baby-step table of the last generator it saw, so the 2n calls of one tuple
-dlog build it once; Pollard rho walks with Teske's r-adding walk and finds
-the cycle by Brent's method.  The tuple problem is solved either
+return the unique exponent in [0, q).  The tuple problem is solved either
 by exhaustive scan over the exponent field or by the generator-relative
 reduction: express base and target componentwise as powers of the group
 generator via a scalar-dlog oracle, then divide in the exponent field.
+
+That reduction makes 2n oracle calls, one DlogInstance each, against one
+generator, and each instance carries the residues of all 2n targets as its
+batch.  Baby-step giant-step then sizes one table for the whole batch
+(about sqrt(2n*q) entries, kept for the generator), and Pollard rho shares
+one distinguished-point walk across it: once the first target is solved,
+the points the walk has stored have known logs, and each later target only
+walks until it meets one.  A lone instance (empty batch) gets a sqrt(q)
+table, and rho runs Teske's r-adding walk with Brent's cycle finding.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -30,16 +35,24 @@ FUSION_BRUTE_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class DlogInstance:
-    """Find x with g**x = y; g must not be the identity."""
+    """Find x with g**x = y; g must not be the identity.
+
+    batch, when not empty, holds the residues of all the targets that are
+    solved against g together with this one, y among them; the solvers
+    then share their work across the batch.
+    """
 
     g: GroupElement
     y: GroupElement
+    batch: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.g.params != self.y.params:
             raise ParamsMismatch("instance elements from different groups")
         if self.g.residue == 1:
             raise IdentityBase("dlog base must not be the identity")
+        if self.batch and self.y.residue not in self.batch:
+            raise ValueError("the target is not in its batch")
 
     @property
     def params(self) -> GroupParams:
@@ -79,40 +92,54 @@ def dlog_bruteforce(inst: DlogInstance, cap: int = BRUTE_CAP) -> int:
     raise NotFound("target is not a power of the base")
 
 
-@functools.lru_cache(maxsize=1)
-def _baby_steps(P: int, g: int, m: int) -> tuple[dict[int, int], int]:
-    """The table {g^j: j} for j < m and the giant stride g^-m, mod P.
+# The one baby-step table a process keeps: (P, g, m, {g^j: j for j < m}, g^-m).
+_baby_table: tuple = (0, 0, 0, {}, 0)
 
-    One entry is cached: fdlog_solve makes all its 2n calls against one
-    generator, and a process holds at most one table.
+
+def _baby_steps(P: int, g: int, m: int) -> tuple[int, dict[int, int], int, bool]:
+    """A baby-step table for (P, g) at least m wide: (width, table, stride, built).
+
+    The cached table is reused when it belongs to the same (P, g) and is
+    wide enough, so the 2n calls of one tuple dlog build it once, and a lone
+    call after a batched one reuses the batch's wider table.
     """
+    global _baby_table
+    cached_P, cached_g, width, table, stride = _baby_table
+    if (cached_P, cached_g) == (P, g) and width >= m:
+        return width, table, stride, False
     table = {}
     cur = 1
     for j in range(m):
         table.setdefault(cur, j)
         cur = cur * g % P
-    return table, pow(cur, -1, P)
+    stride = pow(cur, -1, P)
+    _baby_table = (P, g, m, table, stride)
+    return m, table, stride, True
 
 
 def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
-    """Baby-step giant-step: O(sqrt(q)) time and memory.
+    """Baby-step giant-step against a table of about sqrt(L*q) baby steps.
 
-    With m = ceil(sqrt(q)), takes the table of g^j for j < m, then walks
-    y * (g^-m)^i; the first table hit gives x = i*m + j.  The table and the
-    stride are built once per (P, g, m) and reused by later calls with the
-    same generator.  When a stats dict is supplied, 'mults' records the
-    group multiplications this call made: the giant steps, plus m when the
-    call built the table (at most 2m in all, and one inversion).
+    L is the number of targets in the instance's batch (1 for a lone
+    instance).  With m = ceil(sqrt(L*q)), capped at q, it takes the table
+    of g^j for j < m, then walks y * (g^-m)^i for i < ceil(q/m); the first
+    table hit gives x = i*m + j.  A table m wide costs m multiplications
+    and saves about m/2 giant steps per target, so sizing it for all L
+    targets of a batch balances the two (Bernstein-Lange, "Computing small
+    discrete logarithms faster", INDOCRYPT 2012).  The table is built once
+    per generator and reused while it is at least m wide.  When a stats
+    dict is supplied, 'mults' records the group multiplications this call
+    made: the giant steps, plus m when the call built the table.
     """
     params = inst.params
     P, q = params.modulus, params.q
     g, y = inst.g.residue, inst.y.residue
-    m = math.isqrt(q - 1) + 1  # ceil(sqrt(q)) for q >= 1
-    misses = _baby_steps.cache_info().misses
-    table, stride = _baby_steps(P, g, m)
-    mults = m if _baby_steps.cache_info().misses != misses else 0
+    targets = max(1, len(inst.batch))
+    m = min(q, math.isqrt(targets * q - 1) + 1)  # ceil(sqrt(L*q)) for q >= 1
+    m, table, stride, built = _baby_steps(P, g, m)
+    mults = m if built else 0
     cur = y
-    for i in range(m):
+    for i in range(-(-q // m)):
         j = table.get(cur)
         if j is not None:
             if stats is not None:
@@ -128,27 +155,40 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
 _RHO_MULTIPLIERS = 20
 
 
+def _multipliers(P: int, q: int, g: int, y: int, rng: random.Random):
+    """r random multipliers g^a_s * y^b_s with their exponents (a_s, b_s)."""
+    add_a = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
+    add_b = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
+    mult = [pow(g, a, P) * pow(y, b, P) % P for a, b in zip(add_a, add_b)]
+    return mult, add_a, add_b
+
+
 def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     """Pollard rho on Teske's r-adding walk; expected O(sqrt(q)) steps.
 
-    Each attempt draws r = 20 multipliers M_s = g^a_s * y^b_s and a start
-    point from random.Random(seed + attempt); a step multiplies the point
-    by M_s with s = point % r.  Brent's method finds the cycle: the walk
-    point is saved at each power of two, so a step is one group
-    multiplication.  A collision with distinct target exponents yields x;
-    a degenerate one starts the next attempt, up to 256.
+    A lone instance: each attempt draws r = 20 multipliers
+    M_s = g^a_s * y^b_s and a start point from random.Random(seed +
+    attempt); a step multiplies the point by M_s with s = point % r.
+    Brent's method finds the cycle: the walk point is saved at each power
+    of two, so a step is one group multiplication.  A collision with
+    distinct target exponents yields x; a degenerate one starts the next
+    attempt, up to 256.
+
+    An instance with a batch shares one walk with the other targets of the
+    batch (see _batch_rho), so the L targets of a batch cost about
+    sqrt(2*L*q) steps in all rather than L rho runs.
     """
     params = inst.params
     P, q = params.modulus, params.q
     if q <= 3:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
+    if inst.batch:
+        return _batch_rho(P, q, g, y, inst.batch, seed)
     r = _RHO_MULTIPLIERS
     for attempt in range(256):
         rng = random.Random(seed + attempt)
-        add_a = [rng.randrange(q) for _ in range(r)]
-        add_b = [rng.randrange(q) for _ in range(r)]
-        mult = [pow(g, a, P) * pow(y, b, P) % P for a, b in zip(add_a, add_b)]
+        mult, add_a, add_b = _multipliers(P, q, g, y, rng)
         a, b = rng.randrange(q), rng.randrange(q)
         x = pow(g, a, P) * pow(y, b, P) % P
         # x = g^a * y^b throughout; a and b grow unreduced until the collision
@@ -175,6 +215,93 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     raise NotFound("rho failed to converge; target may not be a power of the base")
 
 
+# A batched walk ends at its first distinguished point, one whose low
+# dp_bits bits are zero, about 2^dp_bits steps on; it is cut off after
+# _DP_WALK_CAP times that, since it may have entered a cycle without one.
+# A target is given up after about _DP_BUDGET * sqrt(q) steps.
+_DP_WALK_CAP = 16
+_DP_BUDGET = 1024
+
+# The one shared walk a process keeps: (P, g, batch, seed), and the
+# multipliers, their logs to base g, the points of known log, the answers
+# and the random stream.
+_shared_walk: tuple = (None, None)
+
+
+def _batch_rho(P: int, q: int, g: int, y: int, batch: tuple, seed: int) -> int:
+    """Pollard rho with distinguished points, shared across a batch of
+    targets (Kuhn-Struik, "Random walks revisited", SAC 2001).
+
+    The first target asked for, y0, fixes the multipliers
+    M_s = g^a_s * y0^b_s.  Once log y0 is known, every multiplier and every
+    distinguished point its walks reached has a known log to base g, and a
+    later target's walks, with the same multipliers, end as soon as they
+    meet one of those points.  The points each target reaches join the
+    store when it is solved.  The state is kept for one (P, g, batch, seed),
+    so a repeated target costs a lookup.
+    """
+    global _shared_walk
+    key = (P, g, batch, seed)
+    if _shared_walk[0] == key:
+        mult, logs, points, solved, rng = _shared_walk[1]
+        if y not in solved:  # the multipliers' logs are known: no y part
+            no_y = [0] * _RHO_MULTIPLIERS
+            solved[y] = _dp_rho(P, q, g, y, rng, mult, logs, no_y, points)
+        return solved[y]
+    rng = random.Random(seed)
+    mult, add_a, add_b = _multipliers(P, q, g, y, rng)
+    points = {}
+    x = _dp_rho(P, q, g, y, rng, mult, add_a, add_b, points)
+    logs = [(a + b * x) % q for a, b in zip(add_a, add_b)]
+    _shared_walk = key, (mult, logs, points, {y: x}, rng)
+    return x
+
+
+def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
+            add_a: list[int], add_b: list[int], points: dict[int, int]) -> int:
+    """log y by walks from random g^A * y^B to distinguished points.
+
+    Multiplier s is mult[s] = g^add_a[s] * y^add_b[s].  A walk ending at a
+    point of known log in points, or at the end of an earlier walk with a
+    different B, gives log y; the ends of this target's walks then join
+    points with their logs.
+    """
+    dp_bits = max(0, (q.bit_length() - 12) // 2)
+    mask, cap = (1 << dp_bits) - 1, _DP_WALK_CAP << dp_bits
+    # a walk carries its (A, B) as A + B*K; A stays below K over one walk
+    K = (cap + 1) * q
+    packed = [a + b * K for a, b in zip(add_a, add_b)]
+    r = _RHO_MULTIPLIERS
+    ends = {}
+    budget = _DP_BUDGET * (math.isqrt(q) + 1)
+    while budget > 0:
+        a, b = rng.randrange(q), rng.randrange(1, q)
+        x = pow(g, a, P) * pow(y, b, P) % P
+        e = a + b * K
+        for steps in range(cap):
+            if x & mask == 0:
+                break
+            s = x % r
+            x = x * mult[s] % P
+            e += packed[s]
+        budget -= steps + 1
+        if x & mask:
+            continue
+        b, a = divmod(e, K)
+        if x in points:  # g^log = g^a * y^b
+            da, db = points[x] - a, b
+        else:  # g^a0 * y^b0 = g^a * y^b
+            b0, a0 = divmod(ends.setdefault(x, e), K)
+            da, db = a - a0, b0 - b
+        if db % q == 0:
+            continue
+        log = da * pow(db, -1, q) % q
+        if pow(g, log, P) == y:
+            points.update({pt: (e % K + e // K * log) % q for pt, e in ends.items()})
+            return log
+    raise NotFound("rho failed to converge; target may not be a power of the base")
+
+
 def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
     """Tuple dlog via 2n scalar-dlog oracle calls against the group generator.
 
@@ -184,8 +311,10 @@ def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
     """
     gen = generator_element(inst.base.group)
     field = inst.base.field
-    w = fe(field, [dlog(DlogInstance(gen, c)) for c in inst.base.components])
-    z = fe(field, [dlog(DlogInstance(gen, c)) for c in inst.target.components])
+    comps = inst.base.components + inst.target.components
+    batch = tuple(c.residue for c in comps)
+    logs = [dlog(DlogInstance(gen, c, batch)) for c in comps]
+    w, z = fe(field, logs[:field.n]), fe(field, logs[field.n:])
     return fe_mul(z, fe_inv(w))
 
 

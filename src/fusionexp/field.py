@@ -81,14 +81,6 @@ class FieldElement:
             raise BadDegree("coefficients must lie in [0, q)")
 
 
-@dataclass(frozen=True)
-class MixingReport:
-    """Zero-entry count and reducibility of one lambda matrix."""
-
-    zero_entry_count: int
-    is_reducible: bool
-
-
 def make_field_params(q: int, n: int, f_low: Sequence[int]) -> FieldParams:
     """Field parameters for GF(q^n) with modulus X^n + f.
 
@@ -284,35 +276,6 @@ def fe_inv(a: FieldElement) -> FieldElement:
     return FieldElement(
         params, tuple(c * c_inv % q for c in u) + (0,) * (params.n - len(u))
     )
-
-
-def lambda_mixing_report(params: FieldParams, y: FieldElement) -> MixingReport:
-    """Zero count and reducibility of the lambda matrix at y.
-
-    The matrix is reducible when simultaneous row/column permutation brings
-    it to block-triangular form, i.e. when the directed graph of its
-    nonzero pattern is not strongly connected.
-    """
-    if y.params != params:
-        raise ParamsMismatch("element does not belong to the given parameters")
-    ent = lambda_entries(y)
-    n = params.n
-    zeros = sum(1 for row in ent for e in row if e == 0)
-    adj = [[j for j in range(n) if ent[i][j] != 0] for i in range(n)]
-    radj = [[i for i in range(n) if ent[i][j] != 0] for j in range(n)]
-    reducible = not (_reaches_all(adj, n) and _reaches_all(radj, n))
-    return MixingReport(zero_entry_count=zeros, is_reducible=reducible)
-
-
-def _reaches_all(adj: list[list[int]], n: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------

@@ -213,23 +213,6 @@ def trial_division_prime(n):
     return True
 
 
-def reducible_by_permutation(matrix):
-    """Brute-force reducibility: search all simultaneous row/column
-    permutations for a block-triangular arrangement (zero upper-right block)."""
-    n = len(matrix)
-    if n == 1:
-        return False
-    for perm in itertools.permutations(range(n)):
-        for split in range(1, n):
-            if all(
-                matrix[perm[i]][perm[j]] == 0
-                for i in range(split)
-                for j in range(split, n)
-            ):
-                return True
-    return False
-
-
 def draw_nonzero_mod(rng, q):
     """Uniform draw from [1, q) using the library's redraw-on-zero pattern,
     so seeded runs consume the rng identically."""

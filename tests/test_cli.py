@@ -12,6 +12,8 @@ from fusionexp.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CONFIG_BYTES,
+    MAX_TRIALS,
     load_system_config,
     main,
 )
@@ -399,3 +401,75 @@ def test_demo_reductions_rejects_nonpositive_trials(capsys, config_path, trials)
                          "--which", "reductions", "--trials", trials)
     assert code == EXIT_USAGE
     assert out == "" and "--trials" in err
+
+
+def integer_flag_commands(config_path, text):
+    fdlog = ["fdlog", "--config", config_path, "--base", '["2","4"]', "--target", '["16","1"]']
+    demo = ["demo", "--config", config_path, "--which", "reductions"]
+    return {
+        "params --seed": ["params", "--q-bits", "4", "--n", "2", "--seed", text],
+        "params --q-bits": ["params", "--q-bits", text, "--n", "2"],
+        "params --n": ["params", "--q-bits", "4", "--n", text],
+        "fdlog --seed": fdlog + ["--solver", "rho", "--seed", text],
+        "demo --seed": demo + ["--seed", text],
+        "demo --trials": demo + ["--trials", text],
+        "vectors --n": ["vectors", "--n", text],
+        "vectors --n list": ["vectors", "--n", f"2,{text}"],
+    }
+
+
+@pytest.mark.parametrize("text", ["3_0", " 30", "-1", "+3", "٣", "0x3", ""])
+def test_integer_flags_take_ascii_digits_only(capsys, config_path, text):
+    # int() would read "3_0" as 30, " 30" as 30 and "٣" as 3
+    for what, argv in integer_flag_commands(config_path, text).items():
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, what
+        assert out == "" and "ASCII digits" in err, what
+
+
+def test_integer_flags_accept_digits(capsys, config_path):
+    for what, argv in integer_flag_commands(config_path, "3").items():
+        if what == "params --q-bits":
+            continue  # 3 bits is under the 4-bit minimum
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK, what
+
+
+def test_demo_trials_over_cap_rejected(capsys, config_path, monkeypatch):
+    monkeypatch.setattr(fusionexp.cli, "run_reduction_matrix", reached)
+    code, out, err = run(capsys, "demo", "--config", config_path, "--which", "reductions",
+                         "--trials", str(MAX_TRIALS + 1))
+    assert code == EXIT_USAGE
+    assert out == "" and "--trials" in err
+
+
+def test_demo_trials_at_cap_runs(config_path, monkeypatch):
+    monkeypatch.setattr(fusionexp.cli, "run_reduction_matrix", reached)
+    with pytest.raises(Reached):
+        main(["demo", "--config", config_path, "--which", "reductions",
+              "--trials", str(MAX_TRIALS)])
+
+
+def padded_config(config_path, tmp_path, size):
+    """The config at config_path, padded with trailing spaces to size bytes."""
+    text = Path(config_path).read_bytes()
+    padded = tmp_path / "padded.json"
+    padded.write_bytes(text + b" " * (size - len(text)))
+    return padded
+
+
+def test_config_over_byte_cap_rejected_before_parsing(capsys, config_path, tmp_path, monkeypatch):
+    cfg = padded_config(config_path, tmp_path, MAX_CONFIG_BYTES + 1)
+    monkeypatch.setattr(fusionexp.cli.json, "loads", reached)
+    code, out, err = run(capsys, "eval", "--config", str(cfg),
+                         "--base", '["2","4"]', "--exp", '["3","5"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "too large" in err
+
+
+def test_config_at_byte_cap_loads(capsys, config_path, tmp_path):
+    cfg = padded_config(config_path, tmp_path, MAX_CONFIG_BYTES)
+    code, out, _ = run(capsys, "eval", "--config", str(cfg),
+                       "--base", '["2","4"]', "--exp", '["3","5"]')
+    assert code == EXIT_OK
+    assert json.loads(out) == ["16", "1"]

@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
+import fusionexp
+import fusionexp.dlp as dlp
 from fusionexp import (
     CapExceeded,
     DlogInstance,
@@ -309,3 +312,185 @@ def test_rho_rejects_tiny_group(g7):
     g = generator_element(g7)
     with pytest.raises(ValueError):
         dlog_pollard_rho(DlogInstance(g, g), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Batched instances: the 2n targets of fdlog_solve share one baby-step table
+# and one distinguished-point rho walk
+# ---------------------------------------------------------------------------
+
+
+def batch_of(base, xs):
+    """One DlogInstance per x, all carrying the batch of their targets."""
+    targets = [g_pow(base, x) for x in xs]
+    batch = tuple(y.residue for y in targets)
+    return [DlogInstance(base, y, batch) for y in targets]
+
+
+def assert_batch_solved(base, xs, seed):
+    for inst in batch_of(base, xs):
+        want = dlog_bruteforce(inst)
+        assert dlog_bsgs(inst) == want
+        assert dlog_pollard_rho(inst, seed) == want
+
+
+@pytest.mark.parametrize("modulus, q, gen", [(11, 5, 4), (23, 11, 2)])
+def test_batched_solvers_match_bruteforce_tiny_groups(modulus, q, gen):
+    # every point is distinguished at this size, and every x is a target
+    params = GroupParams(modulus, q, gen)
+    g = generator_element(params)
+    for base in (g_pow(g, k) for k in range(1, q)):
+        for seed in range(21):
+            rng = random.Random(seed)
+            every_x = rng.sample(range(q), q)
+            assert_batch_solved(base, every_x, seed)
+            assert_batch_solved(base, [rng.randrange(q) for _ in range(8)], seed)
+
+
+def test_batched_solvers_match_bruteforce_8_to_16_bits():
+    for q_bits in range(8, 17):
+        params = gen_group_params(q_bits, seed=q_bits)
+        g = generator_element(params)
+        rng = random.Random(q_bits)
+        for trial in range(4):
+            base = g_pow(g, rng.randrange(1, params.q))
+            xs = [rng.randrange(params.q) for _ in range(2 * (trial + 1))]
+            assert_batch_solved(base, xs, seed=trial)
+
+
+def test_batched_solvers_duplicates_and_identity(g23):
+    params = gen_group_params(16, seed=3)
+    for group in (g23, params):
+        g = generator_element(group)
+        x = 7
+        # y = 1 first, so it opens the shared walk; repeats of y and of 1
+        for xs in ([0, x, x, 0], [x, 0, x, 0, 0], [x] * 6, [0] * 4):
+            for seed in range(5):
+                assert_batch_solved(g, xs, seed)
+
+
+def test_batched_rho_survives_cut_walks(monkeypatch):
+    # one expected walk length as the cap: about a third of the walks are cut off
+    monkeypatch.setattr(dlp, "_DP_WALK_CAP", 1)
+    params = gen_group_params(20, seed=5)
+    g = generator_element(params)
+    rng = random.Random(6)
+    for seed in range(3):
+        xs = [rng.randrange(params.q) for _ in range(6)]
+        for inst, x in zip(batch_of(g, xs), xs):
+            assert dlog_pollard_rho(inst, seed) == x
+
+
+def test_batch_must_hold_the_target(g23):
+    g = generator_element(g23)
+    with pytest.raises(ValueError):
+        DlogInstance(g, GroupElement(g23, 13), batch=(2, 4))
+
+
+def test_bsgs_batch_table_serves_lone_calls():
+    params = gen_group_params(20, seed=33)
+    g = generator_element(params)
+    q = params.q
+    wide = math.isqrt(8 * q - 1) + 1  # ceil(sqrt(8q))
+    rng = random.Random(15)
+    xs = [rng.randrange(q) for _ in range(8)]
+    stats = {}
+    insts = batch_of(g, xs)
+    assert dlog_bsgs(insts[0], stats) == xs[0]
+    assert wide <= stats["mults"] <= wide + -(-q // wide) + 1
+    # a lone call, then the rest of the batch: no table is built again
+    for inst, x in [(make_instance(params, 5), 5)] + list(zip(insts[1:], xs[1:])):
+        assert dlog_bsgs(inst, stats) == x
+        assert stats["mults"] <= -(-q // wide)
+    # a larger batch needs a wider table
+    assert dlog_bsgs(batch_of(g, xs * 2)[0], stats) == xs[0]
+    assert stats["mults"] >= math.isqrt(16 * q - 1) + 1
+
+
+def counting_tuple_instances(q_bits, n, count, seed):
+    """Tuple-dlog instances of degree n on counting_group(q_bits, seed):
+    returns ([(instance, exponent)], counts, q)."""
+    params, counts = counting_group(q_bits, seed)
+    fld = make_field_params(params.q, n, find_irreducible(params.q, n, seed=1))
+    g = generator_element(params)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+        x = fe_random(fld, rng)
+        out.append((FdlogInstance(base, fusion_pow(base, x)), x))
+    return out, counts, params.q
+
+
+def test_fdlog_solve_batched_budgets():
+    # the dlog benchmark workload's group: q = 11,135,009, n = 4, L = 2n = 8
+    instances, counts, q = counting_tuple_instances(24, 4, 40, seed=1)
+    assert q == 11_135_009
+    L = 8
+    m = math.isqrt(L * q - 1) + 1
+    stats = {}
+    dlog_bsgs(batch_of(generator_element(instances[0][0].base.group), [1] * L)[0], stats)
+    assert stats["mults"] >= m  # the table for L targets is built here, not below
+    giant = []
+    rho = []
+
+    def bsgs(inst):
+        out = dlog_bsgs(inst, stats)
+        giant[-1] += stats["mults"]
+        return out
+
+    for inst, x in instances:
+        giant.append(0)
+        assert fdlog_solve(inst, bsgs) == x
+        assert giant[-1] <= L * (-(-q // m) + 1)
+        counts[0] = 0
+        assert fdlog_solve(inst, dlog_pollard_rho) == x
+        rho.append(counts[0])
+    expected = L * math.sqrt(q / L) / 2
+    assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
+    # eight lone rho solves take about 8 * 2.1 * sqrt(q)
+    assert sum(rho) / len(rho) <= 6 * math.sqrt(q)
+
+
+def rebind_everywhere(monkeypatch, name, make):
+    """Replace dlp.<name> in every fusionexp namespace that holds it."""
+    original = getattr(dlp, name)
+    replacement = make(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fusionexp" or mod_name.startswith("fusionexp."):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, replacement)
+
+
+@pytest.mark.parametrize("name", ["dlog_bsgs", "dlog_pollard_rho"])
+@pytest.mark.parametrize("mode", ["count", "wrong", "raise"])
+def test_rebound_solver_sees_every_call(monkeypatch, name, mode):
+    params = gen_group_params(16, seed=21)
+    fld = make_field_params(params.q, 3, find_irreducible(params.q, 3, seed=1))
+    g = generator_element(params)
+    rng = random.Random(23)
+    base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+    x = fe_random(fld, rng, nonzero=True)
+    inst = FdlogInstance(base, fusion_pow(base, x))
+    calls = 0
+
+    def make(original):
+        def rebound(*args):
+            nonlocal calls
+            calls += 1
+            out = original(*args)
+            if calls == 1 and mode == "raise":
+                raise RuntimeError("injected")
+            return out + (calls == 1 and mode == "wrong")
+
+        return rebound
+
+    rebind_everywhere(monkeypatch, name, make)
+    solver = getattr(fusionexp, name)  # looked up at call time, as the benchmark does
+    if mode == "raise":
+        with pytest.raises(RuntimeError):
+            fdlog_solve(inst, solver)
+        return
+    got = fdlog_solve(inst, solver)
+    assert calls == 2 * fld.n
+    assert (got == x) == (mode == "count")

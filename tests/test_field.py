@@ -27,7 +27,6 @@ from fusionexp import (
     find_irreducible,
     is_irreducible,
     lambda_entries,
-    lambda_mixing_report,
     lambda_symbolic,
     make_field_params,
 )
@@ -515,44 +514,12 @@ def test_lambda_entry_expr_formatting():
     assert lambda_entry_expr((0, 1, 1)) == "y1+y2"
 
 
-# ---------------------------------------------------------------------------
-# Mixing reports
-# ---------------------------------------------------------------------------
-
-
-def test_mixing_report_degree_one():
-    params = make_field_params(11, 1, [0])
-    report = lambda_mixing_report(params, fe(params, [5]))
-    assert report.zero_entry_count == 0 and not report.is_reducible
-
-
-def test_mixing_report_identity_multiplier(f121):
-    # y = (1, 0) gives the 2x2 identity matrix: two zeros, reducible
-    report = lambda_mixing_report(f121, fe(f121, [1, 0]))
-    assert report.zero_entry_count == 2
-    assert report.is_reducible
-
-
-def test_mixing_report_cubic_all_ones():
+def test_lambda_entries_cubic_all_ones():
     params = make_field_params(5, 3, [1, 1, 0])
     y = fe(params, [1, 1, 1])
     # reference matrix at y = (1,1,1): rows (1,-1,-1), (1,0,-2), (1,1,0) mod 5
     expected = [[1, 4, 4], [1, 0, 3], [1, 1, 0]]
     assert [list(r) for r in lambda_entries(y)] == expected
-    report = lambda_mixing_report(params, y)
-    assert report.zero_entry_count == 2
-    assert report.is_reducible == helpers.reducible_by_permutation(expected)
-    assert not report.is_reducible
-
-
-def test_mixing_report_matches_permutation_oracle_exhaustively(f27):
-    q3_n2 = make_field_params(3, 2, find_irreducible(3, 2, seed=1))
-    for params in (q3_n2, f27):
-        for y in all_elements(params):
-            entries = [list(r) for r in lambda_entries(y)]
-            report = lambda_mixing_report(params, y)
-            assert report.is_reducible == helpers.reducible_by_permutation(entries)
-            assert report.zero_entry_count == sum(r.count(0) for r in entries)
 
 
 # ---------------------------------------------------------------------------
