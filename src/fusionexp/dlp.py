@@ -9,11 +9,12 @@ generator via a scalar-dlog oracle, then divide in the exponent field.
 That reduction makes 2n oracle calls, one DlogInstance each, against one
 generator, and each instance carries the residues of all 2n targets as its
 batch.  Baby-step giant-step then sizes one table for the whole batch
-(about sqrt(2n*q) entries, kept for the generator), and Pollard rho shares
-one distinguished-point walk across it: once the first target is solved,
-the points the walk has stored have known logs, and each later target only
-walks until it meets one.  A lone instance (empty batch) gets a sqrt(q)
-table, and rho runs Teske's r-adding walk with Brent's cycle finding.
+(about sqrt(2n*q) entries, kept for the generator), and Pollard rho keeps
+the distinguished points of its walks across it: its multipliers are powers
+of g alone, so once a target is solved the points its walks reached have
+known logs, and each later target only walks until it meets one.  A lone
+instance (empty batch) gets a sqrt(q) table and runs the same rho walk on a
+store of its own.
 """
 
 from __future__ import annotations
@@ -154,71 +155,10 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
 # as soon as a random mapping does; the mod-3 walk needs markedly more steps.
 _RHO_MULTIPLIERS = 20
 
-
-def _multipliers(P: int, q: int, g: int, y: int, rng: random.Random):
-    """r random multipliers g^a_s * y^b_s with their exponents (a_s, b_s)."""
-    add_a = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
-    add_b = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
-    mult = [pow(g, a, P) * pow(y, b, P) % P for a, b in zip(add_a, add_b)]
-    return mult, add_a, add_b
-
-
-def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
-    """Pollard rho on Teske's r-adding walk; expected O(sqrt(q)) steps.
-
-    A lone instance: each attempt draws r = 20 multipliers
-    M_s = g^a_s * y^b_s and a start point from random.Random(seed +
-    attempt); a step multiplies the point by M_s with s = point % r.
-    Brent's method finds the cycle: the walk point is saved at each power
-    of two, so a step is one group multiplication.  A collision with
-    distinct target exponents yields x; a degenerate one starts the next
-    attempt, up to 256.
-
-    An instance with a batch shares one walk with the other targets of the
-    batch (see _batch_rho), so the L targets of a batch cost about
-    sqrt(2*L*q) steps in all rather than L rho runs.
-    """
-    params = inst.params
-    P, q = params.modulus, params.q
-    if q <= 3:
-        raise ValueError("rho needs q > 3; use the linear scan")
-    g, y = inst.g.residue, inst.y.residue
-    if inst.batch:
-        return _batch_rho(P, q, g, y, inst.batch, seed)
-    r = _RHO_MULTIPLIERS
-    for attempt in range(256):
-        rng = random.Random(seed + attempt)
-        mult, add_a, add_b = _multipliers(P, q, g, y, rng)
-        a, b = rng.randrange(q), rng.randrange(q)
-        x = pow(g, a, P) * pow(y, b, P) % P
-        # x = g^a * y^b throughout; a and b grow unreduced until the collision
-        saved_x, saved_a, saved_b = x, a, b
-        power = lam = 1
-        while True:
-            s = x % r
-            x = x * mult[s] % P
-            a += add_a[s]
-            b += add_b[s]
-            if x == saved_x:
-                break
-            if lam == power:
-                saved_x, saved_a, saved_b = x, a, b
-                power <<= 1
-                lam = 0
-            lam += 1
-        db = (saved_b - b) % q
-        if db == 0:
-            continue
-        x_val = (a - saved_a) * pow(db, -1, q) % q
-        if pow(g, x_val, P) == y:
-            return x_val
-    raise NotFound("rho failed to converge; target may not be a power of the base")
-
-
-# A batched walk ends at its first distinguished point, one whose low
-# dp_bits bits are zero, about 2^dp_bits steps on; it is cut off after
-# _DP_WALK_CAP times that, since it may have entered a cycle without one.
-# A target is given up after about _DP_BUDGET * sqrt(q) steps.
+# A walk ends at its first distinguished point, one whose low dp_bits bits
+# are zero, about 2^dp_bits steps on; it is cut off after _DP_WALK_CAP times
+# that, since it may have entered a cycle without one.  A target is given up
+# after about _DP_BUDGET * sqrt(q) steps.
 _DP_WALK_CAP = 16
 _DP_BUDGET = 1024
 
@@ -228,76 +168,81 @@ _DP_BUDGET = 1024
 _shared_walk: tuple = (None, None)
 
 
-def _batch_rho(P: int, q: int, g: int, y: int, batch: tuple, seed: int) -> int:
-    """Pollard rho with distinguished points, shared across a batch of
-    targets (Kuhn-Struik, "Random walks revisited", SAC 2001).
+def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
+    """Pollard rho with distinguished points on Teske's r-adding walk
+    (van Oorschot-Wiener, J. Cryptology 1999; Kuhn-Struik, SAC 2001).
 
-    The first target asked for, y0, fixes the multipliers
-    M_s = g^a_s * y0^b_s.  Once log y0 is known, every multiplier and every
-    distinguished point its walks reached has a known log to base g, and a
-    later target's walks, with the same multipliers, end as soon as they
-    meet one of those points.  The points each target reaches join the
-    store when it is solved.  The state is kept for one (P, g, batch, seed),
-    so a repeated target costs a lookup.
+    The r = 20 multipliers M_s = g^a_s are drawn from random.Random(seed)
+    and do not depend on the target.  A walk starts at a random g^A * y^B
+    with B != 0 and multiplies the point by M_s with s = point % r, so only
+    A moves; it ends at its first distinguished point.  Two walks that end
+    at one point with different B give log y, and so does a walk that ends
+    at a point of known log.  Once y is solved, the ends of its walks are
+    points of known log.  The answer is checked against g**x == y before it
+    is returned.
+
+    An instance with a batch keeps its points for the other targets of the
+    batch, whose walks end as soon as they meet one, so the L targets of a
+    batch cost about sqrt(2*L*q) steps in all rather than L rho runs, and a
+    repeated target costs a lookup.  A lone instance walks on a fresh store
+    each call, about 1.35*sqrt(q) steps, so one seed repeats the same work.
     """
+    params = inst.params
+    P, q = params.modulus, params.q
+    if q <= 3:
+        raise ValueError("rho needs q > 3; use the linear scan")
+    g, y = inst.g.residue, inst.y.residue
     global _shared_walk
-    key = (P, g, batch, seed)
-    if _shared_walk[0] == key:
+    key = (P, g, inst.batch, seed)
+    if inst.batch and _shared_walk[0] == key:
         mult, logs, points, solved, rng = _shared_walk[1]
-        if y not in solved:  # the multipliers' logs are known: no y part
-            no_y = [0] * _RHO_MULTIPLIERS
-            solved[y] = _dp_rho(P, q, g, y, rng, mult, logs, no_y, points)
-        return solved[y]
-    rng = random.Random(seed)
-    mult, add_a, add_b = _multipliers(P, q, g, y, rng)
-    points = {}
-    x = _dp_rho(P, q, g, y, rng, mult, add_a, add_b, points)
-    logs = [(a + b * x) % q for a, b in zip(add_a, add_b)]
-    _shared_walk = key, (mult, logs, points, {y: x}, rng)
-    return x
+    else:
+        rng = random.Random(seed)
+        logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
+        mult = [pow(g, a, P) for a in logs]
+        points, solved = {}, {}
+        if inst.batch:
+            _shared_walk = key, (mult, logs, points, solved, rng)
+    if y not in solved:
+        solved[y] = _dp_rho(P, q, g, y, rng, mult, logs, points)
+    return solved[y]
 
 
 def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
-            add_a: list[int], add_b: list[int], points: dict[int, int]) -> int:
+            logs: list[int], points: dict[int, int]) -> int:
     """log y by walks from random g^A * y^B to distinguished points.
 
-    Multiplier s is mult[s] = g^add_a[s] * y^add_b[s].  A walk ending at a
-    point of known log in points, or at the end of an earlier walk with a
-    different B, gives log y; the ends of this target's walks then join
-    points with their logs.
+    Multiplier s is mult[s] = g^logs[s].  A walk ending at a point of known
+    log in points, or at the end of an earlier walk of y with a different
+    B, gives log y; the ends of y's walks then join points with their logs.
     """
     dp_bits = max(0, (q.bit_length() - 12) // 2)
     mask, cap = (1 << dp_bits) - 1, _DP_WALK_CAP << dp_bits
-    # a walk carries its (A, B) as A + B*K; A stays below K over one walk
-    K = (cap + 1) * q
-    packed = [a + b * K for a, b in zip(add_a, add_b)]
     r = _RHO_MULTIPLIERS
     ends = {}
     budget = _DP_BUDGET * (math.isqrt(q) + 1)
     while budget > 0:
         a, b = rng.randrange(q), rng.randrange(1, q)
         x = pow(g, a, P) * pow(y, b, P) % P
-        e = a + b * K
         for steps in range(cap):
             if x & mask == 0:
                 break
             s = x % r
             x = x * mult[s] % P
-            e += packed[s]
+            a += logs[s]
         budget -= steps + 1
         if x & mask:
             continue
-        b, a = divmod(e, K)
         if x in points:  # g^log = g^a * y^b
             da, db = points[x] - a, b
         else:  # g^a0 * y^b0 = g^a * y^b
-            b0, a0 = divmod(ends.setdefault(x, e), K)
+            a0, b0 = ends.setdefault(x, (a, b))
             da, db = a - a0, b0 - b
         if db % q == 0:
             continue
         log = da * pow(db, -1, q) % q
         if pow(g, log, P) == y:
-            points.update({pt: (e % K + e // K * log) % q for pt, e in ends.items()})
+            points.update({pt: (a0 + b0 * log) % q for pt, (a0, b0) in ends.items()})
             return log
     raise NotFound("rho failed to converge; target may not be a power of the base")
 

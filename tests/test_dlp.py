@@ -14,6 +14,7 @@ from fusionexp import (
     GroupElement,
     GroupParams,
     IdentityBase,
+    NotFound,
     dlog_bruteforce,
     dlog_bsgs,
     dlog_pollard_rho,
@@ -142,8 +143,8 @@ def test_bsgs_reuses_baby_steps_per_generator():
 
 
 def test_rho_multiplication_budget():
-    # the r-adding walk with Brent's cycle finding averages about 2.1*sqrt(q)
-    # group multiplications per solve; the mod-3 walk with Floyd's about 4.1*sqrt(q)
+    # the distinguished-point walk averages about 1.35*sqrt(q) group
+    # multiplications per lone solve; the mod-3 walk with Floyd's about 4.1*sqrt(q)
     params, counts = counting_group(24, seed=1)
     rng = random.Random(13)
     trials = 200
@@ -314,6 +315,18 @@ def test_rho_rejects_tiny_group(g7):
         dlog_pollard_rho(DlogInstance(g, g), seed=0)
 
 
+@pytest.mark.parametrize("batch", [(), (13, 5, 2)], ids=["lone", "batched"])
+@pytest.mark.parametrize("solver", [dlog_bsgs, dlog_pollard_rho])
+def test_square_root_solvers_raise_not_found_outside_subgroup(g23, solver, batch):
+    # 5 is not a square mod 23, so no power of g reaches it; the giant steps
+    # run out for BSGS, and rho's step budget bounds its walks
+    g = generator_element(g23)
+    with pytest.raises(NotFound):
+        solver(DlogInstance(g, GroupElement(g23, 5), batch or ()))
+    if batch:  # the failed target leaves the shared table and walk sound
+        assert solver(DlogInstance(g, GroupElement(g23, 13), batch)) == 7
+
+
 # ---------------------------------------------------------------------------
 # Batched instances: the 2n targets of fdlog_solve share one baby-step table
 # and one distinguished-point rho walk
@@ -448,7 +461,8 @@ def test_fdlog_solve_batched_budgets():
         rho.append(counts[0])
     expected = L * math.sqrt(q / L) / 2
     assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
-    # eight lone rho solves take about 8 * 2.1 * sqrt(q)
+    # one batch of eight targets takes about 4.4 * sqrt(q); eight lone solves
+    # would take about 8 * 1.35 * sqrt(q)
     assert sum(rho) / len(rho) <= 6 * math.sqrt(q)
 
 
