@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 
 from .dlp import (
     BRUTE_CAP,
@@ -54,6 +53,7 @@ from .group import (
 )
 from .primes import parse_decimal
 from .protocols import (
+    VssDealing,
     VssShare,
     ciphertext_to_json,
     dealing_to_json,
@@ -181,7 +181,9 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
             raise FormatError(f"config too large: {problem}")
         group = group_params_from_json(group_obj)
         fld = field_params_from_json(field_obj)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, FusionExpError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
+            FusionExpError) as exc:
+        # json.loads raises RecursionError on arrays or objects nested too deep
         raise FormatError(f"bad config {path}: {exc}") from exc
     if group.q != fld.q:
         raise FormatError("group order and field characteristic differ")
@@ -191,7 +193,7 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
 def _parse_json_vector(text: str, what: str) -> list[str]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise FormatError(f"bad {what}: expected a JSON array of decimal strings")
@@ -314,10 +316,8 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     # corrupt one share and confirm only it is flagged
     bad = dealing.shares[0]
     bumped = VssShare(bad.index, fe_add(bad.value, fe_one(fld)))
-    corrupted = replace(
-        dealing,
-        shares=tuple(bumped if s.index == bad.index else s for s in dealing.shares),
-    )
+    shares = tuple(bumped if s.index == bad.index else s for s in dealing.shares)
+    corrupted = VssDealing(t, m, base, shares, dealing.commitments)
     flagged = [s.index for s in corrupted.shares if not vss_verify(corrupted, s.index)]
     ok = all_verified and recovered == secret and flagged == [bad.index]
     return {

@@ -22,20 +22,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import CapExceeded, IdentityBase, NotFound, ParamsMismatch
 from .field import FieldElement, fe, fe_inv, fe_mul
 from .fusion import FusionBase, fusion_pow, is_identity
 from .group import GroupElement, GroupParams, generator_element
+from .value import Value
 
 BRUTE_CAP = 1 << 22
 FUSION_BRUTE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class DlogInstance:
+class DlogInstance(Value):
     """Find x with g**x = y; g must not be the identity.
 
     batch, when not empty, holds the residues of all the targets that are
@@ -43,35 +42,36 @@ class DlogInstance:
     then share their work across the batch.
     """
 
-    g: GroupElement
-    y: GroupElement
-    batch: tuple[int, ...] = ()
+    __slots__ = ("g", "y", "batch")
 
-    def __post_init__(self):
-        if self.g.params != self.y.params:
+    def __init__(self, g: GroupElement, y: GroupElement, batch: tuple[int, ...] = ()):
+        if g.params != y.params:
             raise ParamsMismatch("instance elements from different groups")
-        if self.g.residue == 1:
+        if g.residue == 1:
             raise IdentityBase("dlog base must not be the identity")
-        if self.batch and self.y.residue not in self.batch:
+        if batch and y.residue not in batch:
             raise ValueError("the target is not in its batch")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "batch", batch)
 
     @property
     def params(self) -> GroupParams:
         return self.g.params
 
 
-@dataclass(frozen=True)
-class FdlogInstance:
+class FdlogInstance(Value):
     """Find the field exponent x with base**x = target; base not the identity."""
 
-    base: FusionBase
-    target: FusionBase
+    __slots__ = ("base", "target")
 
-    def __post_init__(self):
-        if self.base.group != self.target.group or self.base.field != self.target.field:
+    def __init__(self, base: FusionBase, target: FusionBase):
+        if base.group != target.group or base.field != target.field:
             raise ParamsMismatch("instance tuples from different parameter sets")
-        if is_identity(self.base):
+        if is_identity(base):
             raise IdentityBase("tuple base must not be the identity")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "target", target)
 
 
 DlogOracle = Callable[[DlogInstance], int]

@@ -26,59 +26,53 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import BadDegree, NotIrreducible, NotPrime, ParamsMismatch, ZeroInverse
 from .primes import is_prime, parse_decimal
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(Value):
     """Validated parameters of GF(q^n): prime q, degree n, low coefficients of f."""
 
-    q: int
-    n: int
-    f_low: tuple[int, ...]
+    __slots__ = ("q", "n", "f_low")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "f_low", tuple(map(operator.index, self.f_low)))
-        if self.n < 1:
-            raise BadDegree(f"extension degree must be >= 1, got {self.n}")
-        if len(self.f_low) != self.n:
-            raise BadDegree(
-                f"f_low must have length n={self.n}, got {len(self.f_low)}"
-            )
+    def __init__(self, q: int, n: int, f_low: tuple[int, ...]):
+        n = operator.index(n)
+        f_low = tuple(map(operator.index, f_low))
+        if n < 1:
+            raise BadDegree(f"extension degree must be >= 1, got {n}")
+        if len(f_low) != n:
+            raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
         # is_irreducible raises NotPrime for a q that is not prime
-        irreducible = is_irreducible(self.q, self.f_low + (1,))
-        if any(not 0 <= c < self.q for c in self.f_low):
+        irreducible = is_irreducible(q, f_low + (1,))
+        if any(not 0 <= c < q for c in f_low):
             raise BadDegree("f coefficients must lie in [0, q)")
         if not irreducible:
-            raise NotIrreducible(
-                f"X^{self.n} + {list(self.f_low)} is reducible mod {self.q}"
-            )
+            raise NotIrreducible(f"X^{n} + {list(f_low)} is reducible mod {q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f_low", f_low)
 
     @property
     def field_order(self) -> int:
         return self.q**self.n
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Value):
     """Coefficient vector of a field element, reduced mod q."""
 
-    params: FieldParams
-    coeffs: tuple[int, ...]
+    __slots__ = ("params", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
-        if len(self.coeffs) != self.params.n:
-            raise BadDegree(
-                f"need {self.params.n} coefficients, got {len(self.coeffs)}"
-            )
-        if any(not 0 <= c < self.params.q for c in self.coeffs):
+    def __init__(self, params: FieldParams, coeffs: tuple[int, ...]):
+        coeffs = tuple(map(operator.index, coeffs))
+        if len(coeffs) != params.n:
+            raise BadDegree(f"need {params.n} coefficients, got {len(coeffs)}")
+        if any(not 0 <= c < params.q for c in coeffs):
             raise BadDegree("coefficients must lie in [0, q)")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def make_field_params(q: int, n: int, f_low: Sequence[int]) -> FieldParams:

@@ -14,8 +14,6 @@ non-identity base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
 from .group import (
@@ -28,30 +26,31 @@ from .group import (
     pow_sm,
 )
 from .primes import parse_decimal
+from .value import Value
 
 # Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
 _TABLE_WIDTH = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class FusionBase:
+class FusionBase(Value):
     """n-tuple of subgroup elements, tied to matching group and field parameters."""
 
-    group: GroupParams
-    field: FieldParams
-    components: tuple[GroupElement, ...]
+    __slots__ = ("group", "field", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if self.group.q != self.field.q:
+    def __init__(
+        self, group: GroupParams, field: FieldParams, components: tuple[GroupElement, ...]
+    ):
+        components = tuple(components)
+        if group.q != field.q:
             raise ParamsMismatch("group order and exponent-field characteristic differ")
-        if len(self.components) != self.field.n:
-            raise ParamsMismatch(
-                f"need {self.field.n} components, got {len(self.components)}"
-            )
-        if any(c.params != self.group for c in self.components):
+        if len(components) != field.n:
+            raise ParamsMismatch(f"need {field.n} components, got {len(components)}")
+        if any(c.params != group for c in components):
             raise ParamsMismatch("component from a different group")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "components", components)
 
 
 def scalar_embed(g: GroupElement, x: FieldElement) -> FusionBase:

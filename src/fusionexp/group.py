@@ -9,43 +9,43 @@ swappable black box.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
 from .primes import is_prime, parse_decimal
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(Value):
     """Prime modulus P, subgroup order q dividing P-1, and a generator of order q."""
 
-    modulus: int
-    q: int
-    generator: int
+    __slots__ = ("modulus", "q", "generator")
 
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise NotPrime(f"modulus {self.modulus} is not prime")
-        if not is_prime(self.q):
-            raise NotPrime(f"subgroup order {self.q} is not prime")
-        if (self.modulus - 1) % self.q != 0:
+    def __init__(self, modulus: int, q: int, generator: int):
+        if not is_prime(modulus):
+            raise NotPrime(f"modulus {modulus} is not prime")
+        if not is_prime(q):
+            raise NotPrime(f"subgroup order {q} is not prime")
+        if (modulus - 1) % q != 0:
             raise ValueError("subgroup order must divide modulus - 1")
-        if not 1 < self.generator < self.modulus:
+        if not 1 < generator < modulus:
             raise ValueError("generator out of range")
-        if pow(self.generator, self.q, self.modulus) != 1:
+        if pow(generator, q, modulus) != 1:
             raise ValueError("generator does not have the subgroup order")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "generator", generator)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """Residue in [1, P); subgroup membership is enforced at deserialization."""
 
-    params: GroupParams
-    residue: int
+    __slots__ = ("params", "residue")
 
-    def __post_init__(self):
-        if not 1 <= self.residue < self.params.modulus:
-            raise ValueError(f"residue {self.residue} out of range")
+    def __init__(self, params: GroupParams, residue: int):
+        if not 1 <= residue < params.modulus:
+            raise ValueError(f"residue {residue} out of range")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "residue", residue)
 
 
 def identity(params: GroupParams) -> GroupElement:

@@ -10,8 +10,8 @@ run is reproducible.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import BadThreshold, IdentityBase, ParamsMismatch, VerifyFailed
 from .field import (
@@ -34,29 +34,40 @@ from .fusion import (
     fusion_pow,
     is_identity,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FusionKeyPair:
-    secret: FieldElement
-    public: FusionBase
+class FusionKeyPair(Value):
+    __slots__ = ("secret", "public")
+
+    def __init__(self, secret: FieldElement, public: FusionBase):
+        object.__setattr__(self, "secret", secret)
+        object.__setattr__(self, "public", public)
 
 
-@dataclass(frozen=True)
-class ElGamalCiphertext:
-    c1: FusionBase
-    c2: FusionBase
+class ElGamalCiphertext(Value):
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1: FusionBase, c2: FusionBase):
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
-@dataclass(frozen=True)
-class VssShare:
-    index: int
-    value: FieldElement
+class VssShare(Value):
+    __slots__ = ("index", "value")
+
+    def __init__(self, index: int, value: FieldElement):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
 class VssDealing:
-    """Shares of a secret plus public commitments to the sharing polynomial."""
+    """Shares of a secret plus public commitments to the sharing polynomial.
+
+    Still a dataclass, unlike the other values, so `dataclasses.replace`
+    can swap in a corrupted share.
+    """
 
     threshold: int
     share_count: int

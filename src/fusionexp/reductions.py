@@ -12,9 +12,8 @@ rates and mean query counts.
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from _thread import allocate_lock
+from collections.abc import Callable
 
 from .dlp import (
     DlogInstance,
@@ -41,7 +40,7 @@ class CountingOracle:
 
     def __init__(self, fn: Callable):
         self._fn = fn
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()  # the type threading.Lock() returns
         self._calls = 0
 
     def __call__(self, *args, **kwargs):
@@ -173,20 +172,20 @@ def fddh_from_fdh(fdh: FdhOracle) -> FddhOracle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ArrowStats:
-    trials: int = 0
-    successes: int = 0
-    oracle_calls: int = 0
+    def __init__(self, trials: int = 0, successes: int = 0, oracle_calls: int = 0):
+        self.trials = trials
+        self.successes = successes
+        self.oracle_calls = oracle_calls
 
     @property
     def mean_oracle_calls(self) -> float:
         return self.oracle_calls / self.trials if self.trials else 0.0
 
 
-@dataclass
 class ReductionReport:
-    arrows: dict[str, ArrowStats] = dc_field(default_factory=dict)
+    def __init__(self):
+        self.arrows: dict[str, ArrowStats] = {}
 
     def all_successful(self) -> bool:
         return all(s.successes == s.trials for s in self.arrows.values())

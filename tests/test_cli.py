@@ -473,3 +473,36 @@ def test_config_at_byte_cap_loads(capsys, config_path, tmp_path):
                        "--base", '["2","4"]', "--exp", '["3","5"]')
     assert code == EXIT_OK
     assert json.loads(out) == ["16", "1"]
+
+
+def assert_malformed(result):
+    code, out, err = result
+    assert code == EXIT_FORMAT
+    assert out == "" and "Traceback" not in err
+    assert "recursion depth" in err
+
+
+def test_deeply_nested_config_is_malformed_input(capsys, tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 60_000)  # within MAX_CONFIG_BYTES
+    assert 60_000 <= MAX_CONFIG_BYTES
+    assert_malformed(run(capsys, "eval", "--config", str(cfg),
+                         "--base", '["2","4"]', "--exp", '["3","5"]'))
+
+
+DEEP_VECTOR = "[" * 5_000
+
+
+def test_deeply_nested_eval_base_is_malformed_input(capsys, config_path):
+    assert_malformed(run(capsys, "eval", "--config", config_path,
+                         "--base", DEEP_VECTOR, "--exp", '["3","5"]'))
+
+
+def test_deeply_nested_eval_exponent_is_malformed_input(capsys, config_path):
+    assert_malformed(run(capsys, "eval", "--config", config_path,
+                         "--base", '["2","4"]', "--exp", DEEP_VECTOR))
+
+
+def test_deeply_nested_fdlog_target_is_malformed_input(capsys, config_path):
+    assert_malformed(run(capsys, "fdlog", "--config", config_path,
+                         "--base", '["2","4"]', "--target", DEEP_VECTOR))

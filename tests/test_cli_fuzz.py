@@ -1,9 +1,12 @@
 """Fuzz the CLI in process: every input ends in a documented exit code.
 
-Vector strings of `eval` and `fdlog` and each field of a desk-scale config
-(q = 11, n = 3) are replaced by generated text or JSON.  Each case must
+Vector strings of `eval` and `fdlog`, each field of a desk-scale config
+(q = 11, n = 3), the whole config file and every integer flag are replaced
+by generated text or JSON, deeply nested JSON among it.  Each case must
 return one of the exit codes 0, 1, 2, 64 or 65 from `main`, print no
-traceback and finish within CASE_SECONDS.
+traceback and finish within CASE_SECONDS.  Valid flag values stay at desk
+scale (--q-bits <= 12, --n <= 4, --trials <= 3), so that a case that passes
+every check still finishes in time.
 """
 
 import contextlib
@@ -15,7 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionexp.cli import EXIT_FAIL, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fusionexp.cli import (
+    EXIT_FAIL,
+    EXIT_FORMAT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_CONFIG_BYTES,
+    MAX_DEGREE,
+    MAX_MODULUS_BITS,
+    MAX_TRIALS,
+    main,
+)
 
 EXIT_CODES = {EXIT_OK, EXIT_FAIL, EXIT_IO, EXIT_USAGE, EXIT_FORMAT}
 # a desk-scale command takes milliseconds; a config load at the size caps
@@ -38,6 +52,34 @@ json_values = st.recursive(
     max_leaves=8,
 )
 SUBGROUP = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]  # the order-11 subgroup mod 23
+
+
+def nest(depth, opener, closed):
+    """depth nested JSON arrays or objects around a string, closed or cut off."""
+    closer = {"[": "]", '{"k":': "}"}[opener]
+    return opener * depth + ('"3"' + closer * depth if closed else "")
+
+
+def nested_texts(deepest):
+    """nest() at depths on both sides of the decoder's recursion limit (about
+    1,000), and up to deepest."""
+    return st.builds(nest, st.integers(0, 1_500) | st.integers(0, deepest),
+                     st.sampled_from(["[", '{"k":']), st.booleans())
+
+
+def flag_texts(valid, over):
+    """Text of an integer flag: three times in four a value drawn from valid,
+    else a value from `over` up (past a cap), more digits than int() converts,
+    or a spelling that is not ASCII digits only."""
+    invalid = st.one_of(
+        st.integers(over, 1 << 80).map(str),
+        st.integers(4_290, 4_400).map(lambda k: "9" * k),
+        decimal_texts.filter(lambda t: not (t.isascii() and t.isdigit())),
+    )
+    return st.integers(0, 3).flatmap(lambda k: valid.map(str) if k else invalid)
+
+
+seed_texts = flag_texts(st.integers(0, 1 << 64), 1 << 64)
 
 
 def spell(entries, at, text):
@@ -125,3 +167,59 @@ def test_fuzz_config_fields(config_dir, config, field, value, delete, command):
     path.write_text(json.dumps(obj))
     last = ["--exp", '["3","5","7"]'] if command == "eval" else ["--target", '["16","1","2"]']
     run_case([command, "--config", str(path), "--base", BASE] + last)
+
+
+@FUZZ
+@given(q_bits=flag_texts(st.integers(0, 12), MAX_MODULUS_BITS),
+       n=flag_texts(st.integers(0, 4), MAX_DEGREE + 1), seed=seed_texts)
+def test_fuzz_params_flags(q_bits, n, seed):
+    run_case(["params", "--q-bits", q_bits, "--n", n, "--seed", seed])
+
+
+@FUZZ
+@given(degrees=st.lists(flag_texts(st.integers(0, 7), 6), min_size=1, max_size=6))
+def test_fuzz_vectors_degree_list(degrees):
+    run_case(["vectors", "--n", ",".join(degrees)])
+
+
+@FUZZ
+@given(solver=st.sampled_from(["bruteforce", "bsgs", "rho"]), seed=seed_texts)
+def test_fuzz_fdlog_seed(config, solver, seed):
+    run_case(["fdlog", "--config", config[0], "--base", BASE, "--target", '["16","1","2"]',
+              "--solver", solver, "--seed", seed])
+
+
+@FUZZ
+@given(which=st.sampled_from(["dh", "elgamal", "vss", "reductions"]), seed=seed_texts,
+       trials=flag_texts(st.integers(0, 3), MAX_TRIALS + 1))
+def test_fuzz_demo_flags(config, which, seed, trials):
+    run_case(["demo", "--config", config[0], "--which", which, "--seed", seed,
+              "--trials", trials])
+
+
+@FUZZ
+@given(nested=nested_texts(6_000), command=st.sampled_from(["eval", "fdlog"]), first=st.booleans())
+def test_fuzz_nested_vectors(config, nested, command, first):
+    vectors = [BASE, '["3","5","7"]']
+    vectors[0 if first else 1] = nested
+    last = "--exp" if command == "eval" else "--target"
+    run_case([command, "--config", config[0], "--base", vectors[0], last, vectors[1]])
+
+
+@FUZZ
+@given(nested=nested_texts(MAX_CONFIG_BYTES), field=st.sampled_from([None] + CONFIG_FIELDS))
+def test_fuzz_nested_configs(config_dir, config, nested, field):
+    """The whole file, or one field of the config, is nested JSON text."""
+    obj = json.loads(json.dumps(config[1]))
+    if field is None:
+        text = nested
+    else:
+        section, key = field
+        holder = obj if section is None else obj[section]
+        if isinstance(key, int):
+            holder = holder["f"]
+        holder[key] = "@nested@"
+        text = json.dumps(obj).replace('"@nested@"', nested)
+    path = config_dir / "nested.json"
+    path.write_text(text)
+    run_case(["eval", "--config", str(path), "--base", BASE, "--exp", '["3","5","7"]'])

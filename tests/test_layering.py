@@ -1,8 +1,11 @@
-"""Package layering: no module imports another module's private helpers, and
-every package name the benchmark scripts in perfbench/ use still exists."""
+"""Package layering: no module imports another module's private helpers, the
+package keeps its import cost down, and every package name the benchmark
+scripts in perfbench/ use still exists."""
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -49,6 +52,39 @@ def test_checker_flags_a_private_import(tmp_path):
         (3, "fusionexp.group", "_other"),
         (5, None, "_inner"),
     ]
+
+
+def imported_modules(path):
+    """Top-level names of the absolute modules imported in path."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_protocols_imports_dataclasses_and_no_module_imports_typing():
+    imports = {p.name: imported_modules(p) for p in sorted(SRC.glob("*.py"))}
+    assert "value.py" in imports and "collections" in imports["dlp.py"]
+    assert {name for name, found in imports.items() if "dataclasses" in found} == {
+        "protocols.py"
+    }
+    assert {name for name, found in imports.items() if "typing" in found} == set()
+
+
+def test_cli_import_leaves_out_typing_and_threading():
+    # -S as well as -I, as in the benchmark's child: site and its .pth files
+    # can import typing and threading before the package does
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fusionexp.cli; "
+        "print(' '.join(sorted({'typing', 'threading', 'fusionexp.protocols'} "
+        "& set(sys.modules))))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["fusionexp.protocols"]
 
 
 def package_aliases(tree):
