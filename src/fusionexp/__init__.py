@@ -84,7 +84,6 @@ from .reductions import (
 from .protocols import (
     ElGamalCiphertext,
     FusionKeyPair,
-    VssDealing,
     VssShare,
     fdh_keygen,
     fdh_shared,
@@ -96,3 +95,10 @@ from .protocols import (
     vss_verify,
     vss_verify_all,
 )
+
+
+def __getattr__(name: str):
+    # VssDealing is a dataclass made on first use; see protocols.
+    if name == "VssDealing":
+        return protocols.VssDealing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,7 +53,6 @@ from .group import (
 )
 from .primes import parse_decimal
 from .protocols import (
-    VssDealing,
     VssShare,
     ciphertext_to_json,
     dealing_to_json,
@@ -317,7 +316,7 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     bad = dealing.shares[0]
     bumped = VssShare(bad.index, fe_add(bad.value, fe_one(fld)))
     shares = tuple(bumped if s.index == bad.index else s for s in dealing.shares)
-    corrupted = VssDealing(t, m, base, shares, dealing.commitments)
+    corrupted = type(dealing)(t, m, base, shares, dealing.commitments)
     flagged = [s.index for s in corrupted.shares if not vss_verify(corrupted, s.index)]
     ok = all_verified and recovered == secret and flagged == [bad.index]
     return {

@@ -10,9 +10,21 @@ with the lam values taken from `field.lambda_entries`.  The map obeys the
 usual exponent laws, degenerates to ordinary exponentiation at n = 1, and
 is a bijection from the exponent field onto the product group for every
 non-identity base.
+
+`fusion_pow` computes all n components in one simultaneous
+multi-exponentiation kernel, `_multi_pow`, over tables of subset products
+of the bases.  The first full-width call on a base builds its tables for
+that call only.  At a q of 64 bits or more, a base that comes back (one of
+the last 16 seen) gets Lim-Lee comb tables, kept for the last 4 such bases,
+so each row runs over a quarter of the exponent bits.  An exponent in the
+prime subfield skips the kernel: lam is then a multiple of the identity.
 """
 
 from __future__ import annotations
+
+import functools
+from _thread import allocate_lock
+from collections import OrderedDict
 
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
@@ -31,6 +43,18 @@ from .value import Value
 # Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
 _TABLE_WIDTH = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# A reused base's exponents are cut into this many chunks (Lim-Lee comb).
+_COMB_CHUNKS = 4
+# Below this size of q a comb row costs more time than a plain one: the
+# squarings it saves are cheaper than the Python work per chunk table.
+_COMB_MIN_BITS = 64
+# Reused bases whose comb tables are kept (about 70 kB each at 256 bits, n = 8).
+_COMB_BASES = 4
+# Full-width bases remembered, so that a second call can be recognised.
+_SEEN_BASES = 16
+
+_seen: OrderedDict = OrderedDict()
+_seen_lock = allocate_lock()
 
 
 class FusionBase(Value):
@@ -116,32 +140,92 @@ def _bit_columns(exps: tuple[int, ...], width: int) -> bytes:
     return cols.to_bytes(width, "big")
 
 
-def _multi_pow(
-    residues: tuple[int, ...], lam: tuple[tuple[int, ...], ...], modulus: int
-) -> tuple[int, ...]:
-    """Component i = prod_j residues[j] ** lam[i][j], all by one kernel.
+def _subset_tables(
+    residues: tuple[int, ...], modulus: int, chunk: int, chunks: int
+) -> list[list[list[int]]]:
+    """tables[g][c] = subset products of the bases of group g, each raised to 2**(c*chunk).
 
-    Simultaneous exponentiation (Straus 1964; Moeller, SAC 2001): the
-    bases are split into groups of _TABLE_WIDTH, and each group gets one
-    table of its subset products, shared by every row.  A row then makes
-    one left-to-right pass over the bits of its exponents: per bit, one
-    squaring and one multiply by the product that the bit column selects.
-    With more than one table, the per-bit picks of the later tables are
-    first multiplied into one per-bit list, indexed from 1 by bit position.
+    Group g holds residues[8g : 8g + 8]; c runs below `chunks`.
     """
-    tables = [
-        (s, _subset_products(residues[s : s + _TABLE_WIDTH], modulus))
-        for s in range(0, len(residues), _TABLE_WIDTH)
-    ]
-    first, later = tables[0][1], tables[1:]
+    tables = []
+    for s in range(0, len(residues), _TABLE_WIDTH):
+        bases = residues[s : s + _TABLE_WIDTH]
+        combs = [_subset_products(bases, modulus)]
+        for _ in range(1, chunks):
+            for _ in range(chunk):
+                bases = [b * b % modulus for b in bases]
+            combs.append(_subset_products(bases, modulus))
+        tables.append(combs)
+    return tables
+
+
+_comb_tables = functools.lru_cache(maxsize=_COMB_BASES)(_subset_tables)
+
+
+def _tables(
+    residues: tuple[int, ...], modulus: int, bits: int
+) -> tuple[list[list[list[int]]], int]:
+    """Subset-product tables for _multi_pow and the chunk width they serve.
+
+    The first full-width call on a base builds one chunk of `bits` bits for
+    that call only and keeps nothing but a note of the base.  A call that
+    finds the note takes the base's comb tables, _COMB_CHUNKS chunks of
+    ceil(bits / _COMB_CHUNKS) bits, cached for the last _COMB_BASES bases.
+    A q of fewer than _COMB_MIN_BITS bits always takes the first route.
+    """
+    reused = False
+    if bits >= _COMB_MIN_BITS:
+        key = (modulus, residues)
+        with _seen_lock:
+            reused = key in _seen
+            _seen[key] = None
+            _seen.move_to_end(key)
+            if len(_seen) > _SEEN_BASES:
+                _seen.popitem(last=False)
+    if reused:
+        chunk = -(-bits // _COMB_CHUNKS)
+        return _comb_tables(residues, modulus, chunk, _COMB_CHUNKS), chunk
+    return _subset_tables(residues, modulus, bits, 1), bits
+
+
+def _multi_pow(
+    tables: list[list[list[int]]],
+    chunk: int,
+    lam: tuple[tuple[int, ...], ...],
+    modulus: int,
+) -> tuple[int, ...]:
+    """Component i = prod_j B_j ** lam[i][j], all by one kernel.
+
+    Simultaneous exponentiation (Straus 1964; Moeller, SAC 2001) with
+    Lim-Lee combs (CRYPTO '94): tables[g][c] holds the subset products of
+    the bases B_j of group g (j in [8g, 8g + 8)) raised to 2**(c*chunk),
+    and a row's exponents are cut into chunks of `chunk` bits, chunk c
+    looked up in table c.  A row then makes one left-to-right pass over
+    the bits of a chunk: per bit, one squaring and one multiply by the
+    product that the bit columns select.  With more than one table in
+    use, the per-bit picks of the later tables are first multiplied into
+    one per-bit list, indexed from 1 by bit position.  One table per
+    group with chunk >= bits(q) is plain simultaneous exponentiation.
+    """
     out = []
     for row in lam:
-        width = max(row).bit_length()
-        keys, lookup = _bit_columns(row[:_TABLE_WIDTH], width), first
-        for s, tab in later:
-            more = _bit_columns(row[s : s + _TABLE_WIDTH], width)
-            lookup = [1] + [lookup[a] * tab[b] % modulus for a, b in zip(keys, more)]
-            keys = [i if a or b else 0 for i, (a, b) in enumerate(zip(keys, more), 1)]
+        top = max(row).bit_length()
+        if not top:
+            out.append(1)
+            continue
+        width = min(chunk, top)
+        used = -(-top // width)
+        keys = lookup = None
+        for g, combs in enumerate(tables):
+            s = g * _TABLE_WIDTH
+            cols = _bit_columns(row[s : s + _TABLE_WIDTH], used * width)
+            for c in range(used):
+                more, tab = cols[(used - 1 - c) * width : (used - c) * width], combs[c]
+                if keys is None:
+                    keys, lookup = more, tab
+                    continue
+                lookup = [1] + [lookup[a] * tab[b] % modulus for a, b in zip(keys, more)]
+                keys = [i if a or b else 0 for i, (a, b) in enumerate(zip(keys, more), 1)]
         acc = 1
         for k in keys:
             acc = acc * acc % modulus
@@ -152,11 +236,22 @@ def _multi_pow(
 
 
 def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
-    """Raise a tuple base to a field exponent through the lambda matrix."""
+    """Raise a tuple base to a field exponent through the lambda matrix.
+
+    An exponent in the prime subfield (every coefficient above the
+    constant c zero) has lambda = c*I, so for n >= 2 component i is
+    B_i ** c by built-in pow.
+    """
     if exp.params != base.field:
         raise ParamsMismatch("exponent from a different field")
     residues = tuple(c.residue for c in base.components)
-    powered = _multi_pow(residues, lambda_entries(exp), base.group.modulus)
+    modulus = base.group.modulus
+    c, *high = exp.coeffs
+    if high and not any(high):
+        powered = tuple(pow(r, c, modulus) for r in residues)
+    else:
+        tables, chunk = _tables(residues, modulus, base.field.q.bit_length())
+        powered = _multi_pow(tables, chunk, lambda_entries(exp), modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)
 

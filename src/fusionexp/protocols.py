@@ -9,9 +9,9 @@ run is reproducible.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import BadThreshold, IdentityBase, ParamsMismatch, VerifyFailed
 from .field import (
@@ -61,19 +61,36 @@ class VssShare(Value):
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class VssDealing:
-    """Shares of a secret plus public commitments to the sharing polynomial.
+@functools.cache
+def _vss_dealing_type() -> type:
+    """The VssDealing class, made on first use.
 
-    Still a dataclass, unlike the other values, so `dataclasses.replace`
-    can swap in a corrupted share.
+    Still a frozen dataclass, unlike the other values, so
+    `dataclasses.replace` can swap in a corrupted share; made lazily so that
+    importing the package does not import `dataclasses`.  Reached as
+    `protocols.VssDealing` through the module `__getattr__`, which is where
+    pickle looks it up.
     """
+    from dataclasses import dataclass
 
-    threshold: int
-    share_count: int
-    base: FusionBase
-    shares: tuple[VssShare, ...]
-    commitments: tuple[FusionBase, ...]
+    @dataclass(frozen=True)
+    class VssDealing:
+        """Shares of a secret plus public commitments to the sharing polynomial."""
+
+        threshold: int
+        share_count: int
+        base: FusionBase
+        shares: tuple[VssShare, ...]
+        commitments: tuple[FusionBase, ...]
+
+    VssDealing.__qualname__ = "VssDealing"  # its __module__ is already this one
+    return VssDealing
+
+
+def __getattr__(name: str):
+    if name == "VssDealing":
+        return _vss_dealing_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +108,8 @@ def fdh_keygen(base: FusionBase, rng: random.Random) -> FusionKeyPair:
 
 def fdh_shared(my: FusionKeyPair, their_public: FusionBase) -> FusionBase:
     """Both sides arrive at base**(x1*x2) by commutativity of the exponent field."""
+    if is_identity(their_public):
+        raise IdentityBase("peer public key must not be the identity")
     return fusion_pow(their_public, my.secret)
 
 
@@ -108,6 +127,8 @@ def felgamal_encrypt(
 ) -> ElGamalCiphertext:
     if msg.group != base.group or msg.field != base.field:
         raise ParamsMismatch("message from a different parameter set")
+    if is_identity(base) or is_identity(pk):
+        raise IdentityBase("base and public key must not be the identity")
     k = fe_random(base.field, rng, nonzero=True)
     return ElGamalCiphertext(
         c1=fusion_pow(base, k),
@@ -164,7 +185,7 @@ def vss_deal(
         for j in range(1, m + 1)
     )
     commitments = tuple(fusion_pow(base, c) for c in coeffs)
-    return VssDealing(
+    return _vss_dealing_type()(
         threshold=t, share_count=m, base=base, shares=shares, commitments=commitments
     )
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,6 +22,7 @@ from fusionexp import (
     find_irreducible,
     fusion_pow,
     g_pow,
+    gen_group_params,
     generator_element,
     identity,
     is_identity,
@@ -28,6 +31,7 @@ from fusionexp import (
     scalar_embed,
     unit_embed,
 )
+from fusionexp import fusion
 from fusionexp.fusion import FusionBase, fusion_base_from_json, fusion_base_to_json
 
 
@@ -268,3 +272,193 @@ def test_fusion_pow_multiplication_budget(group64, fields64):
         assert 0 < count <= budget, (n, count, budget)
         assert count < 2 * n * n * bitlen or n == 1
         assert got == residues(fusion_pow(FusionBase(group64, fld, comps), x))
+
+
+# ---------------------------------------------------------------------------
+# Reused bases (comb tables) and prime-subfield exponents (built-in pow)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_combs():
+    """No base seen and no comb table kept, before and after the test."""
+    fusion._seen.clear()
+    fusion._comb_tables.cache_clear()
+    yield
+    fusion._seen.clear()
+    fusion._comb_tables.cache_clear()
+
+
+# 9, 10 and 16 bases need two subset tables per chunk; at n = 1 the exponent
+# one gives a row shorter than a chunk.
+ROUTE_DEGREES = (1, 2, 3, 4, 8, 9, 10, 16)
+
+
+def route_bases(group, fld, rng):
+    """A full base, unit_embed, and a full base with every other component 1."""
+    g = generator_element(group)
+    full = scalar_embed(g, fe(fld, [rng.randrange(1, fld.q) for _ in range(fld.n)]))
+    holes = tuple(identity(group) if k % 2 else c for k, c in enumerate(full.components))
+    return [full, unit_embed(g, fld), FusionBase(group, fld, holes)]
+
+
+def route_exponents(fld, rng):
+    """Zero, one and constant q-1 (the subfield route at n >= 2), all-(q-1), top-only."""
+    q, n = fld.q, fld.n
+    top = [0] * (n - 1) + [rng.randrange(1, q)]
+    return [fe_zero(fld), fe_one(fld), fe(fld, [q - 1] + [0] * (n - 1)),
+            fe(fld, [q - 1] * n), fe(fld, top)]
+
+
+def oracle(base, x):
+    return helpers.pow_components(residues(base), lambda_entries(x), base.group.modulus)
+
+
+def assert_routes_match_oracle(group, fld, seed):
+    rng = random.Random(seed)
+    combs = int(fld.q.bit_length() >= fusion._COMB_MIN_BITS)
+    for base in route_bases(group, fld, rng):
+        fusion._seen.clear()
+        fusion._comb_tables.cache_clear()
+        warm = fe(fld, [rng.randrange(1, fld.q) for _ in range(fld.n)])
+        # the first full-width call builds per-call tables, the second the
+        # combs, unless q is too small for them
+        for _ in range(2):
+            assert residues(fusion_pow(base, warm)) == oracle(base, warm)
+        assert fusion._comb_tables.cache_info().currsize == combs
+        for x in route_exponents(fld, rng):
+            assert residues(fusion_pow(base, x)) == oracle(base, x), (fld.n, x.coeffs)
+        assert fusion._comb_tables.cache_info().misses == combs
+
+
+def route_field(q, n):
+    return make_field_params(q, n, find_irreducible(q, n, seed=n))
+
+
+@pytest.mark.parametrize("n", ROUTE_DEGREES)
+def test_comb_and_subfield_routes_match_oracle_q11(g23, n, fresh_combs):
+    assert_routes_match_oracle(g23, route_field(11, n), seed=40 + n)
+
+
+@pytest.mark.parametrize("n", ROUTE_DEGREES)
+def test_comb_and_subfield_routes_match_oracle_64_bit(group64, n, fresh_combs):
+    assert_routes_match_oracle(group64, route_field(group64.q, n), seed=60 + n)
+
+
+def test_comb_and_subfield_routes_match_oracle_256_bit(fresh_combs):
+    group = gen_group_params(256, seed=1)
+    assert_routes_match_oracle(group, route_field(group.q, 8), seed=256)
+
+
+def test_subfield_exponents_skip_the_kernel(group64, fields64, monkeypatch, fresh_combs):
+    def no_kernel(*args):
+        raise AssertionError("kernel ran for a prime-subfield exponent")
+
+    monkeypatch.setattr(fusion, "_multi_pow", no_kernel)
+    rng = random.Random(70)
+    for n in (2, 8):
+        fld = fields64[n]
+        for base in route_bases(group64, fld, rng):
+            for c in (0, 1, 2, fld.q - 1):
+                x = fe(fld, [c] + [0] * (n - 1))
+                assert residues(fusion_pow(base, x)) == oracle(base, x)
+    assert not fusion._seen
+
+
+def test_comb_cache_round_robin_over_more_bases_than_it_holds(group64, fields64, fresh_combs):
+    fld = fields64[8]
+    rng = random.Random(71)
+    g = generator_element(group64)
+    bases = [scalar_embed(g, fe_random(fld, rng, nonzero=True)) for _ in range(6)]
+    for _ in range(3):
+        for base in bases:
+            x = fe_random(fld, rng)
+            assert residues(fusion_pow(base, x)) == oracle(base, x)
+    info = fusion._comb_tables.cache_info()
+    assert info.currsize == info.maxsize == 4
+    # every base's second and third visit found it seen; none found its tables
+    assert info.misses == 12 and info.hits == 0
+    assert len(fusion._seen) == 6
+
+
+def test_one_shot_bases_build_no_comb_tables(group64, fields64, fresh_combs):
+    # as in a protocol: a system base used between peers' one-shot keys
+    fld = fields64[4]
+    rng = random.Random(72)
+    g = generator_element(group64)
+    system = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+    for _ in range(40):
+        for base in (scalar_embed(g, fe_random(fld, rng, nonzero=True)), system):
+            x = fe_random(fld, rng)
+            assert residues(fusion_pow(base, x)) == oracle(base, x)
+    info = fusion._comb_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 38, 1)
+    assert len(fusion._seen) == fusion._SEEN_BASES
+
+
+def test_comb_tables_shared_by_threads(group64, fields64, fresh_combs):
+    fld = fields64[8]
+    rng = random.Random(73)
+    g = generator_element(group64)
+    bases = [scalar_embed(g, fe_random(fld, rng, nonzero=True)) for _ in range(3)]
+    work = [[(base, fe_random(fld, rng)) for base in bases for _ in range(6)]
+            for _ in range(4)]
+    expected = [[oracle(base, x) for base, x in calls] for calls in work]
+    results = [None] * 4
+
+    def run(k):
+        results[k] = [residues(fusion_pow(base, x)) for base, x in work[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+    assert fusion._comb_tables.cache_info().currsize == 3
+
+
+def test_reused_base_multiplication_budget(group64, fields64, fresh_combs):
+    # the first call on a base counts as before; the second builds its comb
+    # tables; from the third on a row takes ceil(64/4) = 16 bits, each with one
+    # squaring, three folds of the later chunk tables and one table multiply
+    count = 0
+
+    class CountingInt(int):
+        def __mul__(self, other):
+            nonlocal count
+            count += 1
+            return CountingInt(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __mod__(self, other):
+            return CountingInt(int(self) % int(other))
+
+    # the base of test_fusion_pow_multiplication_budget at n = 8
+    fields = kernel_fields(group64.q, fields64)
+    rng = random.Random(33)
+    g = generator_element(group64)
+    for n in (1, 4, 8):
+        comps = tuple(g_pow(g, rng.randrange(1, fields[n].q)) for _ in range(n))
+    fld = fields[8]
+    base = FusionBase(group64, fld, tuple(GroupElement(group64, CountingInt(c.residue))
+                                          for c in comps))
+    x = fe(fld, [fld.q - 1] * 8)
+    expected = oracle(base, x)
+    counts = []
+    for _ in range(3):
+        count = 0
+        assert residues(fusion_pow(base, x)) == expected
+        counts.append(count)
+    assert counts[0] == 1267
+    assert counts[1] > counts[0]
+    assert 0 < counts[2] <= 8 * 5 * 16
+    info = fusion._comb_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

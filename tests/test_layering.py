@@ -76,11 +76,12 @@ def test_only_protocols_imports_dataclasses_and_no_module_imports_typing():
 
 def test_cli_import_leaves_out_typing_and_threading():
     # -S as well as -I, as in the benchmark's child: site and its .pth files
-    # can import typing and threading before the package does
+    # can import typing and threading before the package does; dataclasses
+    # loads only when a VssDealing is first needed
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fusionexp.cli; "
-        "print(' '.join(sorted({'typing', 'threading', 'fusionexp.protocols'} "
-        "& set(sys.modules))))"
+        "print(' '.join(sorted({'typing', 'threading', 'dataclasses', "
+        "'fusionexp.protocols'} & set(sys.modules))))"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout

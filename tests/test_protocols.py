@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 from dataclasses import replace
 
@@ -32,6 +34,7 @@ from fusionexp import (
     vss_verify,
     vss_verify_all,
 )
+from fusionexp import protocols
 from fusionexp.protocols import share_point
 
 
@@ -69,6 +72,25 @@ def test_fdh_agreement_trials(g23, f121):
 def test_fdh_rejects_identity_base(g23, f121):
     with pytest.raises(IdentityBase):
         fdh_keygen(fb_identity(g23, f121), random.Random(0))
+
+
+def test_fdh_shared_rejects_identity_peer_key(g23, f121):
+    base = unit_embed(generator_element(g23), f121)
+    me = fdh_keygen(base, random.Random(0))
+    with pytest.raises(IdentityBase):
+        fdh_shared(me, fb_identity(g23, f121))
+
+
+def test_felgamal_encrypt_rejects_identity_base_or_key(g23, f121):
+    # with pk the identity, c2 would be the plaintext itself
+    rng = random.Random(1)
+    base = unit_embed(generator_element(g23), f121)
+    keys = felgamal_keygen(base, rng)
+    msg = fusion_pow(base, fe(f121, [4, 7]))
+    one = fb_identity(g23, f121)
+    for b, pk in ((base, one), (one, keys.public), (one, one)):
+        with pytest.raises(IdentityBase):
+            felgamal_encrypt(b, pk, msg, rng)
 
 
 def test_felgamal_roundtrip_trials(g23, f121):
@@ -208,3 +230,29 @@ def test_vss_reconstruct_input_validation(g23, f121):
         vss_reconstruct([])
     with pytest.raises(ValueError):
         vss_reconstruct([dealing.shares[0], dealing.shares[0]])
+
+
+def test_vss_dealing_is_one_frozen_dataclass(g23, f121):
+    import fusionexp
+
+    dealing_type = fusionexp.VssDealing
+    assert dealing_type is protocols.VssDealing
+    assert dataclasses.is_dataclass(dealing_type)
+    assert dealing_type.__qualname__ == "VssDealing"
+    assert dealing_type.__module__ == "fusionexp.protocols"
+    rng = random.Random(8)
+    base = unit_embed(generator_element(g23), f121)
+    dealing = vss_deal(fe_random(f121, rng, nonzero=True), 2, 3, base, rng)
+    assert isinstance(dealing, dealing_type)
+    assert repr(dealing).startswith("VssDealing(threshold=2, share_count=3, base=")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dealing.threshold = 3
+    changed = replace(dealing, threshold=3)
+    assert isinstance(changed, dealing_type) and changed.threshold == 3
+    assert changed.shares == dealing.shares
+    back = pickle.loads(pickle.dumps(dealing))
+    assert type(back) is dealing_type and back == dealing
+    with pytest.raises(AttributeError):
+        protocols.VssDealings
+    with pytest.raises(AttributeError):
+        fusionexp.VssDealings
