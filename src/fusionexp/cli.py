@@ -83,8 +83,10 @@ MAX_DEGREE = 64  # n: the Frobenius steps take about n^3 operations mod q
 MAX_FIELD_BITS = 8192  # n * bits(q): bounds the cost of the power X^q
 # A config within the caps above takes under 6 kB in params' own format.
 MAX_CONFIG_BYTES = 1 << 16
-# A demo reductions trial runs every arrow once: about 70 ms at q = 11 and
-# n = 4, and more on larger desk-scale fields.
+# A demo reductions trial runs every arrow once, and its exhaustive scans
+# make its time grow with the field order q^n: under 0.1 s at q = 11 and
+# n = 4, about 4 s at a 20-bit q and n = 1.  So trials * q^n is capped at
+# MAX_TRIALS * 11^4, the largest desk-scale run.
 MAX_TRIALS = 1000
 
 # The five reference moduli whose coefficient matrices the vectors command dumps.
@@ -345,6 +347,9 @@ def cmd_demo(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
     group, fld = load_system_config(args.config)
+    if args.which == "reductions" and args.trials * fld.field_order > MAX_TRIALS * 11**4:
+        raise UsageError(f"--trials times the field order must not exceed {MAX_TRIALS} "
+                         f"* 11^4, got {args.trials} * {fld.field_order}")
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     if args.which == "dh":

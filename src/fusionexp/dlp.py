@@ -12,13 +12,15 @@ batch.  Baby-step giant-step then sizes one table for the whole batch
 (about sqrt(2n*q) entries, kept for the generator), and Pollard rho keeps
 the distinguished points of its walks across it: its multipliers are powers
 of g alone, so once a target is solved the points its walks reached have
-known logs, and each later target only walks until it meets one.  A lone
-instance (empty batch) gets a sqrt(q) table and runs the same rho walk on a
-store of its own.
+known logs, and each later target only walks until it meets one.  That
+store is an lru_cache holding the last batch.  A lone instance (empty
+batch) gets a sqrt(q) table and runs the same rho walk on a store of its
+own, built outside the cache and dropped after the call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -94,6 +96,8 @@ def dlog_bruteforce(inst: DlogInstance, cap: int = BRUTE_CAP) -> int:
 
 
 # The one baby-step table a process keeps: (P, g, m, {g^j: j for j < m}, g^-m).
+# Not an lru_cache: a table serves any call for its (P, g) that needs one no
+# wider, which a lookup by key cannot express.
 _baby_table: tuple = (0, 0, 0, {}, 0)
 
 
@@ -162,10 +166,14 @@ _RHO_MULTIPLIERS = 20
 _DP_WALK_CAP = 16
 _DP_BUDGET = 1024
 
-# The one shared walk a process keeps: (P, g, batch, seed), and the
-# multipliers, their logs to base g, the points of known log, the answers
-# and the random stream.
-_shared_walk: tuple = (None, None)
+
+@functools.lru_cache(maxsize=1)
+def _walk(P: int, q: int, g: int, batch: tuple[int, ...], seed: int) -> tuple:
+    """The multipliers of the walk, their logs to base g, the points of known
+    log, the answers and the random stream; cached for the last batch."""
+    rng = random.Random(seed)
+    logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
+    return [pow(g, a, P) for a in logs], logs, {}, {}, rng
 
 
 def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
@@ -185,24 +193,16 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     batch, whose walks end as soon as they meet one, so the L targets of a
     batch cost about sqrt(2*L*q) steps in all rather than L rho runs, and a
     repeated target costs a lookup.  A lone instance walks on a fresh store
-    each call, about 1.35*sqrt(q) steps, so one seed repeats the same work.
+    each call, about 1.35*sqrt(q) steps, so one seed repeats the same work;
+    it bypasses the cache, so it never evicts a batch's store.
     """
     params = inst.params
     P, q = params.modulus, params.q
     if q <= 3:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
-    global _shared_walk
-    key = (P, g, inst.batch, seed)
-    if inst.batch and _shared_walk[0] == key:
-        mult, logs, points, solved, rng = _shared_walk[1]
-    else:
-        rng = random.Random(seed)
-        logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
-        mult = [pow(g, a, P) for a in logs]
-        points, solved = {}, {}
-        if inst.batch:
-            _shared_walk = key, (mult, logs, points, solved, rng)
+    walk = _walk if inst.batch else _walk.__wrapped__
+    mult, logs, points, solved, rng = walk(P, q, g, inst.batch, seed)
     if y not in solved:
         solved[y] = _dp_rho(P, q, g, y, rng, mult, logs, points)
     return solved[y]

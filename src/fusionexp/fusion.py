@@ -15,7 +15,8 @@ non-identity base.
 multi-exponentiation kernel, `_multi_pow`, over tables of subset products
 of the bases.  The first full-width call on a base builds its tables for
 that call only.  At a q of 64 bits or more, a base that comes back (one of
-the last 16 seen) gets Lim-Lee comb tables, kept for the last 4 such bases,
+the last 16 seen, each noted with a call counter in an lru_cache) gets
+Lim-Lee comb tables, kept in a second lru_cache for the last 4 such bases,
 so each row runs over a quarter of the exponent bits.  An exponent in the
 prime subfield skips the kernel: lam is then a multiple of the identity.
 """
@@ -23,8 +24,7 @@ prime subfield skips the kernel: lam is then a multiple of the identity.
 from __future__ import annotations
 
 import functools
-from _thread import allocate_lock
-from collections import OrderedDict
+import itertools
 
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
@@ -52,9 +52,6 @@ _COMB_MIN_BITS = 64
 _COMB_BASES = 4
 # Full-width bases remembered, so that a second call can be recognised.
 _SEEN_BASES = 16
-
-_seen: OrderedDict = OrderedDict()
-_seen_lock = allocate_lock()
 
 
 class FusionBase(Value):
@@ -90,8 +87,6 @@ def scalar_embed(g: GroupElement, x: FieldElement) -> FusionBase:
 
 def unit_embed(g: GroupElement, field: FieldParams) -> FusionBase:
     """The tuple (g, 1, ..., 1), i.e. g raised to the field's one-element."""
-    if g.residue == 1:
-        raise IdentityBase("cannot embed the group identity")
     return scalar_embed(g, fe_one(field))
 
 
@@ -162,27 +157,25 @@ def _subset_tables(
 _comb_tables = functools.lru_cache(maxsize=_COMB_BASES)(_subset_tables)
 
 
+@functools.lru_cache(maxsize=_SEEN_BASES)
+def _visits(modulus: int, residues: tuple[int, ...]) -> itertools.count:
+    """A counter of the full-width calls on a base, kept for the last _SEEN_BASES bases."""
+    return itertools.count()
+
+
 def _tables(
     residues: tuple[int, ...], modulus: int, bits: int
 ) -> tuple[list[list[list[int]]], int]:
     """Subset-product tables for _multi_pow and the chunk width they serve.
 
     The first full-width call on a base builds one chunk of `bits` bits for
-    that call only and keeps nothing but a note of the base.  A call that
-    finds the note takes the base's comb tables, _COMB_CHUNKS chunks of
-    ceil(bits / _COMB_CHUNKS) bits, cached for the last _COMB_BASES bases.
-    A q of fewer than _COMB_MIN_BITS bits always takes the first route.
+    that call only; _visits counts it.  A later call takes the base's comb
+    tables, _COMB_CHUNKS chunks of ceil(bits / _COMB_CHUNKS) bits, cached
+    for the last _COMB_BASES bases.  A q of fewer than _COMB_MIN_BITS bits
+    always takes the first route.  Two threads that meet a new base at once
+    may both take the first route; the result is the same either way.
     """
-    reused = False
-    if bits >= _COMB_MIN_BITS:
-        key = (modulus, residues)
-        with _seen_lock:
-            reused = key in _seen
-            _seen[key] = None
-            _seen.move_to_end(key)
-            if len(_seen) > _SEEN_BASES:
-                _seen.popitem(last=False)
-    if reused:
+    if bits >= _COMB_MIN_BITS and next(_visits(modulus, residues)) > 0:
         chunk = -(-bits // _COMB_CHUNKS)
         return _comb_tables(residues, modulus, chunk, _COMB_CHUNKS), chunk
     return _subset_tables(residues, modulus, bits, 1), bits

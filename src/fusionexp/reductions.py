@@ -24,7 +24,7 @@ from .dlp import (
     fdlog_bruteforce,
     fdlog_solve,
 )
-from .errors import IdentityBase, OracleInconsistent
+from .errors import OracleInconsistent
 from .field import FieldElement, FieldParams, fe_add, fe_mul, fe_random
 from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
 from .group import GroupElement, GroupParams, g_pow, generator_element, identity
@@ -75,8 +75,6 @@ def reduce_dlp_to_fdlp(
     Embeds the target diagonally and the base into the first component;
     the oracle's answer must be the constant vector (x, ..., x).
     """
-    if g.residue == 1:
-        raise IdentityBase("dlog base must not be the identity")
     base = unit_embed(g, fld)
     target = _diagonal_embed(y, fld)
     ans = fdlog(FdlogInstance(base, target))
@@ -97,8 +95,6 @@ def reduce_dhp_to_fdhp(
     First-component embedding keeps all the structure in coordinate 0, so
     the answer tuple must be (g^(x1*x2), 1, ..., 1).
     """
-    if g.residue == 1:
-        raise IdentityBase("base must not be the identity")
     ans = fdh(
         _first_component_embed(y1, fld),
         _first_component_embed(y2, fld),
@@ -118,8 +114,6 @@ def reduce_ddp_to_fddp(
     fddh: FddhOracle,
 ) -> bool:
     """Scalar decision-DH from a single tuple-decision query, answered verbatim."""
-    if g.residue == 1:
-        raise IdentityBase("base must not be the identity")
     return fddh(
         _first_component_embed(y1, fld),
         _first_component_embed(y2, fld),

@@ -168,6 +168,35 @@ def pow_components(residues, lam, modulus):
     return tuple(out)
 
 
+class CountingInt(int):
+    """An int that adds one to CountingInt.mults per product it takes part in.
+
+    Products and remainders of a CountingInt are CountingInts again, so a
+    computation started from one counts every multiplication that follows.
+    """
+
+    mults = 0
+
+    def __mul__(self, other):
+        CountingInt.mults += 1
+        return CountingInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __mod__(self, other):
+        return CountingInt(int(self) % int(other))
+
+
+class CountingModulus(int):
+    """A modulus that adds one to CountingModulus.reductions per x % modulus."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        CountingModulus.reductions += 1
+        return other % int(self)
+
+
 _MR_SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,

@@ -450,6 +450,44 @@ def test_demo_trials_at_cap_runs(config_path, monkeypatch):
               "--trials", str(MAX_TRIALS)])
 
 
+@pytest.fixture(scope="module")
+def scan_configs(tmp_path_factory):
+    """Configs at q = 11, n = 4 and at the 20-bit q = 898,409, n = 1."""
+    paths = []
+    for q_bits, n in ((4, 4), (20, 1)):
+        path = tmp_path_factory.mktemp("scan") / "sys.json"
+        assert main(["params", "--q-bits", str(q_bits), "--n", str(n), "--seed", "1",
+                     "--out", str(path)]) == EXIT_OK
+        paths.append(str(path))
+    assert [load_system_config(p)[1].field_order for p in paths] == [11**4, 898_409]
+    return paths
+
+
+def test_demo_reductions_at_scan_cap_runs(scan_configs, monkeypatch):
+    # trials * q^n may reach MAX_TRIALS * 11^4, the largest desk-scale run:
+    # 1,000 * 11^4 is the cap itself; 16 * 898,409 = 14,374,544 lies under it
+    monkeypatch.setattr(fusionexp.cli, "run_reduction_matrix", reached)
+    for config, trials in zip(scan_configs, (MAX_TRIALS, 16)):
+        with pytest.raises(Reached):
+            main(["demo", "--config", config, "--which", "reductions",
+                  "--trials", str(trials)])
+
+
+def test_demo_reductions_over_scan_cap_rejected(capsys, scan_configs, monkeypatch):
+    monkeypatch.setattr(fusionexp.cli, "run_reduction_matrix", reached)
+    q20 = scan_configs[1]
+    # 17 * 898,409 = 15,272,953 > 1,000 * 11^4 = 14,641,000
+    for trials in (17, MAX_TRIALS):
+        code, out, err = run(capsys, "demo", "--config", q20, "--which", "reductions",
+                             "--trials", str(trials))
+        assert code == EXIT_USAGE, trials
+        assert out == "" and "field order" in err, trials
+    # the other demos run no scan, so the cap does not apply to them
+    code, _, _ = run(capsys, "demo", "--config", q20, "--which", "dh",
+                     "--trials", str(MAX_TRIALS))
+    assert code == EXIT_OK
+
+
 def padded_config(config_path, tmp_path, size):
     """The config at config_path, padded with trailing spaces to size bytes."""
     text = Path(config_path).read_bytes()

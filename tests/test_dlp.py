@@ -7,6 +7,7 @@ import pytest
 
 import fusionexp
 import fusionexp.dlp as dlp
+import helpers
 from fusionexp import (
     CapExceeded,
     DlogInstance,
@@ -107,17 +108,17 @@ def test_bsgs_multiplication_budget():
 
 
 def counting_group(q_bits, seed):
-    """gen_group_params(q_bits, seed) with a modulus that counts the reductions
-    mod P made by it, one per group multiplication; returns (params, counts)."""
-    counts = [0]
-
-    class CountingModulus(int):
-        def __rmod__(self, other):
-            counts[0] += 1
-            return other % int(self)
-
+    """gen_group_params(q_bits, seed) with a helpers.CountingModulus modulus,
+    which counts one reduction mod P per group multiplication."""
     plain = gen_group_params(q_bits, seed)
-    return GroupParams(CountingModulus(plain.modulus), plain.q, plain.generator), counts
+    return GroupParams(helpers.CountingModulus(plain.modulus), plain.q, plain.generator)
+
+
+def mults_of(call, *args):
+    """call(*args) and the group multiplications it made on a counting_group."""
+    helpers.CountingModulus.reductions = 0
+    out = call(*args)
+    return out, helpers.CountingModulus.reductions
 
 
 def test_bsgs_reuses_baby_steps_per_generator():
@@ -145,26 +146,22 @@ def test_bsgs_reuses_baby_steps_per_generator():
 def test_rho_multiplication_budget():
     # the distinguished-point walk averages about 1.35*sqrt(q) group
     # multiplications per lone solve; the mod-3 walk with Floyd's about 4.1*sqrt(q)
-    params, counts = counting_group(24, seed=1)
+    params = counting_group(24, seed=1)
     rng = random.Random(13)
     trials = 200
     total = 0
     for trial in range(trials):
         x = rng.randrange(params.q)
-        inst = make_instance(params, x)
-        counts[0] = 0
-        assert dlog_pollard_rho(inst, seed=trial) == x
-        total += counts[0]
+        got, mults = mults_of(dlog_pollard_rho, make_instance(params, x), trial)
+        assert got == x
+        total += mults
     assert total / trials <= 3 * math.sqrt(params.q)
 
 
 def test_rho_fixed_seed_repeats():
-    params, counts = counting_group(24, seed=1)
+    params = counting_group(24, seed=1)
     inst = make_instance(params, 1234567)
-    runs = []
-    for _ in range(2):
-        counts[0] = 0
-        runs.append((dlog_pollard_rho(inst, seed=5), counts[0]))
+    runs = [mults_of(dlog_pollard_rho, inst, 5) for _ in range(2)]
     assert runs[0] == runs[1]
     assert runs[0][0] == 1234567
 
@@ -394,6 +391,31 @@ def test_batched_rho_survives_cut_walks(monkeypatch):
             assert dlog_pollard_rho(inst, seed) == x
 
 
+def test_lone_rho_call_keeps_the_batch_store():
+    # a lone instance walks on a store of its own, so a lone call between a
+    # batch's targets leaves the batch's points alone: the last 7 targets of
+    # a batch of 8 cost the same with and without it
+    params = counting_group(24, seed=1)
+    g = generator_element(params)
+    rng = random.Random(16)
+    xs = [rng.randrange(params.q) for _ in range(8)]
+    insts = batch_of(g, xs)
+    lone = make_instance(params, 7654321)
+    costs = []
+    for interrupted in (False, True):
+        dlp._walk.cache_clear()
+        assert dlog_pollard_rho(insts[0], 3) == xs[0]
+        if interrupted:
+            assert dlog_pollard_rho(lone, 3) == 7654321
+        total = 0
+        for inst, x in zip(insts[1:], xs[1:]):
+            got, mults = mults_of(dlog_pollard_rho, inst, 3)
+            assert got == x
+            total += mults
+        costs.append(total)
+    assert costs[0] == costs[1]
+
+
 def test_batch_must_hold_the_target(g23):
     g = generator_element(g23)
     with pytest.raises(ValueError):
@@ -422,8 +444,8 @@ def test_bsgs_batch_table_serves_lone_calls():
 
 def counting_tuple_instances(q_bits, n, count, seed):
     """Tuple-dlog instances of degree n on counting_group(q_bits, seed):
-    returns ([(instance, exponent)], counts, q)."""
-    params, counts = counting_group(q_bits, seed)
+    returns ([(instance, exponent)], q)."""
+    params = counting_group(q_bits, seed)
     fld = make_field_params(params.q, n, find_irreducible(params.q, n, seed=1))
     g = generator_element(params)
     rng = random.Random(seed)
@@ -432,12 +454,12 @@ def counting_tuple_instances(q_bits, n, count, seed):
         base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
         x = fe_random(fld, rng)
         out.append((FdlogInstance(base, fusion_pow(base, x)), x))
-    return out, counts, params.q
+    return out, params.q
 
 
 def test_fdlog_solve_batched_budgets():
     # the dlog benchmark workload's group: q = 11,135,009, n = 4, L = 2n = 8
-    instances, counts, q = counting_tuple_instances(24, 4, 40, seed=1)
+    instances, q = counting_tuple_instances(24, 4, 40, seed=1)
     assert q == 11_135_009
     L = 8
     m = math.isqrt(L * q - 1) + 1
@@ -456,9 +478,9 @@ def test_fdlog_solve_batched_budgets():
         giant.append(0)
         assert fdlog_solve(inst, bsgs) == x
         assert giant[-1] <= L * (-(-q // m) + 1)
-        counts[0] = 0
-        assert fdlog_solve(inst, dlog_pollard_rho) == x
-        rho.append(counts[0])
+        got, mults = mults_of(fdlog_solve, inst, dlog_pollard_rho)
+        assert got == x
+        rho.append(mults)
     expected = L * math.sqrt(q / L) / 2
     assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
     # one batch of eight targets takes about 4.4 * sqrt(q); eight lone solves

@@ -321,27 +321,20 @@ def test_fe_mul_matches_schoolbook_random(q11_fields, fields64, field256):
 def test_fe_mul_reduction_budget(fields64):
     # one reduction mod q per output coefficient; the lambda route reduces
     # each of the n**2 matrix entries and then each of the n outputs
-    count = 0
-
-    class CountingModulus(int):
-        def __rmod__(self, other):
-            nonlocal count
-            count += 1
-            return other % int(self)
-
+    counting = helpers.CountingModulus
     n = 8
-    params = make_field_params(CountingModulus(fields64[n].q), n, fields64[n].f_low)
+    params = make_field_params(counting(fields64[n].q), n, fields64[n].f_low)
     rng = random.Random(12)
     for _ in range(20):
         a, b = fe_random(params, rng), fe_random(params, rng)
-        count = 0
+        counting.reductions = 0
         got = fe_mul(a, b)
-        assert 0 < count <= n
-        count = 0
+        assert 0 < counting.reductions <= n
+        counting.reductions = 0
         via_lambda = tuple(
             sum(map(operator.mul, a.coeffs, row)) % params.q for row in lambda_entries(b)
         )
-        assert count == n * n + n
+        assert counting.reductions == n * n + n
         assert got.coeffs == via_lambda
 
 

@@ -242,19 +242,7 @@ def test_fusion_pow_multiplication_budget(group64, fields64):
     # subset tables once per call, then per row and bit one squaring plus one
     # multiply per table; one square-and-multiply per entry would need up to
     # 2 * n**2 * bitlen(q)
-    count = 0
-
-    class CountingInt(int):
-        def __mul__(self, other):
-            nonlocal count
-            count += 1
-            return CountingInt(int(self) * int(other))
-
-        __rmul__ = __mul__
-
-        def __mod__(self, other):
-            return CountingInt(int(self) % int(other))
-
+    counting = helpers.CountingInt
     fields = kernel_fields(group64.q, fields64)
     rng = random.Random(33)
     bitlen = group64.q.bit_length()
@@ -262,11 +250,12 @@ def test_fusion_pow_multiplication_budget(group64, fields64):
         fld = fields[n]
         g = generator_element(group64)
         comps = tuple(g_pow(g, rng.randrange(1, fld.q)) for _ in range(n))
-        counted = tuple(GroupElement(group64, CountingInt(c.residue)) for c in comps)
+        counted = tuple(GroupElement(group64, counting(c.residue)) for c in comps)
         base = FusionBase(group64, fld, counted)
         x = fe(fld, [fld.q - 1] * n)
-        count = 0
+        counting.mults = 0
         got = residues(fusion_pow(base, x))
+        count = counting.mults
         tables = [min(8, n - s) for s in range(0, n, 8)]
         budget = sum(2**w - 1 for w in tables) + n * bitlen * (1 + len(tables))
         assert 0 < count <= budget, (n, count, budget)
@@ -282,10 +271,10 @@ def test_fusion_pow_multiplication_budget(group64, fields64):
 @pytest.fixture
 def fresh_combs():
     """No base seen and no comb table kept, before and after the test."""
-    fusion._seen.clear()
+    fusion._visits.cache_clear()
     fusion._comb_tables.cache_clear()
     yield
-    fusion._seen.clear()
+    fusion._visits.cache_clear()
     fusion._comb_tables.cache_clear()
 
 
@@ -318,7 +307,7 @@ def assert_routes_match_oracle(group, fld, seed):
     rng = random.Random(seed)
     combs = int(fld.q.bit_length() >= fusion._COMB_MIN_BITS)
     for base in route_bases(group, fld, rng):
-        fusion._seen.clear()
+        fusion._visits.cache_clear()
         fusion._comb_tables.cache_clear()
         warm = fe(fld, [rng.randrange(1, fld.q) for _ in range(fld.n)])
         # the first full-width call builds per-call tables, the second the
@@ -362,7 +351,7 @@ def test_subfield_exponents_skip_the_kernel(group64, fields64, monkeypatch, fres
             for c in (0, 1, 2, fld.q - 1):
                 x = fe(fld, [c] + [0] * (n - 1))
                 assert residues(fusion_pow(base, x)) == oracle(base, x)
-    assert not fusion._seen
+    assert fusion._visits.cache_info().currsize == 0
 
 
 def test_comb_cache_round_robin_over_more_bases_than_it_holds(group64, fields64, fresh_combs):
@@ -378,7 +367,7 @@ def test_comb_cache_round_robin_over_more_bases_than_it_holds(group64, fields64,
     assert info.currsize == info.maxsize == 4
     # every base's second and third visit found it seen; none found its tables
     assert info.misses == 12 and info.hits == 0
-    assert len(fusion._seen) == 6
+    assert fusion._visits.cache_info().currsize == 6
 
 
 def test_one_shot_bases_build_no_comb_tables(group64, fields64, fresh_combs):
@@ -393,7 +382,7 @@ def test_one_shot_bases_build_no_comb_tables(group64, fields64, fresh_combs):
             assert residues(fusion_pow(base, x)) == oracle(base, x)
     info = fusion._comb_tables.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 38, 1)
-    assert len(fusion._seen) == fusion._SEEN_BASES
+    assert fusion._visits.cache_info().currsize == fusion._SEEN_BASES
 
 
 def test_comb_tables_shared_by_threads(group64, fields64, fresh_combs):
@@ -428,19 +417,7 @@ def test_reused_base_multiplication_budget(group64, fields64, fresh_combs):
     # the first call on a base counts as before; the second builds its comb
     # tables; from the third on a row takes ceil(64/4) = 16 bits, each with one
     # squaring, three folds of the later chunk tables and one table multiply
-    count = 0
-
-    class CountingInt(int):
-        def __mul__(self, other):
-            nonlocal count
-            count += 1
-            return CountingInt(int(self) * int(other))
-
-        __rmul__ = __mul__
-
-        def __mod__(self, other):
-            return CountingInt(int(self) % int(other))
-
+    counting = helpers.CountingInt
     # the base of test_fusion_pow_multiplication_budget at n = 8
     fields = kernel_fields(group64.q, fields64)
     rng = random.Random(33)
@@ -448,15 +425,15 @@ def test_reused_base_multiplication_budget(group64, fields64, fresh_combs):
     for n in (1, 4, 8):
         comps = tuple(g_pow(g, rng.randrange(1, fields[n].q)) for _ in range(n))
     fld = fields[8]
-    base = FusionBase(group64, fld, tuple(GroupElement(group64, CountingInt(c.residue))
+    base = FusionBase(group64, fld, tuple(GroupElement(group64, counting(c.residue))
                                           for c in comps))
     x = fe(fld, [fld.q - 1] * 8)
     expected = oracle(base, x)
     counts = []
     for _ in range(3):
-        count = 0
+        counting.mults = 0
         assert residues(fusion_pow(base, x)) == expected
-        counts.append(count)
+        counts.append(counting.mults)
     assert counts[0] == 1267
     assert counts[1] > counts[0]
     assert 0 < counts[2] <= 8 * 5 * 16

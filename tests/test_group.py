@@ -103,22 +103,12 @@ def test_g_pow_matches_iterated_multiplication_10bit():
 
 def test_pow_sm_multiplication_budget():
     # left-to-right square and multiply stays within 2*bitlen multiplications
-    count = 0
-
-    class CountingInt(int):
-        def __mul__(self, other):
-            nonlocal count
-            count += 1
-            return CountingInt(int(self) * int(other))
-
-        def __mod__(self, other):
-            return CountingInt(int(self) % int(other))
-
+    counting = helpers.CountingInt
     for exp in (1, 2, 13, 255, 1023):
-        count = 0
-        result = pow_sm(CountingInt(7), exp, 1000003)
+        counting.mults = 0
+        result = pow_sm(counting(7), exp, 1000003)
         assert result == pow(7, exp, 1000003)
-        assert 0 < count <= 2 * exp.bit_length() or exp == 1
+        assert 0 < counting.mults <= 2 * exp.bit_length() or exp == 1
 
 
 def exponent_law_trials(params, trials, seed):

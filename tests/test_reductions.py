@@ -6,6 +6,7 @@ import fusionexp.reductions
 from fusionexp import (
     CountingOracle,
     GroupElement,
+    IdentityBase,
     OracleInconsistent,
     ddh_from_dh,
     dh_from_dlog,
@@ -38,6 +39,21 @@ def test_dlp_via_tuple_oracle_worked_example(g23, f121):
     assert oracle.calls == 1
     assert reduce_dlp_to_fdlp(identity(g23), g, f121, oracle) == 0
     assert reduce_dlp_to_fdlp(g, g, f121, oracle) == 1
+
+
+def test_reductions_reject_identity_base_before_any_query(g23, f121):
+    one, y = identity(g23), generator_element(g23)
+    exact = fdlog_bruteforce
+    calls = {
+        reduce_dlp_to_fdlp: (y, one, f121, CountingOracle(exact)),
+        reduce_dhp_to_fdhp: (y, y, one, f121, CountingOracle(fdh_from_fdlog(exact))),
+        reduce_ddp_to_fddp: (y, y, y, one, f121,
+                             CountingOracle(fddh_from_fdh(fdh_from_fdlog(exact)))),
+    }
+    for reduce, args in calls.items():
+        with pytest.raises(IdentityBase):
+            reduce(*args)
+        assert args[-1].calls == 0, reduce.__name__
 
 
 def test_dlp_reduction_rejects_inconsistent_oracle(g23, f121):
