@@ -1,9 +1,15 @@
-"""Command-line front end.
+"""Command-line front end, and the one owner of the JSON interchange format.
 
 Subcommands: parameter generation, symbolic coefficient-matrix dumps,
 tuple exponentiation, tuple discrete logs, and protocol demos.  Machine
 output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
 1 computational failure, 2 I/O error, 64 usage error, 65 malformed input.
+
+In the interchange format every integer is a decimal string of ASCII
+digits (`parse_decimal`): a config file holds the group and field
+parameters, and a tuple base or a field exponent is a JSON array of n such
+strings.  Everything read is untrusted: sizes are capped first, and values
+are then built with the library's checked constructors.
 """
 
 from __future__ import annotations
@@ -24,38 +30,20 @@ from .dlp import (
 )
 from .errors import CapExceeded, FusionExpError
 from .field import (
+    FieldElement,
     FieldParams,
     fe_add,
-    fe_from_json,
     fe_one,
     fe_random,
-    fe_to_json,
-    field_params_from_json,
-    field_params_to_json,
     find_irreducible,
     lambda_entry_expr,
     lambda_symbolic,
     make_field_params,
 )
-from .fusion import (
-    fusion_base_from_json,
-    fusion_base_to_json,
-    fusion_pow,
-    scalar_embed,
-    unit_embed,
-)
-from .group import (
-    GroupParams,
-    gen_group_params,
-    generator_element,
-    group_params_from_json,
-    group_params_to_json,
-)
-from .primes import parse_decimal
+from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
+from .group import GroupParams, gen_group_params, generator_element, group_element
 from .protocols import (
     VssShare,
-    ciphertext_to_json,
-    dealing_to_json,
     fdh_keygen,
     fdh_shared,
     felgamal_decrypt,
@@ -83,6 +71,11 @@ MAX_DEGREE = 64  # n: the Frobenius steps take about n^3 operations mod q
 MAX_FIELD_BITS = 8192  # n * bits(q): bounds the cost of the power X^q
 # A config within the caps above takes under 6 kB in params' own format.
 MAX_CONFIG_BYTES = 1 << 16
+# params draws candidates at random until one fits, so its time is random
+# and grows fast with the sizes: generation has tighter caps than a config
+# that is read (the README gives the times measured within them).
+MAX_PARAMS_Q_BITS = 512  # the safe-prime search
+MAX_PARAMS_DEGREE = 32  # the irreducible search: one X^q power per draw
 # A demo reductions trial runs every arrow once, and its exhaustive scans
 # make its time grow with the field order q^n: under 0.1 s at q = 11 and
 # n = 4, about 4 s at a 20-bit q and n = 1.  So trials * q^n is capped at
@@ -110,6 +103,18 @@ class FormatError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def parse_decimal(text: str) -> int:
+    """Non-negative integer from a decimal string of ASCII digits only.
+
+    The interchange format writes every integer as str(value), so a sign,
+    whitespace, an underscore or a non-ASCII digit (all of which int()
+    would take) is a ValueError here.
+    """
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _flag_int(text: str) -> int:
@@ -144,12 +149,11 @@ def _resolve_seed(seed: int | None) -> int:
     return 0
 
 
-def system_config_to_json(group: GroupParams, fld: FieldParams) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "group": group_params_to_json(group),
-        "field": field_params_to_json(fld),
-    }
+def _decimals(value: FusionBase | FieldElement) -> list[str]:
+    """A tuple base or a field element as a JSON array of decimal strings."""
+    ints = value.coeffs if isinstance(value, FieldElement) else (
+        c.residue for c in value.components)
+    return [str(v) for v in ints]
 
 
 def _size_error(modulus_bits: int, q_bits: int, n: int) -> str | None:
@@ -173,32 +177,46 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
         obj = json.loads(data.decode("utf-8"))
         if "version" not in obj or obj["version"] != SCHEMA_VERSION:
             raise FormatError(f"config schema version must be {SCHEMA_VERSION!r}")
-        group_obj, field_obj = obj["group"], obj["field"]
-        q = max(parse_decimal(group_obj["q"]), parse_decimal(field_obj["q"]))
-        n = field_obj["n"] if type(field_obj["n"]) is int else 1  # rejected below
-        problem = _size_error(parse_decimal(group_obj["modulus"]).bit_length(),
-                              q.bit_length(), n)
+        group, field = obj["group"], obj["field"]
+        modulus, q, generator = (parse_decimal(group[k]) for k in ("modulus", "q", "generator"))
+        field_q, n, f = parse_decimal(field["q"]), field["n"], field["f"]
+        if type(n) is not int:
+            raise ValueError(f"field degree n must be a JSON integer, got {n!r}")
+        if not isinstance(f, list):
+            raise ValueError("field modulus f must be a JSON array")
+        # both orders are capped before they are compared
+        problem = _size_error(modulus.bit_length(), max(q, field_q).bit_length(), n)
         if problem:
             raise FormatError(f"config too large: {problem}")
-        group = group_params_from_json(group_obj)
-        fld = field_params_from_json(field_obj)
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
-            FusionExpError) as exc:
+        if q != field_q:
+            raise FormatError("group order and field characteristic differ")
+        f_low = tuple(parse_decimal(c) for c in f)
+        return GroupParams(modulus, q, generator), FieldParams(q, n, f_low)
+    except (RecursionError, KeyError, TypeError, ValueError, FusionExpError) as exc:
         # json.loads raises RecursionError on arrays or objects nested too deep
         raise FormatError(f"bad config {path}: {exc}") from exc
-    if group.q != fld.q:
-        raise FormatError("group order and field characteristic differ")
-    return group, fld
 
 
-def _parse_json_vector(text: str, what: str) -> list[str]:
+def _vector(text: str, n: int, what: str) -> list[int]:
+    """The n integers of a JSON array of decimal strings, an argument named what."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON array of decimal strings")
+        # outside input: its length is checked before any per-element work
+        if len(data) != n:
+            raise ValueError(f"need {n} entries, got {len(data)}")
+        return [parse_decimal(x) for x in data]
+    except (RecursionError, ValueError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise FormatError(f"bad {what}: expected a JSON array of decimal strings")
-    return data
+
+
+def _base(group: GroupParams, fld: FieldParams, text: str, what: str) -> FusionBase:
+    residues = _vector(text, fld.n, what)
+    try:
+        return FusionBase(group, fld, tuple(group_element(group, r) for r in residues))
+    except ValueError as exc:  # a residue outside the order-q subgroup
+        raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def cmd_params(args) -> int:
@@ -206,6 +224,9 @@ def cmd_params(args) -> int:
         raise UsageError(f"--q-bits must be >= 4, got {args.q_bits}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.q_bits > MAX_PARAMS_Q_BITS or args.n > MAX_PARAMS_DEGREE:
+        raise UsageError(f"params takes --q-bits at most {MAX_PARAMS_Q_BITS} and --n at "
+                         f"most {MAX_PARAMS_DEGREE}, got {args.q_bits} and {args.n}")
     # P = 2q + 1 has one bit more than q
     problem = _size_error(args.q_bits + 1, args.q_bits, args.n)
     if problem:
@@ -216,7 +237,12 @@ def cmd_params(args) -> int:
         fld = make_field_params(group.q, 2, [1, 0])
     else:
         fld = make_field_params(group.q, args.n, find_irreducible(group.q, args.n, seed))
-    _emit(system_config_to_json(group, fld), args.out)
+    _emit({
+        "version": SCHEMA_VERSION,
+        "group": {"modulus": str(group.modulus), "q": str(group.q),
+                  "generator": str(group.generator)},
+        "field": {"q": str(fld.q), "n": fld.n, "f": [str(c) for c in fld.f_low]},
+    }, args.out)
     return EXIT_OK
 
 
@@ -238,12 +264,12 @@ def cmd_vectors(args) -> int:
 
 def cmd_eval(args) -> int:
     group, fld = load_system_config(args.config)
+    base = _base(group, fld, args.base, "base")
     try:
-        base = fusion_base_from_json(group, fld, _parse_json_vector(args.base, "base"))
-        exp = fe_from_json(fld, _parse_json_vector(args.exp, "exponent"))
-    except (FusionExpError, ValueError) as exc:
-        raise FormatError(str(exc)) from exc
-    print(_dump(fusion_base_to_json(fusion_pow(base, exp))))
+        exp = FieldElement(fld, tuple(_vector(args.exp, fld.n, "exponent")))
+    except FusionExpError as exc:  # a coefficient outside [0, q)
+        raise FormatError(f"bad exponent: {exc}") from exc
+    print(_dump(_decimals(fusion_pow(base, exp))))
     return EXIT_OK
 
 
@@ -255,13 +281,11 @@ def cmd_fdlog(args) -> int:
         raise UsageError(
             f"--solver rho needs q > 3, got q={group.q}; use bruteforce or bsgs"
         )
+    base = _base(group, fld, args.base, "base")
+    target = _base(group, fld, args.target, "target")
     try:
-        base = fusion_base_from_json(group, fld, _parse_json_vector(args.base, "base"))
-        target = fusion_base_from_json(
-            group, fld, _parse_json_vector(args.target, "target")
-        )
         inst = FdlogInstance(base, target)
-    except (FusionExpError, ValueError) as exc:
+    except FusionExpError as exc:  # an identity base
         raise FormatError(str(exc)) from exc
     seed = _resolve_seed(args.seed)
     if args.solver == "bruteforce":
@@ -270,7 +294,7 @@ def cmd_fdlog(args) -> int:
         result = fdlog_solve(inst, dlog_bsgs)
     else:
         result = fdlog_solve(inst, lambda i: dlog_pollard_rho(i, seed))
-    print(_dump(fe_to_json(result)))
+    print(_dump(_decimals(result)))
     return EXIT_OK
 
 
@@ -283,9 +307,9 @@ def _demo_dh(group, fld, rng) -> tuple[dict, bool]:
     ok = shared_a == shared_b
     return {
         "demo": "dh",
-        "alice_public": fusion_base_to_json(alice.public),
-        "bob_public": fusion_base_to_json(bob.public),
-        "shared": fusion_base_to_json(shared_a),
+        "alice_public": _decimals(alice.public),
+        "bob_public": _decimals(bob.public),
+        "shared": _decimals(shared_a),
         "shared_equal": ok,
     }, ok
 
@@ -299,10 +323,10 @@ def _demo_elgamal(group, fld, rng) -> tuple[dict, bool]:
     ok = back == msg
     return {
         "demo": "elgamal",
-        "public_key": fusion_base_to_json(keys.public),
-        "message": fusion_base_to_json(msg),
-        "ciphertext": ciphertext_to_json(ct),
-        "decrypted": fusion_base_to_json(back),
+        "public_key": _decimals(keys.public),
+        "message": _decimals(msg),
+        "ciphertext": {"c1": _decimals(ct.c1), "c2": _decimals(ct.c2)},
+        "decrypted": _decimals(back),
         "roundtrip_ok": ok,
     }, ok
 
@@ -323,9 +347,16 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     ok = all_verified and recovered == secret and flagged == [bad.index]
     return {
         "demo": "vss",
-        "dealing": dealing_to_json(dealing),
+        "dealing": {
+            "threshold": dealing.threshold,
+            "share_count": dealing.share_count,
+            "base": _decimals(dealing.base),
+            "shares": [{"index": s.index, "value": _decimals(s.value)}
+                       for s in dealing.shares],
+            "commitments": [_decimals(c) for c in dealing.commitments],
+        },
         "all_verified": all_verified,
-        "reconstructed": fe_to_json(recovered),
+        "reconstructed": _decimals(recovered),
         "reconstructed_equals_secret": recovered == secret,
         "corrupted_index": bad.index,
         "flagged_indices": flagged,

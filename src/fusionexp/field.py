@@ -29,7 +29,7 @@ import random
 from collections.abc import Sequence
 
 from .errors import BadDegree, NotIrreducible, NotPrime, ParamsMismatch, ZeroInverse
-from .primes import is_prime, parse_decimal
+from .primes import is_prime
 from .value import Value
 
 
@@ -362,35 +362,3 @@ def find_irreducible(q: int, n: int, seed: int) -> tuple[int, ...]:
         cand = tuple(rng.randrange(q) for _ in range(n))
         if is_irreducible(q, cand + (1,)):
             return cand
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange (decimal strings for all coefficient values)
-# ---------------------------------------------------------------------------
-
-
-def field_params_to_json(params: FieldParams) -> dict:
-    return {
-        "q": str(params.q),
-        "n": params.n,
-        "f": [str(c) for c in params.f_low],
-    }
-
-
-def field_params_from_json(obj: dict) -> FieldParams:
-    n, f = obj["n"], obj["f"]
-    if type(n) is not int:
-        raise ValueError(f"field degree n must be a JSON integer, got {n!r}")
-    if not isinstance(f, list):
-        raise ValueError("field modulus f must be a JSON array")
-    return make_field_params(parse_decimal(obj["q"]), n, [parse_decimal(c) for c in f])
-
-
-def fe_to_json(a: FieldElement) -> list[str]:
-    return [str(c) for c in a.coeffs]
-
-
-def fe_from_json(params: FieldParams, data: Sequence[str]) -> FieldElement:
-    if len(data) != params.n:
-        raise BadDegree(f"need {params.n} coefficients, got {len(data)}")
-    return FieldElement(params, tuple(parse_decimal(c) for c in data))

@@ -33,11 +33,9 @@ from .group import (
     GroupParams,
     g_inv,
     g_mul,
-    group_element,
     identity,
     pow_sm,
 )
-from .primes import parse_decimal
 from .value import Value
 
 # Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
@@ -247,21 +245,3 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
         powered = _multi_pow(tables, chunk, lambda_entries(exp), modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def fusion_base_to_json(a: FusionBase) -> list[str]:
-    return [str(c.residue) for c in a.components]
-
-
-def fusion_base_from_json(
-    group: GroupParams, field: FieldParams, data: list[str]
-) -> FusionBase:
-    if len(data) != field.n:
-        raise ParamsMismatch(f"need {field.n} components, got {len(data)}")
-    comps = tuple(group_element(group, parse_decimal(r)) for r in data)
-    return FusionBase(group, field, comps)

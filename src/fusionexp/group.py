@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
-from .primes import is_prime, parse_decimal
+from .primes import is_prime
 from .value import Value
 
 
@@ -37,7 +37,7 @@ class GroupParams(Value):
 
 
 class GroupElement(Value):
-    """Residue in [1, P); subgroup membership is enforced at deserialization."""
+    """Residue in [1, P); `group_element` also checks subgroup membership."""
 
     __slots__ = ("params", "residue")
 
@@ -118,32 +118,3 @@ def g_pow(base: GroupElement, exp: int) -> GroupElement:
     """base**exp with the exponent reduced into [0, q)."""
     e = exp % base.params.q
     return GroupElement(base.params, pow_sm(base.residue, e, base.params.modulus))
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def group_params_to_json(params: GroupParams) -> dict:
-    return {
-        "modulus": str(params.modulus),
-        "q": str(params.q),
-        "generator": str(params.generator),
-    }
-
-
-def group_params_from_json(obj: dict) -> GroupParams:
-    return GroupParams(
-        modulus=parse_decimal(obj["modulus"]),
-        q=parse_decimal(obj["q"]),
-        generator=parse_decimal(obj["generator"]),
-    )
-
-
-def group_element_to_json(a: GroupElement) -> str:
-    return str(a.residue)
-
-
-def group_element_from_json(params: GroupParams, data: str) -> GroupElement:
-    return group_element(params, parse_decimal(data))

@@ -1,5 +1,4 @@
-"""Arbitrary-precision integers: primality testing and the decimal form of
-every integer in the JSON interchange format.
+"""Primality testing of arbitrary-precision integers.
 
 `is_prime` is a proof below 3.3·10^24: there, Miller-Rabin with the first
 twelve primes as witnesses has no pseudoprime.  At and above that bound it
@@ -128,14 +127,3 @@ def is_prime(n: int) -> bool:
         return _baillie_psw(n)
     return all(_miller_rabin(n, w) for w in _MR_WITNESSES)
 
-
-def parse_decimal(text: str) -> int:
-    """Non-negative integer from a decimal string of ASCII digits only.
-
-    The interchange format writes every integer as str(value), so a sign,
-    whitespace, an underscore or a non-ASCII digit (all of which int()
-    would take) is a ValueError here.
-    """
-    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-        raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
-    return int(text)

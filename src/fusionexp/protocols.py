@@ -23,14 +23,12 @@ from .field import (
     fe_pow,
     fe_random,
     fe_sub,
-    fe_to_json,
     fe_zero,
 )
 from .fusion import (
     FusionBase,
     fb_inv,
     fb_mul,
-    fusion_base_to_json,
     fusion_pow,
     is_identity,
 )
@@ -239,24 +237,3 @@ def vss_reconstruct(shares: Iterable[VssShare]) -> FieldElement:
             term = fe_mul(term, fe_mul(num, fe_inv(den)))
         acc = fe_add(acc, term)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange for demo transcripts
-# ---------------------------------------------------------------------------
-
-
-def ciphertext_to_json(ct: ElGamalCiphertext) -> dict:
-    return {"c1": fusion_base_to_json(ct.c1), "c2": fusion_base_to_json(ct.c2)}
-
-
-def dealing_to_json(dealing: VssDealing) -> dict:
-    return {
-        "threshold": dealing.threshold,
-        "share_count": dealing.share_count,
-        "base": fusion_base_to_json(dealing.base),
-        "shares": [
-            {"index": s.index, "value": fe_to_json(s.value)} for s in dealing.shares
-        ],
-        "commitments": [fusion_base_to_json(c) for c in dealing.commitments],
-    }

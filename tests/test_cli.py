@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,10 @@ from fusionexp.cli import (
     EXIT_USAGE,
     MAX_CONFIG_BYTES,
     MAX_TRIALS,
+    FormatError,
     load_system_config,
     main,
+    parse_decimal,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "vectors_golden.json"
@@ -114,6 +118,61 @@ def test_eval_malformed_input(capsys, config_path):
     assert code == EXIT_FORMAT
 
 
+def test_parse_decimal_takes_ascii_digits_only(capsys, tmp_path, config_path):
+    assert [parse_decimal(s) for s in ("0", "13", "4" * 80)] == [0, 13, int("4" * 80)]
+    for text in ("", "-3", "+3", "3_0", " 8", "8\n", "\u0668", "\u00b9", "0x1f", "1e3", 8, None):
+        with pytest.raises(ValueError):
+            parse_decimal(text)
+    code, out, err = run(capsys, "eval", "--config", config_path,
+                         "--base", '[" 2","4"]', "--exp", '["1","0"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "bad base" in err and "ASCII digits" in err
+    obj = json.loads(Path(config_path).read_text())
+    obj["group"]["generator"] = "+4"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match="ASCII digits"):
+        load_system_config(str(bad))
+
+
+def test_deserialization_rejects_non_member(capsys, config_path):
+    # 5 is a quadratic non-residue mod 23, hence outside the order-11
+    # subgroup, and 0 is not a residue in [1, 23) at all
+    for vector in ('["2","5"]', '["0","4"]'):
+        code, out, err = run(capsys, "eval", "--config", config_path,
+                             "--base", vector, "--exp", '["1","0"]')
+        assert code == EXIT_FORMAT
+        assert out == "" and "bad base" in err
+        code, out, err = run(capsys, "fdlog", "--config", config_path,
+                             "--base", '["2","4"]', "--target", vector)
+        assert code == EXIT_FORMAT
+        assert out == "" and "bad target" in err
+
+
+def test_base_json_roundtrip(capsys, config_path):
+    # the unit exponent maps a base to itself, so eval prints the base it read
+    code, out, _ = run(capsys, "eval", "--config", config_path,
+                       "--base", '["2","4"]', "--exp", '["1","0"]')
+    assert code == EXIT_OK and json.loads(out) == ["2", "4"]
+    for short in ('["2"]', '["2","4","8"]'):
+        code, out, err = run(capsys, "eval", "--config", config_path,
+                             "--base", short, "--exp", '["1","0"]')
+        assert code == EXIT_FORMAT
+        assert out == "" and "bad base: need 2 entries" in err
+
+
+def test_fe_json_roundtrip(capsys, config_path):
+    # (2, 4)^(3 + 5X) = (16, 1) as in eval's worked example; fdlog prints the exponent
+    code, out, _ = run(capsys, "fdlog", "--config", config_path,
+                       "--base", '["2","4"]', "--target", '["16","1"]')
+    assert code == EXIT_OK and json.loads(out) == ["3", "5"]
+    for short in ('["1"]', '["1","0","0"]'):
+        code, out, err = run(capsys, "eval", "--config", config_path,
+                             "--base", '["2","4"]', "--exp", short)
+        assert code == EXIT_FORMAT
+        assert out == "" and "bad exponent: need 2 entries" in err
+
+
 def test_eval_missing_config(capsys):
     code, _, _ = run(capsys, "eval", "--config", "/no/such/file.json",
                      "--base", '["2","4"]', "--exp", '["3","5"]')
@@ -201,6 +260,22 @@ def test_fdlog_rho_rejects_tiny_group(capsys, tmp_path):
         assert code == EXIT_OK and json.loads(out) == ["2"]
 
 
+def test_module_entry_point_matches_main(capsys, config_path):
+    # -E -s as in -I, but the working directory stays on the path, so that
+    # `-m fusionexp` finds the package in the source tree
+    src = Path(fusionexp.cli.__file__).parents[1]
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-E", "-s", "-m", "fusionexp", *argv],
+                              cwd=src, capture_output=True, text=True)
+
+    vectors = module_run("vectors", "--n", "2")
+    assert (vectors.returncode, vectors.stdout) == run(capsys, "vectors", "--n", "2")[:2]
+    malformed = module_run("eval", "--config", config_path, "--base", '["2"', "--exp", '["1","0"]')
+    assert malformed.returncode == EXIT_FORMAT
+    assert malformed.stdout == "" and malformed.stderr.startswith("input error: bad base")
+
+
 def test_vectors_out_file(capsys, tmp_path):
     out = tmp_path / "vec.json"
     code, stdout, _ = run(capsys, "vectors", "--n", "2,3", "--out", str(out))
@@ -219,6 +294,20 @@ def test_config_with_mismatched_orders_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--config", str(bad),
                        "--base", '["2","4"]', "--exp", '["1","0"]')
     assert code == EXIT_FORMAT and "differ" in err
+
+
+def test_config_orders_compared_before_primality(capsys, tmp_path, monkeypatch):
+    # within the size caps, a group order 11 and a field characteristic 13
+    # disagree before either is tested for primality
+    for module, name in ((fusionexp.group, "is_prime"), (fusionexp.field, "is_prime"),
+                         (fusionexp.field, "is_irreducible")):
+        monkeypatch.setattr(module, name, reached)
+    bad = tmp_path / "bad.json"
+    write_config(bad, 23, 11, 13, 2)
+    code, out, err = run(capsys, "eval", "--config", str(bad),
+                         "--base", '["2","4"]', "--exp", '["1","0"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "differ" in err
 
 
 def test_config_without_version_rejected(capsys, tmp_path):
@@ -353,22 +442,24 @@ AT_SIZE_CAPS = {
 
 @pytest.mark.parametrize("sizes", AT_SIZE_CAPS.values(), ids=AT_SIZE_CAPS)
 def test_config_at_size_cap_reaches_checks(tmp_path, monkeypatch, sizes):
-    monkeypatch.setattr(fusionexp.cli, "group_params_from_json", reached)
+    monkeypatch.setattr(fusionexp.cli, "GroupParams", reached)
     cfg = tmp_path / "cap.json"
     write_config(cfg, *sizes)
     with pytest.raises(Reached):
         load_system_config(str(cfg))
 
 
-@pytest.mark.parametrize("q_bits, n", ((2048, 1), (4, 65), (256, 33), (257, 32)))
-def test_params_over_size_cap_rejected(capsys, q_bits, n):
+@pytest.mark.parametrize("q_bits, n", ((2048, 1), (4, 65), (256, 33), (257, 32),
+                                       (2047, 4), (128, 64), (4, 64), (513, 1), (4, 33)))
+def test_params_over_size_cap_rejected(capsys, monkeypatch, q_bits, n):
+    monkeypatch.setattr(fusionexp.cli, "gen_group_params", reached)
     code, out, err = run(capsys, "params", "--q-bits", str(q_bits), "--n", str(n),
                          "--seed", "1")
     assert code == EXIT_USAGE
     assert out == "" and "at most" in err
 
 
-@pytest.mark.parametrize("q_bits, n", ((2047, 4), (4, 64), (256, 32), (128, 64)))
+@pytest.mark.parametrize("q_bits, n", ((512, 16), (4, 32), (256, 32)))
 def test_params_at_size_cap_accepted(monkeypatch, q_bits, n):
     monkeypatch.setattr(fusionexp.cli, "gen_group_params", reached)
     with pytest.raises(Reached):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import operator
 import random
 
@@ -30,14 +31,8 @@ from fusionexp import (
     lambda_symbolic,
     make_field_params,
 )
-from fusionexp.field import (
-    fe_from_int,
-    fe_from_json,
-    fe_to_json,
-    field_params_from_json,
-    field_params_to_json,
-    lambda_entry_expr,
-)
+from fusionexp.cli import EXIT_OK, load_system_config, main
+from fusionexp.field import fe_from_int, lambda_entry_expr
 
 
 Q64 = 2**64 - 59
@@ -564,19 +559,15 @@ def test_fe_sub(f121):
     assert fe_sub(a, b) == fe_add(a, fe_neg(b))
 
 
-def test_params_json_roundtrip(f121):
-    obj = field_params_to_json(f121)
-    assert obj == {"q": "11", "n": 2, "f": ["1", "0"]}
-    assert field_params_from_json(obj) == f121
-
-
-def test_fe_json_roundtrip(f121):
-    a = fe(f121, [3, 5])
-    data = fe_to_json(a)
-    assert data == ["3", "5"]
-    assert fe_from_json(f121, data) == a
-    with pytest.raises(BadDegree):
-        fe_from_json(f121, ["1"])
+def test_params_json_roundtrip(f121, tmp_path, capsys):
+    # the JSON form belongs to the CLI: the field section that params --out
+    # writes loads back to equal FieldParams
+    path = tmp_path / "sys.json"
+    assert main(["params", "--q-bits", "4", "--n", "2", "--seed", "7",
+                 "--out", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
+    assert json.loads(path.read_text())["field"] == {"q": "11", "n": 2, "f": ["1", "0"]}
+    assert load_system_config(str(path))[1] == f121
 
 
 def test_fe_constructor_wrong_length(f121):

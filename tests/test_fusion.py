@@ -32,7 +32,7 @@ from fusionexp import (
     unit_embed,
 )
 from fusionexp import fusion
-from fusionexp.fusion import FusionBase, fusion_base_from_json, fusion_base_to_json
+from fusionexp.fusion import FusionBase
 
 
 def residues(base):
@@ -169,18 +169,6 @@ def test_bijectivity_small(g23, f121):
     images = {residues(fusion_pow(base, fe(f121, c)))
               for c in itertools.product(range(11), repeat=2)}
     assert len(images) == 121
-
-
-def test_serialization_roundtrip(g23, f121):
-    g = generator_element(g23)
-    base = scalar_embed(g, fe(f121, [1, 2]))
-    data = fusion_base_to_json(base)
-    assert data == ["2", "4"]
-    assert fusion_base_from_json(g23, f121, data) == base
-    with pytest.raises(ValueError):
-        fusion_base_from_json(g23, f121, ["2", "5"])  # 5 not in the subgroup
-    with pytest.raises(ParamsMismatch):
-        fusion_base_from_json(g23, f121, ["2"])
 
 
 # Degrees 9 and 10 put bases past the eighth into a second subset table.

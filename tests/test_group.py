@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,14 +17,8 @@ from fusionexp import (
     group_element,
     identity,
 )
-from fusionexp.group import (
-    group_element_from_json,
-    group_element_to_json,
-    group_params_from_json,
-    group_params_to_json,
-    pow_sm,
-)
-from fusionexp.primes import parse_decimal
+from fusionexp.cli import EXIT_OK, load_system_config, main
+from fusionexp.group import pow_sm
 
 
 def test_gen_group_params_4_bits():
@@ -133,32 +128,23 @@ def test_exponent_laws_64_bit(group64):
     exponent_law_trials(group64, 1000, seed=18)
 
 
-def test_serialization_roundtrip(g23):
-    obj = group_params_to_json(g23)
-    assert obj == {"modulus": "23", "q": "11", "generator": "2"}
-    assert group_params_from_json(obj) == g23
-    a = GroupElement(g23, 13)
-    assert group_element_to_json(a) == "13"
-    assert group_element_from_json(g23, "13") == a
-
-
-def test_parse_decimal_takes_ascii_digits_only(g23):
-    assert [parse_decimal(s) for s in ("0", "13", "4" * 80)] == [0, 13, int("4" * 80)]
-    for text in ("", "-3", "+3", "3_0", " 8", "8\n", "\u0668", "\u00b9", "0x1f", "1e3", 8, None):
-        with pytest.raises(ValueError):
-            parse_decimal(text)
-    with pytest.raises(ValueError):
-        group_element_from_json(g23, " 13")
-    with pytest.raises(ValueError):
-        group_params_from_json({"modulus": "23", "q": "11", "generator": "+2"})
-
-
-def test_deserialization_rejects_non_member(g23):
-    # 5 is a quadratic non-residue mod 23, hence outside the order-11 subgroup
-    with pytest.raises(ValueError):
-        group_element_from_json(g23, "5")
-    with pytest.raises(ValueError):
-        group_element_from_json(g23, "0")
+def test_serialization_roundtrip(tmp_path, capsys):
+    # the JSON form belongs to the CLI: the group section that params --out
+    # writes loads back to equal GroupParams, and a residue read as part of
+    # a base is printed back unchanged by the unit exponent
+    path = tmp_path / "sys.json"
+    assert main(["params", "--q-bits", "4", "--n", "2", "--seed", "7",
+                 "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    assert obj["version"] == "1"
+    assert obj["group"] == {"modulus": "23", "q": "11", "generator": "4"}
+    g = load_system_config(str(path))[0]
+    assert g == GroupParams(23, 11, 4)
+    assert main(["eval", "--config", str(path), "--base", '["13","4"]',
+                 "--exp", '["1","0"]']) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == ["13", "4"]
+    assert group_element(g, 13) == GroupElement(g, 13)
 
 
 def test_gen_group_params_search_exhausted():

@@ -74,6 +74,21 @@ def test_only_protocols_imports_dataclasses_and_no_module_imports_typing():
     assert {name for name, found in imports.items() if "typing" in found} == set()
 
 
+def test_only_cli_holds_the_interchange_format():
+    # the JSON form of values is read and written at the command line only
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    defined = {
+        name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        for name, tree in trees.items()
+    }
+    assert "cli.py" in defined and "main" in defined["cli.py"]
+    assert {name for name, defs in defined.items() if any(d.endswith("_json") for d in defs)} <= {
+        "cli.py"
+    }
+    assert {name for name, defs in defined.items() if "parse_decimal" in defs} == {"cli.py"}
+    assert {name for name in trees if "json" in imported_modules(SRC / name)} == {"cli.py"}
+
+
 def test_cli_import_leaves_out_typing_and_threading():
     # -S as well as -I, as in the benchmark's child: site and its .pth files
     # can import typing and threading before the package does; dataclasses
