@@ -36,7 +36,6 @@ from .field import (
     fe_one,
     fe_random,
     find_irreducible,
-    lambda_entry_expr,
     lambda_symbolic,
     make_field_params,
 )
@@ -246,6 +245,18 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
+def lambda_entry_expr(coeffs: tuple[int, ...]) -> str:
+    """Render one symbolic entry, e.g. (1, 0, -1) -> 'y0-y2'."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if terms else "")
+        mag = abs(c)
+        terms.append(f"{sign}{mag}*y{k}" if mag != 1 else f"{sign}y{k}")
+    return "".join(terms) if terms else "0"
+
+
 def cmd_vectors(args) -> int:
     try:
         degrees = sorted({parse_decimal(s) for s in args.n.split(",")})
@@ -363,13 +374,15 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     }, ok
 
 
-def _demo_reductions(group, fld, rng, trials: int, seed: int) -> tuple[dict, bool]:
+def _demo_reductions(group, fld, trials: int, seed: int) -> tuple[dict, bool]:
     report = run_reduction_matrix(group, fld, trials, seed)
     ok = report.all_successful()
     return {
         "demo": "reductions",
         "trials": trials,
-        "arrows": report.to_json_dict(),
+        "arrows": {name: {"trials": s.trials, "successes": s.successes,
+                          "mean_oracle_calls": s.mean_oracle_calls}
+                   for name, s in report.arrows.items()},
         "all_success": ok,
     }, ok
 
@@ -390,7 +403,7 @@ def cmd_demo(args) -> int:
     elif args.which == "vss":
         transcript, ok = _demo_vss(group, fld, rng)
     else:
-        transcript, ok = _demo_reductions(group, fld, rng, args.trials, seed)
+        transcript, ok = _demo_reductions(group, fld, args.trials, seed)
     transcript["seed"] = seed
     print(_dump(transcript))
     return EXIT_OK if ok else EXIT_FAIL

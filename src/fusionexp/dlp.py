@@ -55,7 +55,7 @@ class DlogInstance(Value):
             raise ValueError("the target is not in its batch")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "batch", tuple(batch))
 
     @property
     def params(self) -> GroupParams:
@@ -80,11 +80,11 @@ DlogOracle = Callable[[DlogInstance], int]
 FdlogOracle = Callable[[FdlogInstance], FieldElement]
 
 
-def dlog_bruteforce(inst: DlogInstance, cap: int = BRUTE_CAP) -> int:
-    """Linear scan over [0, q); the reference oracle for small groups."""
+def dlog_bruteforce(inst: DlogInstance) -> int:
+    """Linear scan over [0, q), q at most BRUTE_CAP; the reference oracle for small groups."""
     params = inst.params
-    if params.q > cap:
-        raise CapExceeded(f"q={params.q} exceeds the scan cap {cap}")
+    if params.q > BRUTE_CAP:
+        raise CapExceeded(f"q={params.q} exceeds the scan cap {BRUTE_CAP}")
     P = params.modulus
     g, y = inst.g.residue, inst.y.residue
     acc = 1
@@ -263,8 +263,9 @@ def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
     return fe_mul(z, fe_inv(w))
 
 
-def fdlog_bruteforce(inst: FdlogInstance, cap: int = FUSION_BRUTE_CAP) -> FieldElement:
-    """Exhaustive scan over the exponent field; the reference tuple-dlog oracle.
+def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
+    """Exhaustive scan over the exponent field, of order at most FUSION_BRUTE_CAP;
+    the reference tuple-dlog oracle.
 
     Candidates are walked like an odometer in itertools.product order.
     Tuple exponentiation is additive in the exponent, so moving digit k up
@@ -272,8 +273,9 @@ def fdlog_bruteforce(inst: FdlogInstance, cap: int = FUSION_BRUTE_CAP) -> FieldE
     q, so the wrap from q-1 to 0 is one multiply as well.
     """
     field = inst.base.field
-    if field.field_order > cap:
-        raise CapExceeded(f"field order {field.field_order} exceeds the scan cap {cap}")
+    if field.field_order > FUSION_BRUTE_CAP:
+        raise CapExceeded(
+            f"field order {field.field_order} exceeds the scan cap {FUSION_BRUTE_CAP}")
     n = field.n
     P = inst.base.group.modulus
     steps = []

@@ -199,18 +199,6 @@ def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...]
     return tuple(tuple(col[j : j + n] for j in range(n)) for col in cols)
 
 
-def lambda_entry_expr(coeffs: Sequence[int]) -> str:
-    """Render one symbolic entry, e.g. (1, 0, -1) -> 'y0-y2'."""
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if terms else "")
-        mag = abs(c)
-        terms.append(f"{sign}{mag}*y{k}" if mag != 1 else f"{sign}y{k}")
-    return "".join(terms) if terms else "0"
-
-
 def _mul(
     a: Sequence[int], b: Sequence[int], f_low: tuple[int, ...], q: int
 ) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ from .errors import NotPrime, ParamsMismatch, SearchExhausted
 from .primes import is_prime
 from .value import Value
 
+MAX_DRAWS = 500_000
+
 
 class GroupParams(Value):
     """Prime modulus P, subgroup order q dividing P-1, and a generator of order q."""
@@ -64,17 +66,18 @@ def group_element(params: GroupParams, residue: int) -> GroupElement:
     return elem
 
 
-def gen_group_params(q_bits: int, seed: int, max_tries: int = 500_000) -> GroupParams:
+def gen_group_params(q_bits: int, seed: int) -> GroupParams:
     """Seeded search for a safe-prime group with a q_bits-bit subgroup order.
 
     Draws random odd q of the requested size until both q and P = 2q + 1
     are prime, then takes the square of the smallest h >= 2 as generator
-    (a quadratic residue, hence of order q).  Deterministic per seed.
+    (a quadratic residue, hence of order q).  Deterministic per seed;
+    SearchExhausted after MAX_DRAWS draws.
     """
     if q_bits < 4:
         raise ValueError(f"q_bits must be >= 4, got {q_bits}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         q = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
         if not is_prime(q):
             continue
@@ -85,7 +88,7 @@ def gen_group_params(q_bits: int, seed: int, max_tries: int = 500_000) -> GroupP
         while pow(h, 2, modulus) == 1:
             h += 1
         return GroupParams(modulus=modulus, q=q, generator=h * h % modulus)
-    raise SearchExhausted(f"no {q_bits}-bit safe-prime group found in {max_tries} draws")
+    raise SearchExhausted(f"no {q_bits}-bit safe-prime group found in {MAX_DRAWS} draws")
 
 
 def _check_same_params(a: GroupElement, b: GroupElement) -> None:

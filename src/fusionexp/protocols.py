@@ -144,7 +144,13 @@ def felgamal_decrypt(sk: FieldElement, ct: ElGamalCiphertext) -> FusionBase:
 
 
 def share_point(field_params, j: int) -> FieldElement:
-    """Evaluation point for share j: the base-q digit vector of j (nonzero for j >= 1)."""
+    """Evaluation point for share j: the base-q digit vector of j.
+
+    j must lie in [1, q^n): 0 gives the point of the secret itself, and an
+    index outside the range would alias the point of j mod q^n.
+    """
+    if not 1 <= j < field_params.field_order:
+        raise ValueError(f"share index {j} outside [1, {field_params.field_order})")
     return fe_from_int(field_params, j)
 
 

@@ -6,7 +6,8 @@ budgets (a single query for the embedding reductions, 2n scalar queries for
 the generator-relative tuple solver) are measurable facts rather than
 claims.  `run_reduction_matrix` exercises every implemented arrow on random
 instances with exhaustive-scan oracles behind them and reports success
-rates and mean query counts.
+rates and mean query counts.  The report holds plain counts per arrow; the
+command line renders them as the `demo --which reductions` transcript.
 """
 
 from __future__ import annotations
@@ -183,16 +184,6 @@ class ReductionReport:
 
     def all_successful(self) -> bool:
         return all(s.successes == s.trials for s in self.arrows.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            name: {
-                "trials": s.trials,
-                "successes": s.successes,
-                "mean_oracle_calls": s.mean_oracle_calls,
-            }
-            for name, s in self.arrows.items()
-        }
 
 
 def _exact_dlog(inst: DlogInstance) -> int:

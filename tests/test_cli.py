@@ -23,6 +23,7 @@ from fusionexp.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "vectors_golden.json"
+REDUCTIONS_GOLDEN = Path(__file__).parent / "data" / "demo_reductions_golden.json"
 
 
 def run(capsys, *argv):
@@ -80,6 +81,14 @@ def test_vectors_matches_golden(capsys):
     code, out, _ = run(capsys, "vectors")
     assert code == EXIT_OK
     assert out == GOLDEN.read_text()
+
+
+def test_demo_reductions_matches_golden(capsys, config_path):
+    # the transcript's bytes, float formatting included (1.0, not 1)
+    code, out, _ = run(capsys, "demo", "--config", config_path, "--which", "reductions",
+                       "--seed", "4", "--trials", "3")
+    assert code == EXIT_OK
+    assert out == REDUCTIONS_GOLDEN.read_text()
 
 
 def test_vectors_subset(capsys):

@@ -62,10 +62,11 @@ def test_instance_rejects_identity_base(g23):
         DlogInstance(identity(g23), GroupElement(g23, 13))
 
 
-def test_bruteforce_cap(g23):
+def test_bruteforce_cap(g23, monkeypatch):
     inst = make_instance(g23, 5)
+    monkeypatch.setattr(dlp, "BRUTE_CAP", 10)  # cap below q = 11
     with pytest.raises(CapExceeded):
-        dlog_bruteforce(inst, cap=10)  # cap below q = 11
+        dlog_bruteforce(inst)
 
 
 def test_bsgs_32_bit_instances():
@@ -236,21 +237,24 @@ def test_fdlog_solve_counts_two_n_oracle_calls(g23, q11_fields):
         assert calls == 2 * n
 
 
-def test_fdlog_bruteforce_cap(g23, f121):
+def test_fdlog_bruteforce_cap(g23, f121, monkeypatch):
     g = generator_element(g23)
     base = scalar_embed(g, fe(f121, [1, 2]))
     inst = FdlogInstance(base, base)
+    monkeypatch.setattr(dlp, "FUSION_BRUTE_CAP", 100)
     with pytest.raises(CapExceeded):
-        fdlog_bruteforce(inst, cap=100)
+        fdlog_bruteforce(inst)
 
 
-def test_fdlog_bruteforce_cap_is_inclusive(g23, f121):
+def test_fdlog_bruteforce_cap_is_inclusive(g23, f121, monkeypatch):
     g = generator_element(g23)
     base = scalar_embed(g, fe(f121, [1, 2]))
     target = fusion_pow(base, fe(f121, [10, 10]))  # the last candidate scanned
-    assert fdlog_bruteforce(FdlogInstance(base, target), cap=121) == fe(f121, [10, 10])
+    monkeypatch.setattr(dlp, "FUSION_BRUTE_CAP", 121)
+    assert fdlog_bruteforce(FdlogInstance(base, target)) == fe(f121, [10, 10])
+    monkeypatch.setattr(dlp, "FUSION_BRUTE_CAP", 120)
     with pytest.raises(CapExceeded):
-        fdlog_bruteforce(FdlogInstance(base, target), cap=120)
+        fdlog_bruteforce(FdlogInstance(base, target))
 
 
 def test_fdlog_bruteforce_exhaustive_roundtrip(g23, f121):
@@ -420,6 +424,16 @@ def test_batch_must_hold_the_target(g23):
     g = generator_element(g23)
     with pytest.raises(ValueError):
         DlogInstance(g, GroupElement(g23, 13), batch=(2, 4))
+
+
+def test_list_batch_is_stored_as_a_tuple(g23):
+    # rho keys its shared walk by the batch, so the batch must be hashable
+    g = generator_element(g23)
+    y = GroupElement(g23, 13)
+    inst = DlogInstance(g, y, batch=[13, 2, 4])
+    assert inst == DlogInstance(g, y, batch=(13, 2, 4))
+    assert hash(inst) == hash(DlogInstance(g, y, batch=(13, 2, 4)))
+    assert dlog_pollard_rho(inst, 1) == dlog_bruteforce(inst) == 7
 
 
 def test_bsgs_batch_table_serves_lone_calls():

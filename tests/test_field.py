@@ -31,8 +31,8 @@ from fusionexp import (
     lambda_symbolic,
     make_field_params,
 )
-from fusionexp.cli import EXIT_OK, load_system_config, main
-from fusionexp.field import fe_from_int, lambda_entry_expr
+from fusionexp.cli import EXIT_OK, lambda_entry_expr, load_system_config, main
+from fusionexp.field import fe_from_int
 
 
 Q64 = 2**64 - 59

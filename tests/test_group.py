@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import fusionexp.group
 import helpers
 from fusionexp import (
     GroupElement,
@@ -147,8 +148,9 @@ def test_serialization_roundtrip(tmp_path, capsys):
     assert group_element(g, 13) == GroupElement(g, 13)
 
 
-def test_gen_group_params_search_exhausted():
+def test_gen_group_params_search_exhausted(monkeypatch):
     from fusionexp import SearchExhausted
 
+    monkeypatch.setattr(fusionexp.group, "MAX_DRAWS", 2)
     with pytest.raises(SearchExhausted):
-        gen_group_params(64, seed=0, max_tries=2)
+        gen_group_params(64, seed=0)

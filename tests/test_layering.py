@@ -75,17 +75,19 @@ def test_only_protocols_imports_dataclasses_and_no_module_imports_typing():
 
 
 def test_only_cli_holds_the_interchange_format():
-    # the JSON form of values is read and written at the command line only
+    # the JSON form of values and the vectors text are read and written at
+    # the command line only
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     defined = {
         name: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
         for name, tree in trees.items()
     }
     assert "cli.py" in defined and "main" in defined["cli.py"]
-    assert {name for name, defs in defined.items() if any(d.endswith("_json") for d in defs)} <= {
+    assert {name for name, defs in defined.items() if any("json" in d for d in defs)} <= {
         "cli.py"
     }
-    assert {name for name, defs in defined.items() if "parse_decimal" in defs} == {"cli.py"}
+    for helper in ("parse_decimal", "lambda_entry_expr"):
+        assert {name for name, defs in defined.items() if helper in defs} == {"cli.py"}
     assert {name for name in trees if "json" in imported_modules(SRC / name)} == {"cli.py"}
 
 

@@ -202,6 +202,21 @@ def test_vss_share_points_distinct_nonzero(f121):
     assert all(any(c != 0 for c in p.coeffs) for p in points)
 
 
+def test_vss_share_index_outside_the_point_range_rejected(g23, f121):
+    # 1 + 121 would alias the point of share 1, and 0 the secret's own point
+    rng = random.Random(12)
+    base = unit_embed(generator_element(g23), f121)
+    dealing = vss_deal(fe_random(f121, rng), t=2, m=3, base=base, rng=rng)
+    first, second = dealing.shares[:2]
+    for bad in (VssShare(1 + 121, first.value), VssShare(0, second.value),
+                VssShare(-1, second.value)):
+        with pytest.raises(ValueError, match="share index"):
+            vss_reconstruct([first, bad])
+        with pytest.raises(ValueError, match="share index"):
+            share_point(f121, bad.index)
+    assert share_point(f121, 120) == fe(f121, [10, 10])
+
+
 def test_vss_bad_threshold(g23, f121):
     rng = random.Random(8)
     base = unit_embed(generator_element(g23), f121)

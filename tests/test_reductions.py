@@ -230,6 +230,9 @@ def test_run_reduction_matrix_calls_rebound_solvers(g23, f121, monkeypatch):
 
 
 def test_run_reduction_matrix_deterministic(g23, f121):
-    a = run_reduction_matrix(g23, f121, trials=10, seed=3).to_json_dict()
-    b = run_reduction_matrix(g23, f121, trials=10, seed=3).to_json_dict()
+    def counts(report):
+        return {name: (s.trials, s.successes, s.oracle_calls) for name, s in report.arrows.items()}
+
+    a = counts(run_reduction_matrix(g23, f121, trials=10, seed=3))
+    b = counts(run_reduction_matrix(g23, f121, trials=10, seed=3))
     assert a == b
