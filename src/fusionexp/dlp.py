@@ -10,16 +10,22 @@ That reduction makes 2n oracle calls, one DlogInstance each, against one
 generator, and each instance carries the residues of all 2n targets as its
 batch.  Baby-step giant-step then sizes one table for the whole batch
 (about sqrt(2n*q) entries, kept for the generator), and Pollard rho keeps
-the distinguished points of its walks across it: its multipliers are powers
-of g alone, so once a target is solved the points its walks reached have
-known logs, and each later target only walks until it meets one.  That
-store is an lru_cache holding the last batch.  A lone instance (empty
-batch) gets a sqrt(q) table and runs the same rho walk on a store of its
-own, built outside the cache and dropped after the call.
+the distinguished points of its walks: its multipliers are powers of g
+alone, so once a target is solved the points its walks reached have known
+logs for every later target against the same g and seed, and each later
+target only walks until it meets one (Bernstein-Lange precomputation).
+The store holds at most _KNOWN_POINTS = 4096 points, about 0.4 MB, for one
+(P, g, seed) at a time.  At q of 24 bits a cold batch of 8 targets costs
+about 4.4*sqrt(q) group multiplications, and a batch on a full store about
+0.3*sqrt(q).  The CLI gains nothing from the store, since each command runs
+in a fresh interpreter.  A lone instance (empty batch) gets a sqrt(q) table
+and runs the same rho walk on a store of its own, built outside the cache
+and dropped after the call.
 """
 
 from __future__ import annotations
 
+import _thread
 import functools
 import itertools
 import math
@@ -40,8 +46,9 @@ class DlogInstance(Value):
     """Find x with g**x = y; g must not be the identity.
 
     batch, when not empty, holds the residues of all the targets that are
-    solved against g together with this one, y among them; the solvers
-    then share their work across the batch.
+    solved against g together with this one, y among them; baby-step
+    giant-step sizes its table for the batch, and rho keeps the points of
+    known log it finds for every later batched instance.
     """
 
     __slots__ = ("g", "y", "batch")
@@ -166,14 +173,23 @@ _RHO_MULTIPLIERS = 20
 _DP_WALK_CAP = 16
 _DP_BUDGET = 1024
 
+# Points of known log kept per (P, g, seed); once the store is full no more
+# join it.  Bernstein-Lange (INDOCRYPT 2012): T stored points cut a target
+# to about sqrt(q/T) steps, which at q of 24 bits is the 64-step walk itself.
+# Threads may share a store, so the check of its size and the additions are
+# made under one lock; a _thread lock, since importing threading would slow
+# every CLI start.
+_KNOWN_POINTS = 4096
+_points_lock = _thread.allocate_lock()
+
 
 @functools.lru_cache(maxsize=1)
-def _walk(P: int, q: int, g: int, batch: tuple[int, ...], seed: int) -> tuple:
+def _walk(P: int, q: int, g: int, seed: int) -> tuple:
     """The multipliers of the walk, their logs to base g, the points of known
-    log, the answers and the random stream; cached for the last batch."""
+    log and the random stream; cached for the last (P, g, seed)."""
     rng = random.Random(seed)
     logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
-    return [pow(g, a, P) for a in logs], logs, {}, {}, rng
+    return [pow(g, a, P) for a in logs], logs, {}, rng
 
 
 def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
@@ -189,12 +205,14 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     points of known log.  The answer is checked against g**x == y before it
     is returned.
 
-    An instance with a batch keeps its points for the other targets of the
-    batch, whose walks end as soon as they meet one, so the L targets of a
-    batch cost about sqrt(2*L*q) steps in all rather than L rho runs, and a
-    repeated target costs a lookup.  A lone instance walks on a fresh store
-    each call, about 1.35*sqrt(q) steps, so one seed repeats the same work;
-    it bypasses the cache, so it never evicts a batch's store.
+    An instance with a batch keeps its points, up to _KNOWN_POINTS, for
+    every later batched instance with the same (P, g, seed), whose walks
+    end as soon as they meet one.  The first batch of L targets costs about
+    sqrt(2*L*q) steps rather than L rho runs, 4.4*sqrt(q) for L = 8 at q of
+    24 bits, and once the store is full a batch costs about 0.3*sqrt(q).  A
+    lone instance walks on a fresh store each call, about 1.35*sqrt(q)
+    steps, so one seed repeats the same work; it bypasses the cache, so it
+    never evicts the batched store.
     """
     params = inst.params
     P, q = params.modulus, params.q
@@ -202,10 +220,8 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
     walk = _walk if inst.batch else _walk.__wrapped__
-    mult, logs, points, solved, rng = walk(P, q, g, inst.batch, seed)
-    if y not in solved:
-        solved[y] = _dp_rho(P, q, g, y, rng, mult, logs, points)
-    return solved[y]
+    mult, logs, points, rng = walk(P, q, g, seed)
+    return _dp_rho(P, q, g, y, rng, mult, logs, points)
 
 
 def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
@@ -214,7 +230,8 @@ def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
 
     Multiplier s is mult[s] = g^logs[s].  A walk ending at a point of known
     log in points, or at the end of an earlier walk of y with a different
-    B, gives log y; the ends of y's walks then join points with their logs.
+    B, gives log y; the ends of y's walks then join points with their logs
+    while points holds fewer than _KNOWN_POINTS.
     """
     dp_bits = max(0, (q.bit_length() - 12) // 2)
     mask, cap = (1 << dp_bits) - 1, _DP_WALK_CAP << dp_bits
@@ -242,7 +259,10 @@ def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
             continue
         log = da * pow(db, -1, q) % q
         if pow(g, log, P) == y:
-            points.update({pt: (a0 + b0 * log) % q for pt, (a0, b0) in ends.items()})
+            with _points_lock:
+                room = _KNOWN_POINTS - len(points)
+                for pt, (a0, b0) in itertools.islice(ends.items(), room):
+                    points[pt] = (a0 + b0 * log) % q
             return log
     raise NotFound("rho failed to converge; target may not be a power of the base")
 

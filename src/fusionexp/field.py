@@ -102,8 +102,10 @@ def fe_is_zero(a: FieldElement) -> bool:
 
 
 def fe_from_int(params: FieldParams, value: int) -> FieldElement:
-    """Element whose coefficients are the base-q digits of value."""
-    value %= params.field_order
+    """Element whose coefficients are the base-q digits of value, which must
+    lie in [0, q^n): outside it two integers would share one element."""
+    if not 0 <= value < params.field_order:
+        raise ValueError(f"{value} outside [0, {params.field_order})")
     digits = []
     for _ in range(params.n):
         value, d = divmod(value, params.q)

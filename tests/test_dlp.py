@@ -1,7 +1,9 @@
+import concurrent.futures
 import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -35,6 +37,16 @@ from fusionexp import (
     make_field_params,
     scalar_embed,
 )
+from fusionexp.group import pow_sm
+
+
+@pytest.fixture(autouse=True)
+def fresh_solver_caches():
+    # rho's store of known points and the baby-step table outlive a call, and
+    # helpers.CountingModulus hashes and compares equal to its plain P, so
+    # without this a counted budget would depend on which test ran first
+    dlp._walk.cache_clear()
+    dlp._baby_table = (0, 0, 0, {}, 0)
 
 
 def make_instance(params, x):
@@ -396,9 +408,10 @@ def test_batched_rho_survives_cut_walks(monkeypatch):
 
 
 def test_lone_rho_call_keeps_the_batch_store():
-    # a lone instance walks on a store of its own, so a lone call between a
-    # batch's targets leaves the batch's points alone: the last 7 targets of
-    # a batch of 8 cost the same with and without it
+    # a lone instance walks on a store of its own, so a lone call between
+    # batched calls leaves the shared store alone: after the first target of
+    # a cold batch, the other 7 cost the same on the warm store with and
+    # without a lone call in between
     params = counting_group(24, seed=1)
     g = generator_element(params)
     rng = random.Random(16)
@@ -427,7 +440,7 @@ def test_batch_must_hold_the_target(g23):
 
 
 def test_list_batch_is_stored_as_a_tuple(g23):
-    # rho keys its shared walk by the batch, so the batch must be hashable
+    # an instance is a hashable value, so its batch must be a tuple
     g = generator_element(g23)
     y = GroupElement(g23, 13)
     inst = DlogInstance(g, y, batch=[13, 2, 4])
@@ -492,14 +505,125 @@ def test_fdlog_solve_batched_budgets():
         giant.append(0)
         assert fdlog_solve(inst, bsgs) == x
         assert giant[-1] <= L * (-(-q // m) + 1)
+        dlp._walk.cache_clear()  # each batch starts on an empty rho store
         got, mults = mults_of(fdlog_solve, inst, dlog_pollard_rho)
         assert got == x
         rho.append(mults)
     expected = L * math.sqrt(q / L) / 2
     assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
-    # one batch of eight targets takes about 4.4 * sqrt(q); eight lone solves
-    # would take about 8 * 1.35 * sqrt(q)
+    # a cold batch of eight targets takes about 4.4 * sqrt(q), where eight
+    # lone solves would take about 8 * 1.35 * sqrt(q); a batch on a warm
+    # store costs far less (test_rho_store_steady_state_budget)
     assert sum(rho) / len(rho) <= 6 * math.sqrt(q)
+
+
+# ---------------------------------------------------------------------------
+# The rho store: points of known log kept per (P, g, seed) across batches
+# ---------------------------------------------------------------------------
+
+
+def rho_batches(params, count, seed):
+    """count batches of 8 random targets against the generator: [[(instance, x)]]."""
+    g = generator_element(params)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        xs = [rng.randrange(params.q) for _ in range(8)]
+        out.append(list(zip(batch_of(g, xs), xs)))
+    return out
+
+
+def solve_batches(batches, seed):
+    for batch in batches:
+        for inst, x in batch:
+            assert dlog_pollard_rho(inst, seed) == x
+
+
+def rho_store(params, seed):
+    """The store of known points that batched rho keeps for (params, seed)."""
+    return dlp._walk(params.modulus, params.q, params.generator, seed)[2]
+
+
+def assert_store_sound(params, seed):
+    points = rho_store(params, seed)
+    assert points
+    for point, log in points.items():
+        assert 0 <= log < params.q
+        assert pow_sm(params.generator, log, params.modulus) == point
+
+
+def test_rho_store_outlives_the_batch_and_stays_sound():
+    params = gen_group_params(20, seed=5)
+    batches = rho_batches(params, 12, seed=40)
+    solve_batches(batches[:1], seed=2)
+    first = dict(rho_store(params, 2))
+    solve_batches(batches[1:], seed=2)
+    points = rho_store(params, 2)
+    assert first.items() <= points.items() and len(points) > len(first)
+    assert_store_sound(params, 2)
+
+
+def test_rho_store_stops_at_the_cap():
+    params = gen_group_params(24, seed=1)
+    assert params.q == 11_135_009
+    batches = rho_batches(params, 500, seed=41)
+    solve_batches(batches[:400], seed=0)
+    assert len(rho_store(params, 0)) <= dlp._KNOWN_POINTS
+    solve_batches(batches[400:], seed=0)  # the store fills at about batch 450
+    assert len(rho_store(params, 0)) == dlp._KNOWN_POINTS
+    assert_store_sound(params, 0)
+
+
+def test_rho_store_survives_a_target_outside_the_subgroup(g23):
+    # 5 is not a square mod 23: its walks give no log, so none of their ends
+    # joins the store, and the next batches are solved as before
+    g = generator_element(g23)
+    solve_batches(rho_batches(g23, 2, seed=42), seed=1)
+    with pytest.raises(NotFound):
+        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5), (13, 5, 2)), 1)
+    assert_store_sound(g23, 1)
+    solve_batches(rho_batches(g23, 20, seed=43), seed=1)
+    assert_store_sound(g23, 1)
+
+
+class SlowToCount(dict):
+    """A store that pauses after counting its points, so other threads can
+    add theirs between a size check and the additions it guards."""
+
+    def __len__(self):
+        size = super().__len__()
+        time.sleep(0.001)
+        return size
+
+
+def test_rho_store_shared_by_threads(monkeypatch):
+    # more threads than cores, each solving its own batches on one store; a
+    # cap the batches overrun shows whether the size check and the
+    # additions stay together
+    monkeypatch.setattr(dlp, "_KNOWN_POINTS", 300)
+    params = gen_group_params(24, seed=1)
+    multipliers, logs, _, rng = dlp._walk(params.modulus, params.q, params.generator, 3)
+    store = SlowToCount()
+    monkeypatch.setattr(dlp, "_walk", lambda *key: (multipliers, logs, store, rng))
+    work = [rho_batches(params, 10, seed=50 + t) for t in range(4)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(solve_batches, batches, 3) for batches in work]
+        for future in futures:
+            future.result(timeout=60)  # re-raises a failed assert
+    assert len(store) == 300
+    assert_store_sound(params, 3)
+
+
+def test_rho_store_steady_state_budget():
+    # a cold batch of 8 takes about 4.4 * sqrt(q); after 100 batches the
+    # store holds about 2,000 points and a batch costs about 0.32 * sqrt(q)
+    params = counting_group(24, seed=1)
+    q = params.q
+    assert q == 11_135_009
+    batches = rho_batches(params, 200, seed=44)
+    solve_batches(batches[:100], seed=0)
+    _, mults = mults_of(solve_batches, batches[100:], 0)
+    assert mults / 100 <= 0.6 * math.sqrt(q)
 
 
 def rebind_everywhere(monkeypatch, name, make):

@@ -554,6 +554,13 @@ def test_fe_from_int_digits(f121):
     assert len(seen) == 121
 
 
+@pytest.mark.parametrize("value", [-1, 121, 122])
+def test_fe_from_int_rejects_values_outside_the_field(f121, value):
+    # reduced mod 121 these would alias (10, 10), (0, 0) and (1, 0)
+    with pytest.raises(ValueError):
+        fe_from_int(f121, value)
+
+
 def test_fe_sub(f121):
     a, b = fe(f121, [3, 4]), fe(f121, [5, 1])
     assert fe_sub(a, b) == fe_add(a, fe_neg(b))
