@@ -7,20 +7,15 @@ reduction: express base and target componentwise as powers of the group
 generator via a scalar-dlog oracle, then divide in the exponent field.
 
 That reduction makes 2n oracle calls, one DlogInstance each, against one
-generator, and each instance carries the residues of all 2n targets as its
-batch.  Baby-step giant-step then sizes one table for the whole batch
-(about sqrt(2n*q) entries, kept for the generator), and Pollard rho keeps
-the distinguished points of its walks: its multipliers are powers of g
-alone, so once a target is solved the points its walks reached have known
-logs for every later target against the same g and seed, and each later
-target only walks until it meets one (Bernstein-Lange precomputation).
-The store holds at most _KNOWN_POINTS = 4096 points, about 0.4 MB, for one
-(P, g, seed) at a time.  At q of 24 bits a cold batch of 8 targets costs
-about 4.4*sqrt(q) group multiplications, and a batch on a full store about
-0.3*sqrt(q).  The CLI gains nothing from the store, since each command runs
-in a fresh interpreter.  A lone instance (empty batch) gets a sqrt(q) table
-and runs the same rho walk on a store of its own, built outside the cache
-and dropped after the call.
+generator, and each instance carries batch = 2n, the number of targets
+solved against the generator together.  One rule covers lone and batched
+calls alike: the square-root solvers keep their precomputation per
+generator (Bernstein-Lange, INDOCRYPT 2012), and batch only sizes the
+baby-step table.  Baby-step giant-step keeps one table of about
+sqrt(batch*q) entries; Pollard rho keeps up to _KNOWN_POINTS = 4096 points
+of known log, about 0.4 MB, for one (P, g, seed) at a time, and each later
+target only walks until it meets one.  The CLI gains nothing from either,
+since each command runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ import _thread
 import functools
 import itertools
 import math
+import operator
 import random
 from collections.abc import Callable
 
@@ -45,24 +41,25 @@ FUSION_BRUTE_CAP = 1 << 20
 class DlogInstance(Value):
     """Find x with g**x = y; g must not be the identity.
 
-    batch, when not empty, holds the residues of all the targets that are
-    solved against g together with this one, y among them; baby-step
-    giant-step sizes its table for the batch, and rho keeps the points of
-    known log it finds for every later batched instance.
+    batch counts the targets solved against g together with this one, 1 for
+    a lone instance; it only sizes the baby-step table of dlog_bsgs.  Both
+    square-root solvers keep their precomputation per generator, whatever
+    the batch.
     """
 
     __slots__ = ("g", "y", "batch")
 
-    def __init__(self, g: GroupElement, y: GroupElement, batch: tuple[int, ...] = ()):
+    def __init__(self, g: GroupElement, y: GroupElement, batch: int = 1):
         if g.params != y.params:
             raise ParamsMismatch("instance elements from different groups")
         if g.residue == 1:
             raise IdentityBase("dlog base must not be the identity")
-        if batch and y.residue not in batch:
-            raise ValueError("the target is not in its batch")
+        batch = operator.index(batch)
+        if batch < 1:
+            raise ValueError("a batch counts at least one target")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "batch", tuple(batch))
+        object.__setattr__(self, "batch", batch)
 
     @property
     def params(self) -> GroupParams:
@@ -132,12 +129,12 @@ def _baby_steps(P: int, g: int, m: int) -> tuple[int, dict[int, int], int, bool]
 def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     """Baby-step giant-step against a table of about sqrt(L*q) baby steps.
 
-    L is the number of targets in the instance's batch (1 for a lone
-    instance).  With m = ceil(sqrt(L*q)), capped at q, it takes the table
-    of g^j for j < m, then walks y * (g^-m)^i for i < ceil(q/m); the first
-    table hit gives x = i*m + j.  A table m wide costs m multiplications
-    and saves about m/2 giant steps per target, so sizing it for all L
-    targets of a batch balances the two (Bernstein-Lange, "Computing small
+    L is the instance's batch, the number of targets solved against g
+    together (1 for a lone instance).  With m = ceil(sqrt(L*q)), capped at
+    q, it takes the table of g^j for j < m, then walks y * (g^-m)^i for
+    i < ceil(q/m); the first table hit gives x = i*m + j.  A table m wide
+    costs m multiplications and saves about m/2 giant steps per target, so
+    sizing it for all L targets of a batch balances the two (Bernstein-Lange, "Computing small
     discrete logarithms faster", INDOCRYPT 2012).  The table is built once
     per generator and reused while it is at least m wide.  When a stats
     dict is supplied, 'mults' records the group multiplications this call
@@ -146,8 +143,7 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     params = inst.params
     P, q = params.modulus, params.q
     g, y = inst.g.residue, inst.y.residue
-    targets = max(1, len(inst.batch))
-    m = min(q, math.isqrt(targets * q - 1) + 1)  # ceil(sqrt(L*q)) for q >= 1
+    m = min(q, math.isqrt(inst.batch * q - 1) + 1)  # ceil(sqrt(L*q)) for q >= 1
     m, table, stride, built = _baby_steps(P, g, m)
     mults = m if built else 0
     cur = y
@@ -205,22 +201,18 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     points of known log.  The answer is checked against g**x == y before it
     is returned.
 
-    An instance with a batch keeps its points, up to _KNOWN_POINTS, for
-    every later batched instance with the same (P, g, seed), whose walks
-    end as soon as they meet one.  The first batch of L targets costs about
-    sqrt(2*L*q) steps rather than L rho runs, 4.4*sqrt(q) for L = 8 at q of
-    24 bits, and once the store is full a batch costs about 0.3*sqrt(q).  A
-    lone instance walks on a fresh store each call, about 1.35*sqrt(q)
-    steps, so one seed repeats the same work; it bypasses the cache, so it
-    never evicts the batched store.
+    Every call, lone or batched, keeps its points, up to _KNOWN_POINTS,
+    for every later call with the same (P, g, seed), whose walks end as
+    soon as they meet one; the batch plays no part.  So a call's cost
+    depends on the calls before it with the same (P, g, seed), and from an
+    empty store (_walk.cache_clear()) one seed repeats the same work.
     """
     params = inst.params
     P, q = params.modulus, params.q
     if q <= 3:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
-    walk = _walk if inst.batch else _walk.__wrapped__
-    mult, logs, points, rng = walk(P, q, g, seed)
+    mult, logs, points, rng = _walk(P, q, g, seed)
     return _dp_rho(P, q, g, y, rng, mult, logs, points)
 
 
@@ -277,8 +269,7 @@ def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
     gen = generator_element(inst.base.group)
     field = inst.base.field
     comps = inst.base.components + inst.target.components
-    batch = tuple(c.residue for c in comps)
-    logs = [dlog(DlogInstance(gen, c, batch)) for c in comps]
+    logs = [dlog(DlogInstance(gen, c, len(comps))) for c in comps]
     w, z = fe(field, logs[:field.n]), fe(field, logs[field.n:])
     return fe_mul(z, fe_inv(w))
 

@@ -158,7 +158,8 @@ def test_bsgs_reuses_baby_steps_per_generator():
 
 def test_rho_multiplication_budget():
     # the distinguished-point walk averages about 1.35*sqrt(q) group
-    # multiplications per lone solve; the mod-3 walk with Floyd's about 4.1*sqrt(q)
+    # multiplications per solve on an empty store (each trial has a seed of
+    # its own); the mod-3 walk with Floyd's about 4.1*sqrt(q)
     params = counting_group(24, seed=1)
     rng = random.Random(13)
     trials = 200
@@ -172,9 +173,13 @@ def test_rho_multiplication_budget():
 
 
 def test_rho_fixed_seed_repeats():
+    # from an empty store, one seed repeats the same work
     params = counting_group(24, seed=1)
     inst = make_instance(params, 1234567)
-    runs = [mults_of(dlog_pollard_rho, inst, 5) for _ in range(2)]
+    runs = []
+    for _ in range(2):
+        dlp._walk.cache_clear()
+        runs.append(mults_of(dlog_pollard_rho, inst, 5))
     assert runs[0] == runs[1]
     assert runs[0][0] == 1234567
 
@@ -232,21 +237,24 @@ def test_fdlog_solve_oracle_swappable(g23, f121):
 
 
 def test_fdlog_solve_counts_two_n_oracle_calls(g23, q11_fields):
+    # the oracle sees 2n instances against the generator, each with batch
+    # 2n: the base's components first, then the target's
     g = generator_element(g23)
     rng = random.Random(11)
     for n in (1, 2, 3):
         params = q11_fields[n]
-        calls = 0
+        seen = []
 
-        def counting(inst):
-            nonlocal calls
-            calls += 1
+        def recording(inst):
+            seen.append(inst)
             return dlog_bruteforce(inst)
 
         base = scalar_embed(g, fe_random(params, rng, nonzero=True))
         x = fe_random(params, rng)
-        fdlog_solve(FdlogInstance(base, fusion_pow(base, x)), counting)
-        assert calls == 2 * n
+        target = fusion_pow(base, x)
+        assert fdlog_solve(FdlogInstance(base, target), recording) == x
+        comps = base.components + target.components
+        assert seen == [DlogInstance(g, c, 2 * n) for c in comps]
 
 
 def test_fdlog_bruteforce_cap(g23, f121, monkeypatch):
@@ -328,16 +336,16 @@ def test_rho_rejects_tiny_group(g7):
         dlog_pollard_rho(DlogInstance(g, g), seed=0)
 
 
-@pytest.mark.parametrize("batch", [(), (13, 5, 2)], ids=["lone", "batched"])
+@pytest.mark.parametrize("batch", [1, 3], ids=["lone", "batched"])
 @pytest.mark.parametrize("solver", [dlog_bsgs, dlog_pollard_rho])
 def test_square_root_solvers_raise_not_found_outside_subgroup(g23, solver, batch):
     # 5 is not a square mod 23, so no power of g reaches it; the giant steps
     # run out for BSGS, and rho's step budget bounds its walks
     g = generator_element(g23)
     with pytest.raises(NotFound):
-        solver(DlogInstance(g, GroupElement(g23, 5), batch or ()))
-    if batch:  # the failed target leaves the shared table and walk sound
-        assert solver(DlogInstance(g, GroupElement(g23, 13), batch)) == 7
+        solver(DlogInstance(g, GroupElement(g23, 5), batch))
+    # the failed target leaves the kept table and walk sound
+    assert solver(DlogInstance(g, GroupElement(g23, 13), batch)) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +355,8 @@ def test_square_root_solvers_raise_not_found_outside_subgroup(g23, solver, batch
 
 
 def batch_of(base, xs):
-    """One DlogInstance per x, all carrying the batch of their targets."""
-    targets = [g_pow(base, x) for x in xs]
-    batch = tuple(y.residue for y in targets)
-    return [DlogInstance(base, y, batch) for y in targets]
+    """One DlogInstance per x, each counting all len(xs) targets as its batch."""
+    return [DlogInstance(base, g_pow(base, x), len(xs)) for x in xs]
 
 
 def assert_batch_solved(base, xs, seed):
@@ -407,45 +413,48 @@ def test_batched_rho_survives_cut_walks(monkeypatch):
             assert dlog_pollard_rho(inst, seed) == x
 
 
-def test_lone_rho_call_keeps_the_batch_store():
-    # a lone instance walks on a store of its own, so a lone call between
-    # batched calls leaves the shared store alone: after the first target of
-    # a cold batch, the other 7 cost the same on the warm store with and
-    # without a lone call in between
-    params = counting_group(24, seed=1)
+def test_lone_rho_call_feeds_the_batch_store():
+    # lone and batched calls on one (P, g, seed) walk on one store: a lone
+    # call between batched calls adds its ends to the points the batch
+    # left, and the rest of the batch keeps them all
+    params = gen_group_params(24, seed=1)
     g = generator_element(params)
     rng = random.Random(16)
     xs = [rng.randrange(params.q) for _ in range(8)]
     insts = batch_of(g, xs)
-    lone = make_instance(params, 7654321)
-    costs = []
-    for interrupted in (False, True):
-        dlp._walk.cache_clear()
-        assert dlog_pollard_rho(insts[0], 3) == xs[0]
-        if interrupted:
-            assert dlog_pollard_rho(lone, 3) == 7654321
-        total = 0
-        for inst, x in zip(insts[1:], xs[1:]):
-            got, mults = mults_of(dlog_pollard_rho, inst, 3)
-            assert got == x
-            total += mults
-        costs.append(total)
-    assert costs[0] == costs[1]
+    assert dlog_pollard_rho(insts[0], 3) == xs[0]
+    first = dict(rho_store(params, 3))
+    assert dlog_pollard_rho(make_instance(params, 7654321), 3) == 7654321
+    after_lone = dict(rho_store(params, 3))
+    assert first.items() < after_lone.items()
+    for inst, x in zip(insts[1:], xs[1:]):
+        assert dlog_pollard_rho(inst, 3) == x
+    assert after_lone.items() < rho_store(params, 3).items()
+    assert_store_sound(params, 3)
 
 
 def test_batch_must_hold_the_target(g23):
+    # batch counts the targets solved together, the instance's own among
+    # them: a lone instance counts 1, and a count below that is refused
     g = generator_element(g23)
-    with pytest.raises(ValueError):
-        DlogInstance(g, GroupElement(g23, 13), batch=(2, 4))
+    y = GroupElement(g23, 13)
+    assert DlogInstance(g, y).batch == 1
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            DlogInstance(g, y, count)
 
 
 def test_list_batch_is_stored_as_a_tuple(g23):
-    # an instance is a hashable value, so its batch must be a tuple
+    # an instance is a hashable value, so its batch is a plain int count:
+    # a sequence of residues (a list or a tuple) is refused, not stored
     g = generator_element(g23)
     y = GroupElement(g23, 13)
-    inst = DlogInstance(g, y, batch=[13, 2, 4])
-    assert inst == DlogInstance(g, y, batch=(13, 2, 4))
-    assert hash(inst) == hash(DlogInstance(g, y, batch=(13, 2, 4)))
+    for not_a_count in ([13, 2, 4], (13, 2, 4), 1.5):
+        with pytest.raises(TypeError):
+            DlogInstance(g, y, not_a_count)
+    inst = DlogInstance(g, y, 3)
+    assert inst == DlogInstance(g, y, batch=3)
+    assert hash(inst) == hash(DlogInstance(g, y, batch=3))
     assert dlog_pollard_rho(inst, 1) == dlog_bruteforce(inst) == 7
 
 
@@ -512,8 +521,8 @@ def test_fdlog_solve_batched_budgets():
     expected = L * math.sqrt(q / L) / 2
     assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
     # a cold batch of eight targets takes about 4.4 * sqrt(q), where eight
-    # lone solves would take about 8 * 1.35 * sqrt(q); a batch on a warm
-    # store costs far less (test_rho_store_steady_state_budget)
+    # solves each on an empty store would take about 8 * 1.35 * sqrt(q); a
+    # batch on a warm store costs far less (test_rho_store_steady_state_budget)
     assert sum(rho) / len(rho) <= 6 * math.sqrt(q)
 
 
@@ -522,14 +531,16 @@ def test_fdlog_solve_batched_budgets():
 # ---------------------------------------------------------------------------
 
 
-def rho_batches(params, count, seed):
-    """count batches of 8 random targets against the generator: [[(instance, x)]]."""
+def rho_batches(params, count, seed, lone=False):
+    """count batches of 8 random targets against the generator: [[(instance, x)]];
+    with lone, every instance is a lone one (batch 1)."""
     g = generator_element(params)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         xs = [rng.randrange(params.q) for _ in range(8)]
-        out.append(list(zip(batch_of(g, xs), xs)))
+        insts = [make_instance(params, x) for x in xs] if lone else batch_of(g, xs)
+        out.append(list(zip(insts, xs)))
     return out
 
 
@@ -540,7 +551,7 @@ def solve_batches(batches, seed):
 
 
 def rho_store(params, seed):
-    """The store of known points that batched rho keeps for (params, seed)."""
+    """The store of known points that rho keeps for (params, seed)."""
     return dlp._walk(params.modulus, params.q, params.generator, seed)[2]
 
 
@@ -580,7 +591,7 @@ def test_rho_store_survives_a_target_outside_the_subgroup(g23):
     g = generator_element(g23)
     solve_batches(rho_batches(g23, 2, seed=42), seed=1)
     with pytest.raises(NotFound):
-        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5), (13, 5, 2)), 1)
+        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5), 3), 1)
     assert_store_sound(g23, 1)
     solve_batches(rho_batches(g23, 20, seed=43), seed=1)
     assert_store_sound(g23, 1)
@@ -597,21 +608,22 @@ class SlowToCount(dict):
 
 
 def test_rho_store_shared_by_threads(monkeypatch):
-    # more threads than cores, each solving its own batches on one store; a
-    # cap the batches overrun shows whether the size check and the
-    # additions stay together
+    # more threads than cores, each solving its own targets on one store,
+    # batched and then lone; a cap the targets overrun shows whether the
+    # size check and the additions stay together
     monkeypatch.setattr(dlp, "_KNOWN_POINTS", 300)
     params = gen_group_params(24, seed=1)
     multipliers, logs, _, rng = dlp._walk(params.modulus, params.q, params.generator, 3)
-    store = SlowToCount()
-    monkeypatch.setattr(dlp, "_walk", lambda *key: (multipliers, logs, store, rng))
-    work = [rho_batches(params, 10, seed=50 + t) for t in range(4)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(solve_batches, batches, 3) for batches in work]
-        for future in futures:
-            future.result(timeout=60)  # re-raises a failed assert
-    assert len(store) == 300
-    assert_store_sound(params, 3)
+    for lone in (False, True):
+        store = SlowToCount()
+        monkeypatch.setattr(dlp, "_walk", lambda *key: (multipliers, logs, store, rng))
+        work = [rho_batches(params, 10, seed=50 + t, lone=lone) for t in range(4)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_batches, batches, 3) for batches in work]
+            for future in futures:
+                future.result(timeout=60)  # re-raises a failed assert
+        assert len(store) == 300
+        assert_store_sound(params, 3)
 
 
 def test_rho_store_steady_state_budget():
@@ -624,6 +636,21 @@ def test_rho_store_steady_state_budget():
     solve_batches(batches[:100], seed=0)
     _, mults = mults_of(solve_batches, batches[100:], 0)
     assert mults / 100 <= 0.6 * math.sqrt(q)
+
+
+def test_rho_lone_warm_store_budget():
+    # a lone call keeps its points as a batched one does: on an empty store
+    # a lone solve costs about 1.35 * sqrt(q), and after 100 lone solves
+    # against one (P, g, seed) about 0.07 * sqrt(q)
+    params = counting_group(24, seed=1)
+    q = params.q
+    assert q == 11_135_009
+    rng = random.Random(46)
+    xs = [rng.randrange(q) for _ in range(300)]
+    targets = [(make_instance(params, x), x) for x in xs]  # built before counting
+    solve_batches([targets[:100]], seed=0)
+    _, mults = mults_of(solve_batches, [targets[100:]], 0)
+    assert mults / 200 <= 0.3 * math.sqrt(q)
 
 
 def rebind_everywhere(monkeypatch, name, make):

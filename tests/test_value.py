@@ -47,9 +47,9 @@ def build():
         "FieldParams": (lambda: FieldParams(11, 2, (1, 0)), F),
         "FieldElement": (lambda: FieldElement(f, (3, 5)), X),
         "FusionBase": (lambda: FusionBase(g, f, (a, b)), B),
-        "DlogInstance": (lambda: DlogInstance(a, b, (4, 2)),
+        "DlogInstance": (lambda: DlogInstance(a, b, 2),
                          f"DlogInstance(g=GroupElement(params={G}, residue=2), "
-                         f"y=GroupElement(params={G}, residue=4), batch=(4, 2))"),
+                         f"y=GroupElement(params={G}, residue=4), batch=2)"),
         "FdlogInstance": (lambda: FdlogInstance(base, base),
                           f"FdlogInstance(base={B}, target={B})"),
         "FusionKeyPair": (lambda: FusionKeyPair(x, base),
@@ -154,8 +154,8 @@ def test_keyword_construction():
     assert ElGamalCiphertext(c1=base, c2=base) == ElGamalCiphertext(base, base)
     assert FdlogInstance(base=base, target=base) == FdlogInstance(base, base)
     inst = DlogInstance(g=a, y=GroupElement(g, 4))
-    assert inst.batch == ()
-    assert inst == DlogInstance(a, GroupElement(g, 4), ())
+    assert inst.batch == 1
+    assert inst == DlogInstance(a, GroupElement(g, 4), 1)
 
 
 def test_a_value_type_needs_two_fields():
