@@ -11,11 +11,12 @@ generator, and each instance carries batch = 2n, the number of targets
 solved against the generator together.  One rule covers lone and batched
 calls alike: the square-root solvers keep their precomputation per
 generator (Bernstein-Lange, INDOCRYPT 2012), and batch only sizes the
-baby-step table.  Baby-step giant-step keeps one table of about
-sqrt(batch*q) entries; Pollard rho keeps up to _KNOWN_POINTS = 4096 points
-of known log, about 0.4 MB, for one (P, g, seed) at a time, and each later
-target only walks until it meets one.  The CLI gains nothing from either,
-since each command runs in a fresh interpreter.
+baby-step table.  Both live in one cache entry per (P, q, g), for the last
+generator used: the baby-step table, which only grows, to about
+sqrt(batch*q) entries for the widest batch yet, and Pollard rho's up to
+_KNOWN_POINTS = 4096 points of known log, about 0.4 MB, for one seed at a
+time; each later target only walks until it meets one.  The CLI gains
+nothing from either, since each command runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import math
 import operator
 import random
+import types
 from collections.abc import Callable
 
 from .errors import CapExceeded, IdentityBase, NotFound, ParamsMismatch
@@ -99,31 +101,19 @@ def dlog_bruteforce(inst: DlogInstance) -> int:
     raise NotFound("target is not a power of the base")
 
 
-# The one baby-step table a process keeps: (P, g, m, {g^j: j for j < m}, g^-m).
-# Not an lru_cache: a table serves any call for its (P, g) that needs one no
-# wider, which a lookup by key cannot express.
-_baby_table: tuple = (0, 0, 0, {}, 0)
+# Threads may share the kept precomputation, so the baby-step table grows
+# and rho's store takes points under one lock; a _thread lock, since
+# importing threading would slow every CLI start.
+_lock = _thread.allocate_lock()
 
 
-def _baby_steps(P: int, g: int, m: int) -> tuple[int, dict[int, int], int, bool]:
-    """A baby-step table for (P, g) at least m wide: (width, table, stride, built).
-
-    The cached table is reused when it belongs to the same (P, g) and is
-    wide enough, so the 2n calls of one tuple dlog build it once, and a lone
-    call after a batched one reuses the batch's wider table.
-    """
-    global _baby_table
-    cached_P, cached_g, width, table, stride = _baby_table
-    if (cached_P, cached_g) == (P, g) and width >= m:
-        return width, table, stride, False
-    table = {}
-    cur = 1
-    for j in range(m):
-        table.setdefault(cur, j)
-        cur = cur * g % P
-    stride = pow(cur, -1, P)
-    _baby_table = (P, g, m, table, stride)
-    return m, table, stride, True
+@functools.lru_cache(maxsize=1)
+def _kept(P: int, q: int, g: int) -> types.SimpleNamespace:
+    """The precomputation kept for generator g of order q mod P, for the last
+    (P, q, g): the baby-step table {g^j: j}, its steps = (width, g^width,
+    g^-width), published together, and rho's walk = (seed, multipliers,
+    their logs, points of known log, random stream) for one seed at a time."""
+    return types.SimpleNamespace(table={}, steps=(0, 1, 1), walk=None)
 
 
 def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
@@ -136,16 +126,30 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
     costs m multiplications and saves about m/2 giant steps per target, so
     sizing it for all L targets of a batch balances the two (Bernstein-Lange, "Computing small
     discrete logarithms faster", INDOCRYPT 2012).  The table is built once
-    per generator and reused while it is at least m wide.  When a stats
-    dict is supplied, 'mults' records the group multiplications this call
-    made: the giant steps, plus m when the call built the table.
+    per generator and only grows: a call that needs it wider adds the
+    missing entries from the last power, and a narrower call walks with the
+    wider table.  When a stats dict is supplied, 'mults' records the group
+    multiplications this call made: the giant steps, plus the entries it
+    added to the table.
     """
     params = inst.params
     P, q = params.modulus, params.q
     g, y = inst.g.residue, inst.y.residue
     m = min(q, math.isqrt(inst.batch * q - 1) + 1)  # ceil(sqrt(L*q)) for q >= 1
-    m, table, stride, built = _baby_steps(P, g, m)
-    mults = m if built else 0
+    kept = _kept(P, q, g)
+    mults = 0
+    if kept.steps[0] < m:
+        with _lock:
+            width, cur, _ = kept.steps  # another thread may have grown it
+            for j in range(width, m):
+                kept.table.setdefault(cur, j)
+                cur = cur * g % P
+            if width < m:
+                kept.steps = (m, cur, pow(cur, -1, P))
+                mults = m - width
+    # a hit at j beyond an older width still gives x = i*m + j
+    m, _, stride = kept.steps
+    table = kept.table
     cur = y
     for i in range(-(-q // m)):
         j = table.get(cur)
@@ -172,20 +176,7 @@ _DP_BUDGET = 1024
 # Points of known log kept per (P, g, seed); once the store is full no more
 # join it.  Bernstein-Lange (INDOCRYPT 2012): T stored points cut a target
 # to about sqrt(q/T) steps, which at q of 24 bits is the 64-step walk itself.
-# Threads may share a store, so the check of its size and the additions are
-# made under one lock; a _thread lock, since importing threading would slow
-# every CLI start.
 _KNOWN_POINTS = 4096
-_points_lock = _thread.allocate_lock()
-
-
-@functools.lru_cache(maxsize=1)
-def _walk(P: int, q: int, g: int, seed: int) -> tuple:
-    """The multipliers of the walk, their logs to base g, the points of known
-    log and the random stream; cached for the last (P, g, seed)."""
-    rng = random.Random(seed)
-    logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
-    return [pow(g, a, P) for a in logs], logs, {}, rng
 
 
 def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
@@ -205,14 +196,20 @@ def dlog_pollard_rho(inst: DlogInstance, seed: int = 0) -> int:
     for every later call with the same (P, g, seed), whose walks end as
     soon as they meet one; the batch plays no part.  So a call's cost
     depends on the calls before it with the same (P, g, seed), and from an
-    empty store (_walk.cache_clear()) one seed repeats the same work.
+    empty store (_kept.cache_clear()) one seed repeats the same work.
     """
     params = inst.params
     P, q = params.modulus, params.q
     if q <= 3:
         raise ValueError("rho needs q > 3; use the linear scan")
     g, y = inst.g.residue, inst.y.residue
-    mult, logs, points, rng = _walk(P, q, g, seed)
+    kept = _kept(P, q, g)
+    walk = kept.walk  # a local, so another thread's seed cannot pull it away
+    if walk is None or walk[0] != seed:
+        rng = random.Random(seed)
+        logs = [rng.randrange(q) for _ in range(_RHO_MULTIPLIERS)]
+        walk = kept.walk = (seed, [pow(g, a, P) for a in logs], logs, {}, rng)
+    _, mult, logs, points, rng = walk
     return _dp_rho(P, q, g, y, rng, mult, logs, points)
 
 
@@ -251,7 +248,7 @@ def _dp_rho(P: int, q: int, g: int, y: int, rng: random.Random, mult: list[int],
             continue
         log = da * pow(db, -1, q) % q
         if pow(g, log, P) == y:
-            with _points_lock:
+            with _lock:
                 room = _KNOWN_POINTS - len(points)
                 for pt, (a0, b0) in itertools.islice(ends.items(), room):
                     points[pt] = (a0 + b0 * log) % q

@@ -34,7 +34,8 @@ from .value import Value
 
 
 class FieldParams(Value):
-    """Validated parameters of GF(q^n): prime q, degree n, low coefficients of f."""
+    """Validated parameters of GF(q^n): prime q, degree n, low coefficients
+    of f, checked to lie in [0, q) before f's irreducibility test."""
 
     __slots__ = ("q", "n", "f_low")
 
@@ -45,11 +46,8 @@ class FieldParams(Value):
             raise BadDegree(f"extension degree must be >= 1, got {n}")
         if len(f_low) != n:
             raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
-        # is_irreducible raises NotPrime for a q that is not prime
-        irreducible = is_irreducible(q, f_low + (1,))
-        if any(not 0 <= c < q for c in f_low):
-            raise BadDegree("f coefficients must lie in [0, q)")
-        if not irreducible:
+        # is_irreducible checks q (NotPrime), then f's range (BadDegree)
+        if not is_irreducible(q, f_low + (1,)):
             raise NotIrreducible(f"X^{n} + {list(f_low)} is reducible mod {q}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
@@ -79,7 +77,7 @@ def make_field_params(q: int, n: int, f_low: Sequence[int]) -> FieldParams:
     """Field parameters for GF(q^n) with modulus X^n + f.
 
     q must be prime, the low coefficients must lie in [0, q) and the modulus
-    polynomial must be irreducible; FieldParams checks all three.
+    polynomial must be irreducible; FieldParams checks the three in order.
     """
     return FieldParams(q, n, tuple(f_low))
 
@@ -310,10 +308,14 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     and its matrix has the columns (X^q)^j, j < deg.  So from i = 2 on,
     which needs deg >= 4, each X^(q^i) is one matrix-vector product mod q
     instead of a power with exponent q (von zur Gathen-Shoup 1992).
+    A q that is not prime raises NotPrime and a coefficient outside [0, q)
+    BadDegree before any power is taken.
     """
     if not is_prime(q):
         raise NotPrime(f"coefficient modulus {q} is not prime")
-    p = [operator.index(c) % q for c in poly]
+    p = list(map(operator.index, poly))
+    if any(not 0 <= c < q for c in p):
+        raise BadDegree("coefficients must lie in [0, q)")
     if len(p) < 2 or p[-1] != 1:
         raise BadDegree("polynomial must be monic of degree >= 1")
     n = len(p) - 1

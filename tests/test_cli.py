@@ -442,6 +442,23 @@ def test_config_over_size_cap_rejected_before_checks(capsys, tmp_path, monkeypat
     assert out == "" and "too large" in err
 
 
+def test_config_modulus_out_of_range_exits_before_any_power(capsys, tmp_path, monkeypatch):
+    # f_0 = q at a 256-bit q with n = 32 exits 65 without computing X^q mod f
+    group = fusionexp.group.gen_group_params(256, seed=2)
+    monkeypatch.setattr(fusionexp.field, "_pow", reached)
+    cfg = tmp_path / "f0.json"
+    cfg.write_text(json.dumps({
+        "version": "1",
+        "group": {"modulus": str(group.modulus), "q": str(group.q),
+                  "generator": str(group.generator)},
+        "field": {"q": str(group.q), "n": 32, "f": [str(group.q)] + ["1"] * 31},
+    }))
+    code, out, err = run(capsys, "eval", "--config", str(cfg),
+                         "--base", '["2"]', "--exp", '["1"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "[0, q)" in err
+
+
 AT_SIZE_CAPS = {
     "modulus-and-q-2048-bits-n4": (2**2048 - 1, 2**2048 - 3, 2**2048 - 3, 4),
     "n-64": (23, 11, 11, 64),

@@ -42,11 +42,10 @@ from fusionexp.group import pow_sm
 
 @pytest.fixture(autouse=True)
 def fresh_solver_caches():
-    # rho's store of known points and the baby-step table outlive a call, and
+    # the baby-step table and rho's store of known points outlive a call, and
     # helpers.CountingModulus hashes and compares equal to its plain P, so
     # without this a counted budget would depend on which test ran first
-    dlp._walk.cache_clear()
-    dlp._baby_table = (0, 0, 0, {}, 0)
+    dlp._kept.cache_clear()
 
 
 def make_instance(params, x):
@@ -178,7 +177,7 @@ def test_rho_fixed_seed_repeats():
     inst = make_instance(params, 1234567)
     runs = []
     for _ in range(2):
-        dlp._walk.cache_clear()
+        dlp._kept.cache_clear()
         runs.append(mults_of(dlog_pollard_rho, inst, 5))
     assert runs[0] == runs[1]
     assert runs[0][0] == 1234567
@@ -473,9 +472,74 @@ def test_bsgs_batch_table_serves_lone_calls():
     for inst, x in [(make_instance(params, 5), 5)] + list(zip(insts[1:], xs[1:])):
         assert dlog_bsgs(inst, stats) == x
         assert stats["mults"] <= -(-q // wide)
-    # a larger batch needs a wider table
+    # a larger batch needs a wider table: only the missing entries are added
+    new = math.isqrt(16 * q - 1) + 1
     assert dlog_bsgs(batch_of(g, xs * 2)[0], stats) == xs[0]
-    assert stats["mults"] >= math.isqrt(16 * q - 1) + 1
+    assert new - wide <= stats["mults"] <= new - wide + -(-q // new) + 1
+
+
+def test_bsgs_wider_batch_adds_only_the_missing_entries():
+    params = gen_group_params(20, seed=34)
+    g = generator_element(params)
+    q = params.q
+    narrow, wide = math.isqrt(q - 1) + 1, math.isqrt(8 * q - 1) + 1
+    stats = {}
+    assert dlog_bsgs(make_instance(params, 3), stats) == 3
+    assert len(kept_for(params).table) == narrow
+    assert dlog_bsgs(batch_of(g, [5] * 8)[0], stats) == 5
+    assert len(kept_for(params).table) == wide
+    assert wide - narrow <= stats["mults"] <= wide - narrow + -(-q // wide)
+
+
+class SlowToGrow(dict):
+    """A baby-step table that counts the entries offered to it and pauses now
+    and then while it grows, so other threads walk on it with an older width
+    before the new one is published, or try to grow it themselves."""
+
+    offered = 0
+
+    def setdefault(self, key, j):
+        self.offered += 1
+        if j % 256 == 0:
+            time.sleep(0.0005)
+        return super().setdefault(key, j)
+
+
+def solve_bsgs(insts_and_xs):
+    for inst, x in insts_and_xs:
+        assert dlog_bsgs(inst) == x
+
+
+def test_bsgs_table_grown_by_threads():
+    # 4 threads solve lone, batch-8 and batch-16 targets in their own
+    # orders against one generator, on one table that grows under them;
+    # each entry is computed once
+    params = gen_group_params(20, seed=35)
+    g, q, P = generator_element(params), params.q, params.modulus
+    kept = kept_for(params)
+    kept.table = SlowToGrow()
+    work = []
+    for t in range(4):
+        rng = random.Random(60 + t)
+        jobs = []
+        for batch in rng.sample([1, 8, 16] * 4, 12):
+            x = rng.randrange(q)
+            jobs.append((DlogInstance(g, g_pow(g, x), batch), x))
+        work.append(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve_bsgs, jobs) for jobs in work]
+            for future in futures:
+                future.result(timeout=60)  # re-raises a failed assert
+    finally:
+        sys.setswitchinterval(interval)
+    width = math.isqrt(16 * q - 1) + 1
+    assert kept.steps[0] == width == kept.table.offered
+    assert sorted(kept.table.values()) == list(range(width))
+    for key, j in kept.table.items():
+        assert pow_sm(params.generator, j, P) == key
 
 
 def counting_tuple_instances(q_bits, n, count, seed):
@@ -502,6 +566,7 @@ def test_fdlog_solve_batched_budgets():
     stats = {}
     dlog_bsgs(batch_of(generator_element(instances[0][0].base.group), [1] * L)[0], stats)
     assert stats["mults"] >= m  # the table for L targets is built here, not below
+    kept = kept_for(instances[0][0].base.group)
     giant = []
     rho = []
 
@@ -514,7 +579,7 @@ def test_fdlog_solve_batched_budgets():
         giant.append(0)
         assert fdlog_solve(inst, bsgs) == x
         assert giant[-1] <= L * (-(-q // m) + 1)
-        dlp._walk.cache_clear()  # each batch starts on an empty rho store
+        kept.walk = None  # each batch starts on an empty rho store; the table stays
         got, mults = mults_of(fdlog_solve, inst, dlog_pollard_rho)
         assert got == x
         rho.append(mults)
@@ -550,9 +615,16 @@ def solve_batches(batches, seed):
             assert dlog_pollard_rho(inst, seed) == x
 
 
+def kept_for(params):
+    """The precomputation the scalar solvers keep for params' generator."""
+    return dlp._kept(params.modulus, params.q, params.generator)
+
+
 def rho_store(params, seed):
     """The store of known points that rho keeps for (params, seed)."""
-    return dlp._walk(params.modulus, params.q, params.generator, seed)[2]
+    walk = kept_for(params).walk
+    assert walk[0] == seed
+    return walk[3]
 
 
 def assert_store_sound(params, seed):
@@ -613,10 +685,11 @@ def test_rho_store_shared_by_threads(monkeypatch):
     # size check and the additions stay together
     monkeypatch.setattr(dlp, "_KNOWN_POINTS", 300)
     params = gen_group_params(24, seed=1)
-    multipliers, logs, _, rng = dlp._walk(params.modulus, params.q, params.generator, 3)
+    assert dlog_pollard_rho(make_instance(params, 1), 3) == 1
+    kept = kept_for(params)
     for lone in (False, True):
         store = SlowToCount()
-        monkeypatch.setattr(dlp, "_walk", lambda *key: (multipliers, logs, store, rng))
+        kept.walk = kept.walk[:3] + (store,) + kept.walk[4:]
         work = [rho_batches(params, 10, seed=50 + t, lone=lone) for t in range(4)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(solve_batches, batches, 3) for batches in work]

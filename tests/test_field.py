@@ -91,6 +91,17 @@ def test_rejects_coefficients_outside_range():
         make_field_params(11, 2, [-1, 0])
 
 
+def test_rejects_coefficients_outside_range_before_any_power(monkeypatch):
+    # f_0 = q + 1 at a 256-bit q and n = 32, where X^q mod f takes most of
+    # a second: the range check comes first
+    def no_power(*args):
+        raise AssertionError("X^q computed for a modulus out of range")
+
+    monkeypatch.setattr("fusionexp.field._pow", no_power)
+    with pytest.raises(BadDegree):
+        make_field_params(Q256, 32, [Q256 + 1] + [1] * 31)
+
+
 def test_rejects_non_integer_values(f121):
     # a float is a TypeError, not a coefficient truncated towards zero
     with pytest.raises(TypeError):
@@ -585,6 +596,12 @@ def test_fe_constructor_wrong_length(f121):
 def test_find_irreducible_rejects_composite_modulus():
     with pytest.raises(NotPrime):
         find_irreducible(9, 2, seed=0)
+
+
+def test_is_irreducible_rejects_coefficients_outside_range():
+    # X^2 - 1 is not read as X^2 + 6 mod 7
+    with pytest.raises(BadDegree):
+        is_irreducible(7, [-1, 0, 1])
 
 
 def test_is_irreducible_rejects_non_monic():

@@ -1,6 +1,6 @@
-"""Package layering: no module imports another module's private helpers, the
-package keeps its import cost down, and every package name the benchmark
-scripts in perfbench/ use still exists."""
+"""Package layering: no module imports another module's private helpers or
+rebinds a module global by hand, the package keeps its import cost down, and
+every package name the benchmark scripts in perfbench/ use still exists."""
 
 import ast
 import importlib
@@ -52,6 +52,37 @@ def test_checker_flags_a_private_import(tmp_path):
         (3, "fusionexp.group", "_other"),
         (5, None, "_inner"),
     ]
+
+
+def global_statements(path):
+    """(line, names) for each `global` statement in path, in line order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted((node.lineno, node.names) for node in ast.walk(tree)
+                  if isinstance(node, ast.Global))
+
+
+def test_no_module_rebinds_a_global():
+    # state kept across calls lives in a cache such as functools.lru_cache
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    offenders = {p.name: hits for p in modules if (hits := global_statements(p))}
+    assert offenders == {}
+
+
+def test_checker_flags_a_global_statement(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "_table = None\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        global _table\n"
+        "def f():\n"
+        "    global _table, _width\n"
+        "    count = 0\n"
+        "    def g():\n"
+        "        nonlocal count\n"
+    )
+    assert global_statements(sample) == [(4, ["_table"]), (6, ["_table", "_width"])]
 
 
 def imported_modules(path):
