@@ -4,13 +4,15 @@ An element is the coefficient vector (x_0, ..., x_{n-1}) of a residue
 polynomial, index i holding the coefficient of X^i.  The modulus f is monic
 of degree n and is stored through its n low coefficients only.
 
-Every product mod f is formed in one place, `_mul`: the plain integer
-convolution of two coefficient vectors is folded back below degree n
-through the reduction columns of f (each X^m, m < 2n - 1, written in the
-base monomials; built once per modulus and cached), with one reduction mod
-q per output coefficient.  `fe_mul`, `fe_pow` and the irreducibility test
-all go through it.  Inversion and the gcd of the irreducibility test share
-one extended Euclid, `_pgcdex`.
+Every product mod f is brought below degree n in one place, `_fold`: the
+plain integer convolution of two coefficient vectors is folded through the
+reduction columns of f (each X^m, m < 2n - 1, written in the base
+monomials; built once per modulus and cached).  Only the high half, m >= n,
+moves, so a fold costs n(n-1) products and one reduction mod q per output
+coefficient.  `_mul` feeds it for `fe_mul` and `fe_pow`; the
+irreducibility test's X^q feeds it squarings, each a symmetric convolution
+of n(n+1)/2 products.  Inversion and the gcd of the irreducibility test
+share one extended Euclid, `_pgcdex`.
 
 The same columns give the coefficient functions lam[i][j]:
 
@@ -199,13 +201,34 @@ def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...]
     return tuple(tuple(col[j : j + n] for j in range(n)) for col in cols)
 
 
+@functools.lru_cache(maxsize=64)
+def _fold_columns(
+    n: int, f_low: tuple[int, ...], q: int
+) -> tuple[tuple[int, ...], ...]:
+    """The high halves C[i][n:] of the reduction columns, i < n: the part of
+    a fold that is not the identity.  Cached per modulus."""
+    return tuple(col[n:] for col in _reduction_columns(n, f_low, q))
+
+
+def _fold(prod: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
+    """A product's 2n-1 coefficients brought below degree n modulo (f, q).
+
+    X^m for m < n is its own base monomial, so only the high half moves:
+    out_i = prod[i] + sum_(m >= n) prod[m] * C[i][m], which is n(n-1)
+    products, reduced mod q once per output coefficient.
+    """
+    high = prod[len(cols):]
+    return tuple(sum(map(operator.mul, high, col), low) % q for low, col in zip(prod, cols))
+
+
 def _mul(
     a: Sequence[int], b: Sequence[int], f_low: tuple[int, ...], q: int
 ) -> tuple[int, ...]:
     """Product of two length-n residue vectors modulo (f, q).
 
-    The plain integer convolution is folded through the cached reduction
-    columns, so each output coefficient is reduced mod q once.
+    The plain integer convolution is folded through the high halves of the
+    cached reduction columns, so each output coefficient is reduced mod q
+    once.
     """
     n = len(f_low)
     prod = [0] * (2 * n - 1)
@@ -213,10 +236,39 @@ def _mul(
         if ai:
             for j, bj in enumerate(b, i):
                 prod[j] += ai * bj
-    return tuple(
-        sum(map(operator.mul, prod, col)) % q
-        for col in _reduction_columns(n, f_low, q)
-    )
+    return _fold(prod, _fold_columns(n, f_low, q), q)
+
+
+def _square(a: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
+    """a * a modulo (f, q): the symmetric convolution, n(n+1)/2 products,
+    feeds the same fold as `_mul`."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[2 * i] += ai * ai
+            twice = 2 * ai
+            for k in range(i + 1, n):
+                prod[i + k] += twice * a[k]
+    return _fold(prod, cols, q)
+
+
+def _x_to_the_q(f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """X^q modulo (f, q) for deg f >= 2, over the bits of q from the left.
+
+    Each bit squares once; a set bit then multiplies by X, which is a shift
+    and one fold of the overflow coefficient through X^n = -f, so n
+    products rather than a full `_mul`.
+    """
+    n = len(f_low)
+    cols = _fold_columns(n, f_low, q)
+    h = (0, 1) + (0,) * (n - 2)
+    for bit in bin(q)[3:]:
+        h = _square(h, cols, q)
+        if bit == "1":
+            top = h[-1]
+            h = tuple((c - top * fi) % q for c, fi in zip((0,) + h[:-1], f_low))
+    return h
 
 
 def _pow(a: Sequence[int], k: int, f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -231,7 +283,8 @@ def _pow(a: Sequence[int], k: int, f_low: tuple[int, ...], q: int) -> tuple[int,
 
 
 def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product: schoolbook convolution folded through the reduction columns."""
+    """Product: schoolbook convolution, its high half folded through the
+    reduction columns."""
     _check_same_params(a, b)
     params = a.params
     return FieldElement(params, _mul(a.coeffs, b.coeffs, params.f_low, params.q))
@@ -304,12 +357,15 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     Ben-Or's test: gcd(f, X^(q^i) - X) = 1 for i = 1 .. deg/2.  A factor of
     degree d <= deg/2 divides X^(q^d) - X and is caught by the gcd.
 
-    X^q is one power mod f.  The map h -> h^q is Z_q-linear on Z_q[X]/(f),
-    and its matrix has the columns (X^q)^j, j < deg.  So from i = 2 on,
-    which needs deg >= 4, each X^(q^i) is one matrix-vector product mod q
-    instead of a power with exponent q (von zur Gathen-Shoup 1992).
+    X^q is read over the bits of q from the left: one squaring per bit, and
+    a multiplication by X, a shift and an O(deg) fold, per set bit.  The
+    map h -> h^q is Z_q-linear on Z_q[X]/(f), and its matrix has the
+    columns (X^q)^j, j < deg.  So from i = 2 on, which needs deg >= 4, each
+    X^(q^i) is one matrix-vector product mod q instead of a power with
+    exponent q (von zur Gathen-Shoup 1992).
     A q that is not prime raises NotPrime and a coefficient outside [0, q)
-    BadDegree before any power is taken.
+    BadDegree before any power is taken.  `is_prime` keeps its last few
+    answers, so a q the group has already tested is not tested again.
     """
     if not is_prime(q):
         raise NotPrime(f"coefficient modulus {q} is not prime")
@@ -322,7 +378,7 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     if n == 1:
         return True
     f_low = tuple(p[:n])
-    x_q = _pow((0, 1) + (0,) * (n - 2), q, f_low, q)
+    x_q = _x_to_the_q(f_low, q)
     h = x_q
     for i in range(n // 2):
         if i == 1:
@@ -347,7 +403,8 @@ def find_irreducible(q: int, n: int, seed: int) -> tuple[int, ...]:
     fixed (q, n, seed).  Roughly one in n monic candidates is irreducible,
     so the search is short.  The first is_irreducible call rejects a q
     that is not prime (NotPrime) or an n below 1 (BadDegree); a q below 1
-    already fails the first draw (ValueError).
+    already fails the first draw (ValueError).  q's primality test runs on
+    the first draw only; later draws read `is_prime`'s kept answer.
     """
     rng = random.Random(seed)
     while True:

@@ -8,6 +8,7 @@ swappable black box.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
@@ -18,20 +19,36 @@ MAX_DRAWS = 500_000
 
 
 class GroupParams(Value):
-    """Prime modulus P, subgroup order q dividing P-1, and a generator of order q."""
+    """Prime modulus P, subgroup order q dividing P-1, and a generator of order q.
+
+    q is tested first.  P is then proven prime by Pocklington's criterion
+    (Brillhart-Lehmer-Selfridge 1975) when q^2 > P, q divides P-1, g lies in
+    (1, P), g^q = 1 and gcd(g^((P-1)/q) - 1, P) = 1: every prime factor p of
+    P then has q dividing p-1, so p > q > sqrt(P).  Otherwise `is_prime(P)`
+    decides, before any ValueError, so a composite P raises NotPrime.
+    """
 
     __slots__ = ("modulus", "q", "generator")
 
     def __init__(self, modulus: int, q: int, generator: int):
-        if not is_prime(modulus):
-            raise NotPrime(f"modulus {modulus} is not prime")
         if not is_prime(q):
             raise NotPrime(f"subgroup order {q} is not prime")
-        if (modulus - 1) % q != 0:
+        divides = (modulus - 1) % q == 0
+        in_range = 1 < generator < modulus
+        has_order_q = in_range and pow(generator, q, modulus) == 1
+        proven = (
+            q * q > modulus
+            and divides
+            and has_order_q
+            and math.gcd(pow(generator, (modulus - 1) // q, modulus) - 1, modulus) == 1
+        )
+        if not proven and not is_prime(modulus):
+            raise NotPrime(f"modulus {modulus} is not prime")
+        if not divides:
             raise ValueError("subgroup order must divide modulus - 1")
-        if not 1 < generator < modulus:
+        if not in_range:
             raise ValueError("generator out of range")
-        if pow(generator, q, modulus) != 1:
+        if not has_order_q:
             raise ValueError("generator does not have the subgroup order")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "q", q)

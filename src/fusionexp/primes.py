@@ -10,6 +10,7 @@ witnesses it cannot be fooled by a composite built for those witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _SMALL_PRIMES = (
@@ -108,13 +109,16 @@ def _baillie_psw(n: int) -> bool:
     return _miller_rabin(n, 2) and _strong_lucas(n)
 
 
+@functools.lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
     """True iff n is prime: a proof below 3.3·10^24, Baillie-PSW above.
 
     Trial division by the primes below 200 comes first.  Below the bound,
     Miller-Rabin to the first twelve prime bases decides every n exactly.
     From the bound on, Baillie-PSW decides; no composite is known to pass
-    it.
+    it.  The last few answers are kept, so a number checked at two
+    boundaries, such as a q that both the group and the field's
+    irreducibility test check, costs one test.
     """
     if n < 2:
         return False

@@ -8,6 +8,7 @@ import pytest
 import fusionexp.cli
 import fusionexp.field
 import fusionexp.group
+import fusionexp.primes
 from fusionexp.cli import (
     EXIT_FAIL,
     EXIT_FORMAT,
@@ -373,7 +374,8 @@ def test_config_with_noncanonical_values_rejected(capsys, tmp_path, config_path,
 
 
 def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
-    # modulus and order in GroupParams, q once in FieldParams' irreducibility test
+    # q in GroupParams and again in FieldParams' irreducibility test; P is
+    # proven by Pocklington's criterion, with no primality test of its own
     calls = {"is_prime": 0, "is_irreducible": 0}
 
     def counted(module, name):
@@ -389,7 +391,45 @@ def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
     counted(fusionexp.field, "is_prime")
     counted(fusionexp.field, "is_irreducible")
     load_system_config(config_path)
-    assert calls == {"is_prime": 3, "is_irreducible": 1}
+    assert calls == {"is_prime": 2, "is_irreducible": 1}
+
+
+def test_config_load_tests_q_once(tmp_path, monkeypatch):
+    # a 64-bit q takes one Miller-Rabin round per witness, once per load
+    cfg = tmp_path / "q64.json"
+    assert main(["params", "--q-bits", "64", "--n", "2", "--seed", "1",
+                 "--out", str(cfg)]) == EXIT_OK
+    q = int(json.loads(cfg.read_text())["group"]["q"])
+    rounds = []
+    original = fusionexp.primes._miller_rabin
+
+    def logged(n, witness):
+        rounds.append(n)
+        return original(n, witness)
+
+    monkeypatch.setattr(fusionexp.primes, "_miller_rabin", logged)
+    fusionexp.primes.is_prime.cache_clear()
+    load_system_config(str(cfg))
+    assert rounds == [q] * len(fusionexp.primes._MR_WITNESSES)
+
+
+@pytest.mark.parametrize("group, named", [
+    ({"modulus": "15", "q": "7", "generator": "4"}, "modulus 15"),
+    # Pocklington's conditions but q^2 > P hold for 1247 = 29 * 43
+    ({"modulus": "1247", "q": "7", "generator": "16"}, "modulus 1247"),
+    ({"modulus": "23", "q": "9", "generator": "4"}, "subgroup order 9"),
+    ({"modulus": "21", "q": "9", "generator": "4"}, "subgroup order 9"),
+], ids=["P-15", "P-1247", "q-9", "P-21-q-9"])
+def test_config_with_composite_order_rejected(capsys, tmp_path, group, named):
+    bad = tmp_path / "composite.json"
+    bad.write_text(json.dumps({
+        "version": "1", "group": group,
+        "field": {"q": group["q"], "n": 2, "f": ["1", "0"]},
+    }))
+    code, out, err = run(capsys, "eval", "--config", str(bad),
+                         "--base", '["2","4"]', "--exp", '["1","0"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and f"{named} is not prime" in err
 
 
 def test_bad_env_seed_rejected(capsys, monkeypatch):
@@ -445,6 +485,7 @@ def test_config_over_size_cap_rejected_before_checks(capsys, tmp_path, monkeypat
 def test_config_modulus_out_of_range_exits_before_any_power(capsys, tmp_path, monkeypatch):
     # f_0 = q at a 256-bit q with n = 32 exits 65 without computing X^q mod f
     group = fusionexp.group.gen_group_params(256, seed=2)
+    monkeypatch.setattr(fusionexp.field, "_x_to_the_q", reached)
     monkeypatch.setattr(fusionexp.field, "_pow", reached)
     cfg = tmp_path / "f0.json"
     cfg.write_text(json.dumps({

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import fusionexp.field
+import fusionexp.primes
 import helpers
 from fusionexp import (
     BadDegree,
@@ -92,12 +94,13 @@ def test_rejects_coefficients_outside_range():
 
 
 def test_rejects_coefficients_outside_range_before_any_power(monkeypatch):
-    # f_0 = q + 1 at a 256-bit q and n = 32, where X^q mod f takes most of
-    # a second: the range check comes first
+    # f_0 = q + 1 at a 256-bit q and n = 32, where X^q mod f takes about a
+    # third of a second: the range check comes first
     def no_power(*args):
         raise AssertionError("X^q computed for a modulus out of range")
 
-    monkeypatch.setattr("fusionexp.field._pow", no_power)
+    monkeypatch.setattr(fusionexp.field, "_x_to_the_q", no_power)
+    monkeypatch.setattr(fusionexp.field, "_pow", no_power)
     with pytest.raises(BadDegree):
         make_field_params(Q256, 32, [Q256 + 1] + [1] * 31)
 
@@ -193,6 +196,27 @@ def test_find_irreducible_outputs_pinned(q, n):
     f_low = find_irreducible(q, n, seed=n)
     digest = hashlib.sha256(repr(f_low).encode()).hexdigest()[:16]
     assert digest == FIND_IRREDUCIBLE_PINS[q, n]
+
+
+def test_find_irreducible_tests_q_once(monkeypatch):
+    # the Baillie-PSW test of a 256-bit q runs once, not once per draw
+    draws, rounds = [], []
+
+    def logged(module, name, log):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            log.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    logged(fusionexp.field, "is_irreducible", draws)
+    logged(fusionexp.primes, "_baillie_psw", rounds)
+    fusionexp.primes.is_prime.cache_clear()
+    find_irreducible(Q256, 4, seed=4)
+    assert len(draws) >= 3
+    assert rounds == [Q256]
 
 
 def test_find_irreducible_degree_one():
@@ -342,6 +366,35 @@ def test_fe_mul_reduction_budget(fields64):
         )
         assert counting.reductions == n * n + n
         assert got.coeffs == via_lambda
+
+
+X_POWER_MODULI = {"q2": 2, "q3": 3, "q11": 11, "q64": Q64, "q256": Q256}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("q", X_POWER_MODULI.values(), ids=X_POWER_MODULI)
+def test_x_to_the_q_matches_square_and_multiply(q, n):
+    # any monic f will do: X^q mod f needs no irreducibility
+    rng = random.Random(q * 100 + n)
+    f_low = tuple(rng.randrange(q) for _ in range(n))
+    x = (0, 1) + (0,) * (n - 2)
+    assert fusionexp.field._x_to_the_q(f_low, q) == fusionexp.field._pow(x, q, f_low, q)
+
+
+@pytest.mark.parametrize("q, n", [(11, 1), (11, 2), (5, 3), (Q64, 4), (Q64, 8), (Q256, 16)])
+def test_high_half_fold_matches_full_column_fold(q, n):
+    field = fusionexp.field
+    rng = random.Random(n)
+    f_low = tuple(rng.randrange(q) for _ in range(n))
+    columns = field._reduction_columns(n, f_low, q)
+    high = field._fold_columns(n, f_low, q)
+    for _ in range(20):
+        # unreduced coefficients up to n * q^2, as a convolution leaves them
+        prod = [rng.randrange(n * q * q) for _ in range(2 * n - 1)]
+        full = tuple(sum(map(operator.mul, prod, col)) % q for col in columns)
+        assert field._fold(prod, high, q) == full
+        a = tuple(rng.randrange(q) for _ in range(n))
+        assert field._square(a, high, q) == field._mul(a, a, f_low, q)
 
 
 def test_fe_mul_cubic_closed_form():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -47,6 +48,18 @@ def test_params_validation():
         GroupParams(modulus=24, q=11, generator=2)
     with pytest.raises(NotPrime):
         GroupParams(modulus=23, q=10, generator=2)
+    # a composite P raises NotPrime before the generator's ValueError
+    with pytest.raises(NotPrime):
+        GroupParams(modulus=15, q=7, generator=4)
+    # 1247 = 29 * 43 with 7 | 1246, 16^7 = 1 and gcd(16^178 - 1, 1247) = 1:
+    # Pocklington's other conditions hold, and only q^2 > P is missing
+    assert pow(16, 7, 1247) == 1
+    assert math.gcd(pow(16, 1246 // 7, 1247) - 1, 1247) == 1
+    with pytest.raises(NotPrime):
+        GroupParams(modulus=1247, q=7, generator=16)
+    # with P and q both composite, q is named
+    with pytest.raises(NotPrime, match="subgroup order 10"):
+        GroupParams(modulus=21, q=10, generator=4)
     with pytest.raises(ValueError):
         GroupParams(modulus=23, q=11, generator=1)
     with pytest.raises(ValueError):
