@@ -5,6 +5,10 @@ tuple exponentiation, tuple discrete logs, and protocol demos.  Machine
 output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
 1 computational failure, 2 I/O error, 64 usage error, 65 malformed input.
 
+Flags are read from one table of commands (`_commands`) by `parse_args`,
+with argparse's syntax and without its import cost: `--flag value` or
+`--flag=value`, a unique prefix for a flag's name, -h or --help for usage.
+
 In the interchange format every integer is a decimal string of ASCII
 digits (`parse_decimal`): a config file holds the group and field
 parameters, and a tuple base or a field exponent is a JSON array of n such
@@ -14,11 +18,12 @@ are then built with the library's checked constructors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 
 from .dlp import (
     BRUTE_CAP,
@@ -99,11 +104,6 @@ class FormatError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def parse_decimal(text: str) -> int:
     """Non-negative integer from a decimal string of ASCII digits only.
 
@@ -114,14 +114,6 @@ def parse_decimal(text: str) -> int:
     if not (isinstance(text, str) and text.isascii() and text.isdigit()):
         raise ValueError(f"expected a decimal string of ASCII digits, got {text!r}")
     return int(text)
-
-
-def _flag_int(text: str) -> int:
-    """An integer flag: ASCII digits only, like every interchange integer."""
-    try:
-        return parse_decimal(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _dump(obj) -> str:
@@ -409,50 +401,123 @@ def cmd_demo(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fusionexp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_REQUIRED = object()  # the default of a flag that must be given
 
-    p = sub.add_parser("params", help="generate group and field parameters")
-    p.add_argument("--q-bits", type=_flag_int, required=True)
-    p.add_argument("--n", type=_flag_int, required=True)
-    p.add_argument("--seed", type=_flag_int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("vectors", help="dump symbolic coefficient matrices")
-    p.add_argument("--n", default="1,2,3,4,5", help="comma-separated degrees from 1..5")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_vectors)
+def _commands() -> dict:
+    """Each command's handler, help line and flags: name -> (parse, default).
 
-    p = sub.add_parser("eval", help="raise a tuple base to a field exponent")
-    p.add_argument("--config", required=True)
-    p.add_argument("--base", required=True, help="JSON array of decimal strings")
-    p.add_argument("--exp", required=True, help="JSON array of decimal strings")
-    p.set_defaults(func=cmd_eval)
+    parse reads a flag's one value: parse_decimal, a tuple of the allowed
+    choices, or str for plain text.  The table is built per call, so that a
+    handler replaced on this module (as a tracer does) is the one that runs.
+    """
+    return {
+        "params": (cmd_params, "generate group and field parameters", {
+            "q-bits": (parse_decimal, _REQUIRED), "n": (parse_decimal, _REQUIRED),
+            "seed": (parse_decimal, None), "out": (str, None)}),
+        "vectors": (cmd_vectors, "dump symbolic coefficient matrices", {
+            "n": (str, "1,2,3,4,5"), "out": (str, None)}),
+        "eval": (cmd_eval, "raise a tuple base to a field exponent", {
+            "config": (str, _REQUIRED), "base": (str, _REQUIRED), "exp": (str, _REQUIRED)}),
+        "fdlog": (cmd_fdlog, "solve a tuple discrete log", {
+            "config": (str, _REQUIRED), "base": (str, _REQUIRED), "target": (str, _REQUIRED),
+            "solver": (("bruteforce", "bsgs", "rho"), "bsgs"), "seed": (parse_decimal, None)}),
+        "demo": (cmd_demo, "run a protocol or reduction demo", {
+            "config": (str, _REQUIRED), "which": (("dh", "elgamal", "vss", "reductions"), _REQUIRED),
+            "seed": (parse_decimal, None), "trials": (parse_decimal, 20)}),
+    }
 
-    p = sub.add_parser("fdlog", help="solve a tuple discrete log")
-    p.add_argument("--config", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--solver", choices=("bruteforce", "bsgs", "rho"), default="bsgs")
-    p.add_argument("--seed", type=_flag_int, default=None)
-    p.set_defaults(func=cmd_fdlog)
 
-    p = sub.add_parser("demo", help="run a protocol or reduction demo")
-    p.add_argument("--config", required=True)
-    p.add_argument("--which", choices=("dh", "elgamal", "vss", "reductions"), required=True)
-    p.add_argument("--seed", type=_flag_int, default=None)
-    p.add_argument("--trials", type=_flag_int, default=20)
-    p.set_defaults(func=cmd_demo)
+def _usage(command: str, text: str, flags: dict) -> str:
+    words = [f"fusionexp {command} [-h]"]
+    for name, (parse, default) in flags.items():
+        word = f"--{name} " + ("{%s}" % ",".join(parse) if isinstance(parse, tuple) else name.upper())
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return f"{' '.join(words)}\n    {text}"
 
-    return parser
+
+def _read_flag(token: str, names) -> tuple[str | None, str | None] | None:
+    """What token is among the flags --<name> and -h, read as argparse reads it.
+
+    None for a value: a token that does not start with "-", a lone "-", a
+    negative number, or one that names no flag and holds a space.  Otherwise
+    (name, the text after "=" or None), where a unique prefix stands for a
+    name and name is None for an unknown flag.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":
+        if token.startswith("-h"):  # -h with text after it is an error, as help
+            return "help", token[2:] or None
+        return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
+    head, eq, text = token.partition("=")
+    matches = [n for n in names if n == head[2:]] or [n for n in names if n.startswith(head[2:])]
+    if token == "--" or not matches:
+        return None if " " in token else (None, None)
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         + ", ".join(f"--{n}" for n in matches))
+    return matches[0], text if eq else None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The command argv names with its handler (func) and flags, or a help text.
+
+    `--flag value` and `--flag=value` both set a flag, a unique prefix names
+    it, and of repeated values the last wins.  -h or --help, first or after
+    the command, returns the usage text.  Misuse raises UsageError, in
+    argparse's order: an ambiguous prefix anywhere, then each flag in turn,
+    then a missing flag, then tokens left over.
+    """
+    table = _commands()
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] not in table:
+        if _read_flag(argv[0], ("help",)) == ("help", None):
+            return "usage: fusionexp COMMAND [--flag value | --flag=value ...]\n" + "\n".join(
+                _usage(command, text, flags) for command, (_, text, flags) in table.items())
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {', '.join(table)})")
+    command, rest = argv[0], argv[1:]
+    func, text, flags = table[command]
+    kinds = [_read_flag(token, (*flags, "help")) for token in rest]
+    values, unknown, i = {}, [], 0
+    while i < len(rest):
+        name, value = kinds[i] or (None, None)
+        i += 1
+        if name is None:
+            unknown.append(rest[i - 1])
+            continue
+        if name == "help":
+            if value is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            return f"usage: {_usage(command, text, flags)}"
+        if value is None:
+            if i == len(rest) or kinds[i] is not None:
+                raise UsageError(f"argument --{name}: expected one argument")
+            value, i = rest[i], i + 1
+        parse = flags[name][0]
+        try:
+            if isinstance(parse, tuple) and value not in parse:
+                raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(parse)})")
+            values[name] = value if isinstance(parse, tuple) else parse(value)
+        except ValueError as exc:
+            raise UsageError(f"argument --{name}: {exc}") from None
+    missing = [f"--{n}" for n, (_, d) in flags.items() if d is _REQUIRED and n not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, func=func, **{
+        n.replace("-", "_"): values.get(n, d) for n, (_, d) in flags.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

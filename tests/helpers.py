@@ -6,14 +6,16 @@ library: plain convolution plus top-down long division for field products
 bilinear-form elimination for the symbolic coefficient matrices, factor
 enumeration for irreducibility, Ben-Or's test with a fresh power for every
 X^(q^i), iterated multiplication for powers, one square-and-multiply per
-coefficient-matrix entry for tuple powers, and Miller-Rabin with 28 fixed
-witnesses for primality.
+coefficient-matrix entry for tuple powers, Miller-Rabin with 28 fixed
+witnesses for primality, and argparse for the command line.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 
+from fusionexp import cli
 from fusionexp.group import pow_sm
 
 
@@ -271,3 +273,60 @@ class ScalarElGamal:
         c1, c2 = ct
         P = self.params.modulus
         return c2 * pow(pow(c1, sk, P), -1, P) % P
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.UsageError(message)
+
+
+def _flag_int(text):
+    try:
+        return cli.parse_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def build_parser():
+    """The argparse parser that cli.parse_args replaced, kept as its oracle.
+
+    parse_args(argv) gives the same Namespace fields (command and func
+    included) or a UsageError; -h and --help print help and raise SystemExit(0).
+    """
+    parser = _Parser(prog="fusionexp", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p = sub.add_parser("params", help="generate group and field parameters")
+    p.add_argument("--q-bits", type=_flag_int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--seed", type=_flag_int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cli.cmd_params)
+
+    p = sub.add_parser("vectors", help="dump symbolic coefficient matrices")
+    p.add_argument("--n", default="1,2,3,4,5", help="comma-separated degrees from 1..5")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cli.cmd_vectors)
+
+    p = sub.add_parser("eval", help="raise a tuple base to a field exponent")
+    p.add_argument("--config", required=True)
+    p.add_argument("--base", required=True, help="JSON array of decimal strings")
+    p.add_argument("--exp", required=True, help="JSON array of decimal strings")
+    p.set_defaults(func=cli.cmd_eval)
+
+    p = sub.add_parser("fdlog", help="solve a tuple discrete log")
+    p.add_argument("--config", required=True)
+    p.add_argument("--base", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--solver", choices=("bruteforce", "bsgs", "rho"), default="bsgs")
+    p.add_argument("--seed", type=_flag_int, default=None)
+    p.set_defaults(func=cli.cmd_fdlog)
+
+    p = sub.add_parser("demo", help="run a protocol or reduction demo")
+    p.add_argument("--config", required=True)
+    p.add_argument("--which", choices=("dh", "elgamal", "vss", "reductions"), required=True)
+    p.add_argument("--seed", type=_flag_int, default=None)
+    p.add_argument("--trials", type=_flag_int, default=20)
+    p.set_defaults(func=cli.cmd_demo)
+
+    return parser

@@ -20,6 +20,7 @@ from fusionexp.cli import (
     FormatError,
     load_system_config,
     main,
+    parse_args,
     parse_decimal,
 )
 
@@ -281,6 +282,9 @@ def test_module_entry_point_matches_main(capsys, config_path):
 
     vectors = module_run("vectors", "--n", "2")
     assert (vectors.returncode, vectors.stdout) == run(capsys, "vectors", "--n", "2")[:2]
+    assert json.loads(vectors.stdout) == {"2": json.loads(GOLDEN.read_text())["2"]}
+    assert module_run().returncode == EXIT_USAGE
+    assert module_run("--help").returncode == EXIT_OK
     malformed = module_run("eval", "--config", config_path, "--base", '["2"', "--exp", '["1","0"]')
     assert malformed.returncode == EXIT_FORMAT
     assert malformed.stdout == "" and malformed.stderr.startswith("input error: bad base")
@@ -702,3 +706,66 @@ def test_deeply_nested_eval_exponent_is_malformed_input(capsys, config_path):
 def test_deeply_nested_fdlog_target_is_malformed_input(capsys, config_path):
     assert_malformed(run(capsys, "fdlog", "--config", config_path,
                          "--base", '["2","4"]', "--target", DEEP_VECTOR))
+
+
+def flag_names(command):
+    return ["--" + name for name in fusionexp.cli._commands()[command][2]]
+
+
+def test_help_returns_zero_and_names_every_command_and_flag(capsys):
+    code, out, err = run(capsys, "-h")
+    assert code == EXIT_OK and err == ""
+    for command in fusionexp.cli._commands():
+        assert command in out
+        assert all(flag in out for flag in flag_names(command))
+    assert run(capsys, "--help")[:2] == (code, out)
+
+
+@pytest.mark.parametrize("command", ["params", "vectors", "eval", "fdlog", "demo"])
+def test_command_help_returns_zero_and_names_its_flags(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert code == EXIT_OK and err == ""
+    assert all(flag in out for flag in flag_names(command))
+    # help comes before the check for required flags, as with argparse
+    assert run(capsys, command, "--out=x", "--he")[:2] == (code, out)
+
+
+def test_flags_by_prefix_equals_sign_and_last_value(config_path):
+    args = parse_args(["demo", f"--conf={config_path}", "--wh", "vss", "--s", "5",
+                       "--which=dh", "--trials", "3", "--trials", "4"])
+    assert (args.command, args.config, args.which, args.seed, args.trials) == (
+        "demo", config_path, "dh", 5, 4)
+    assert parse_args(["params", "--q", "8", "--n", "2"]).q_bits == 8
+    assert parse_args(["vectors"]).n == "1,2,3,4,5"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "required: command"),
+    (["nonsense"], "invalid choice"),
+    (["demo", "--config", "CFG", "--which", "dh", "--"], "unrecognized arguments: --"),
+    (["demo", "--config", "CFG", "--which", "dh", "--color", "red"], "unrecognized"),
+    (["demo", "--config", "CFG", "--which", "dh", "stray"], "unrecognized"),
+    (["demo", "--config", "CFG", "--which"], "--which: expected one argument"),
+    (["demo", "--config", "CFG", "--which", "ecdsa"], "invalid choice"),
+    (["demo", "--config", "CFG"], "the following arguments are required: --which"),
+    (["demo", "--config", "CFG", "--which", "dh", "--trials", "x"], "--trials: expected a "
+                                                                    "decimal string of ASCII digits"),
+    (["demo", "--config", "CFG", "--which", "dh", "--seed", "-1"], "ASCII digits"),
+    (["eval", "--config", "CFG", "--base", "-x", "--exp", '["1","1"]'], "--base: expected one"),
+    (["fdlog", "--config", "CFG", "--base", '["2","4"]', "--target", '["16","1"]', "--s", "1"],
+     "ambiguous option: --s could match --solver, --seed"),
+    (["demo", "--config", "CFG", "--which", "dh", "--help=x"], "ignored explicit argument"),
+])
+def test_usage_errors_exit_64(capsys, config_path, argv, message):
+    code, out, err = run(capsys, *(config_path if a == "CFG" else a for a in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
+@pytest.mark.parametrize("value", ["-", "-1", "-1 2", "-x y"])
+def test_dash_tokens_that_are_values(capsys, config_path, value):
+    # a lone "-", a negative number or a token holding a space is the value of
+    # the flag before it, so the command runs and rejects it as malformed input
+    code, out, err = run(capsys, "eval", "--config", config_path, "--base", value,
+                         "--exp", '["1","1"]')
+    assert code == EXIT_FORMAT and out == "" and err.startswith("input error: bad base")
