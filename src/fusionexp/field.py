@@ -4,23 +4,25 @@ An element is the coefficient vector (x_0, ..., x_{n-1}) of a residue
 polynomial, index i holding the coefficient of X^i.  The modulus f is monic
 of degree n and is stored through its n low coefficients only.
 
-Every product mod f is brought below degree n in one place, `_fold`: the
-plain integer convolution of two coefficient vectors is folded through the
-reduction columns of f (each X^m, m < 2n - 1, written in the base
-monomials; built once per modulus and cached).  Only the high half, m >= n,
-moves, so a fold costs n(n-1) products and one reduction mod q per output
-coefficient.  `_mul` feeds it for `fe_mul` and `fe_pow`; the
-irreducibility test's X^q feeds it squarings, each a symmetric convolution
-of n(n+1)/2 products.  Inversion and the gcd of the irreducibility test
-share one extended Euclid, `_pgcdex`.
+Every table derived from f comes from one step, `_times_x`: h -> h * X mod
+f, a shift with the overflowing coefficient folded back through X^n = -f.
+Starting from X^(n-1), n - 1 steps give X^n .. X^(2n-2), the fold columns
+that bring a product below degree n (built once per modulus and cached).
+Only that high half moves, so a fold costs n(n-1) products and one
+reduction mod q per output coefficient.  `_mul` and `_square` feed it, and
+one power loop, `_pow`, serves `fe_pow` and the irreducibility test's X^q:
+it reads the exponent from the left, squares per bit and, on a set bit,
+multiplies by the base, by a shift when the base is X.  Inversion and the
+gcd of the irreducibility test share one extended Euclid, `_pgcdex`.
 
-The same columns give the coefficient functions lam[i][j]:
+The coefficient functions lam[i][j] satisfy
 
     (x * y)_i = sum_j x_j * lam[i][j](y)   (mod q),
 
-where each lam[i][j] is linear in the coefficients of y.  The n x n matrix
-of lam values for a fixed y is exposed as `lambda_entries`; tuple
-exponentiation in the `fusion` module is driven directly by it.
+each linear in the coefficients of y.  Column j of the n x n matrix of lam
+values at a fixed y is y * X^j, so the matrix is n - 1 steps from y; it is
+exposed as `lambda_entries`, and tuple exponentiation in the `fusion`
+module is driven directly by it.
 """
 
 from __future__ import annotations
@@ -143,78 +145,68 @@ def fe_sub(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(a.params, tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs)))
 
 
-@functools.lru_cache(maxsize=64)
-def _reduction_columns(
-    n: int, f_low: tuple[int, ...], q: int | None
-) -> tuple[tuple[int, ...], ...]:
-    """Columns C[i] with X^m = sum_i C[i][m] X^i modulo the monic modulus.
-
-    Covers m = 0 .. 2n-2, which is every monomial a degree < n product can
-    reach.  Row m >= n of the recursion is the shift of row m-1 with the
-    overflow folded back through X^n = -f.  With q None the recursion runs
-    over the plain integers, giving the canonical signed coefficients.
-    Cached per modulus, so a field's reduction is built once, not once per
-    product.
-    """
-    rows = [[0] * n for _ in range(2 * n - 1)]
-    for m in range(n):
-        rows[m][m] = 1
-    for m in range(n, 2 * n - 1):
-        prev = rows[m - 1]
-        top = prev[n - 1]
-        row = [0] + prev[: n - 1]
-        if top:
-            for i in range(n):
-                row[i] -= top * f_low[i]
-        if q is not None:
-            row = [c % q for c in row]
-        rows[m] = row
-    return tuple(zip(*rows))
+def _times_x(h: tuple[int, ...], f_low: tuple[int, ...], q: int | None) -> tuple[int, ...]:
+    """h * X modulo f: the shift of h, its overflowing coefficient folded back
+    through X^n = -f.  Reduced mod q, or exact over the integers when q is
+    None.  n products, where a full `_mul` would take n^2."""
+    top = h[-1]
+    shifted = zip((0,) + h[:-1], f_low)
+    if q is None:
+        return tuple([c - top * fi for c, fi in shifted])
+    return tuple([(c - top * fi) % q for c, fi in shifted])
 
 
 def lambda_entries(y: FieldElement) -> tuple[tuple[int, ...], ...]:
     """Entries lam[i][j](y) of the coefficient matrix at y, as plain rows.
 
-    lam[i][j] = sum_k y_k * C[i][j + k], with C the cached reduction
-    columns of y's modulus.
+    Column j is y * X^j mod (f, q), so the matrix is y and n - 1 `_times_x`
+    steps from it: n^2 products and reductions mod q.
     """
-    params, coeffs = y.params, y.coeffs
-    q, n = params.q, params.n
-    return tuple(
-        tuple(sum(map(operator.mul, coeffs, col[j : j + n])) % q for j in range(n))
-        for col in _reduction_columns(n, params.f_low, q)
-    )
+    params = y.params
+    cols = [y.coeffs]
+    for _ in range(params.n - 1):
+        cols.append(_times_x(cols[-1], params.f_low, params.q))
+    return tuple(zip(*cols))
 
 
 def lambda_symbolic(n: int, f_low: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Symbolic lambda matrix over the integers for a monic modulus X^n + f.
 
     Returns sym with sym[i][j][k] = the integer coefficient of y_k in
-    lam[i][j].  No coefficient modulus is involved; entries are exact, so
-    the table can be lifted into any Z_q.
+    lam[i][j], which is the coefficient of X^i in X^(j+k).  The powers
+    X^0 .. X^(2n-2) are 2n - 2 exact `_times_x` steps from 1; no coefficient
+    modulus is involved, so the table can be lifted into any Z_q.
     """
     if n < 1:
         raise BadDegree(f"extension degree must be >= 1, got {n}")
     if len(f_low) != n:
         raise BadDegree(f"f_low must have length n={n}, got {len(f_low)}")
-    cols = _reduction_columns(n, tuple(map(operator.index, f_low)), None)
-    return tuple(tuple(col[j : j + n] for j in range(n)) for col in cols)
+    f_low = tuple(map(operator.index, f_low))
+    powers = [(1,) + (0,) * (n - 1)]
+    for _ in range(2 * n - 2):
+        powers.append(_times_x(powers[-1], f_low, None))
+    return tuple(tuple(col[j : j + n] for j in range(n)) for col in zip(*powers))
 
 
 @functools.lru_cache(maxsize=64)
 def _fold_columns(
     n: int, f_low: tuple[int, ...], q: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The high halves C[i][n:] of the reduction columns, i < n: the part of
-    a fold that is not the identity.  Cached per modulus."""
-    return tuple(col[n:] for col in _reduction_columns(n, f_low, q))
+    """Columns C[i] with C[i][m - n] the coefficient of X^i in X^m mod
+    (f, q), for n <= m <= 2n - 2: the part of a fold that is not the
+    identity.  Each X^m is X^(m-1) * X, so the table is n - 1 `_times_x`
+    steps from X^(n-1).  Cached per modulus."""
+    powers = [(0,) * (n - 1) + (1,)]
+    for _ in range(n - 1):
+        powers.append(_times_x(powers[-1], f_low, q))
+    return tuple(col[1:] for col in zip(*powers))
 
 
 def _fold(prod: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
     """A product's 2n-1 coefficients brought below degree n modulo (f, q).
 
     X^m for m < n is its own base monomial, so only the high half moves:
-    out_i = prod[i] + sum_(m >= n) prod[m] * C[i][m], which is n(n-1)
+    out_i = prod[i] + sum_(m >= n) prod[m] * C[i][m - n], which is n(n-1)
     products, reduced mod q once per output coefficient.
     """
     high = prod[len(cols):]
@@ -226,9 +218,8 @@ def _mul(
 ) -> tuple[int, ...]:
     """Product of two length-n residue vectors modulo (f, q).
 
-    The plain integer convolution is folded through the high halves of the
-    cached reduction columns, so each output coefficient is reduced mod q
-    once.
+    The plain integer convolution is folded through the cached fold
+    columns, so each output coefficient is reduced mod q once.
     """
     n = len(f_low)
     prod = [0] * (2 * n - 1)
@@ -253,45 +244,37 @@ def _square(a: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tupl
     return _fold(prod, cols, q)
 
 
-def _x_to_the_q(f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """X^q modulo (f, q) for deg f >= 2, over the bits of q from the left.
+def _pow(a: tuple[int, ...], k: int, f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """a**k modulo (f, q) for k >= 0, over the bits of k from the left.
 
-    Each bit squares once; a set bit then multiplies by X, which is a shift
-    and one fold of the overflow coefficient through X^n = -f, so n
-    products rather than a full `_mul`.
+    Each bit after the first squares, n(n+1)/2 products; a set bit then
+    multiplies by a: by `_times_x` when a is X, n products, and by `_mul`
+    otherwise.
     """
     n = len(f_low)
+    if not k:
+        return (1,) + (0,) * (n - 1)
     cols = _fold_columns(n, f_low, q)
-    h = (0, 1) + (0,) * (n - 2)
-    for bit in bin(q)[3:]:
+    by_x = n > 1 and a == (0, 1) + (0,) * (n - 2)
+    h = a
+    for bit in bin(k)[3:]:
         h = _square(h, cols, q)
         if bit == "1":
-            top = h[-1]
-            h = tuple((c - top * fi) % q for c, fi in zip((0,) + h[:-1], f_low))
+            h = _times_x(h, f_low, q) if by_x else _mul(h, a, f_low, q)
     return h
 
 
-def _pow(a: Sequence[int], k: int, f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """a**k modulo (f, q) for k >= 0, by square and multiply over `_mul`."""
-    result = (1,) + (0,) * (len(f_low) - 1)
-    while k:
-        if k & 1:
-            result = _mul(result, a, f_low, q)
-        a = _mul(a, a, f_low, q)
-        k >>= 1
-    return result
-
-
 def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product: schoolbook convolution, its high half folded through the
-    reduction columns."""
+    """Product: schoolbook convolution, its high half folded back below
+    degree n (`_fold`)."""
     _check_same_params(a, b)
     params = a.params
     return FieldElement(params, _mul(a.coeffs, b.coeffs, params.f_low, params.q))
 
 
 def fe_pow(a: FieldElement, k: int) -> FieldElement:
-    """a to a nonnegative integer power, by square and multiply."""
+    """a to a nonnegative integer power, by square and multiply from the
+    left (`_pow`)."""
     if k < 0:
         raise ValueError("negative exponent; invert first")
     params = a.params
@@ -357,12 +340,13 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     Ben-Or's test: gcd(f, X^(q^i) - X) = 1 for i = 1 .. deg/2.  A factor of
     degree d <= deg/2 divides X^(q^d) - X and is caught by the gcd.
 
-    X^q is read over the bits of q from the left: one squaring per bit, and
-    a multiplication by X, a shift and an O(deg) fold, per set bit.  The
-    map h -> h^q is Z_q-linear on Z_q[X]/(f), and its matrix has the
-    columns (X^q)^j, j < deg.  So from i = 2 on, which needs deg >= 4, each
-    X^(q^i) is one matrix-vector product mod q instead of a power with
-    exponent q (von zur Gathen-Shoup 1992).
+    X^q comes from the one power loop, `_pow`, over the bits of q from the
+    left: one squaring per bit, and per set bit a multiplication by X, one
+    `_times_x` step of O(deg) products.  The map h -> h^q is Z_q-linear on
+    Z_q[X]/(f), and its matrix has the columns (X^q)^j, j < deg.  So from
+    i = 2 on, which needs deg >= 4, each X^(q^i) is one matrix-vector
+    product mod q instead of a power with exponent q (von zur Gathen-Shoup
+    1992).
     A q that is not prime raises NotPrime and a coefficient outside [0, q)
     BadDegree before any power is taken.  `is_prime` keeps its last few
     answers, so a q the group has already tested is not tested again.
@@ -378,7 +362,7 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     if n == 1:
         return True
     f_low = tuple(p[:n])
-    x_q = _x_to_the_q(f_low, q)
+    x_q = _pow((0, 1) + (0,) * (n - 2), q, f_low, q)
     h = x_q
     for i in range(n // 2):
         if i == 1:

@@ -26,7 +26,7 @@ from .dlp import (
     fdlog_solve,
 )
 from .errors import OracleInconsistent
-from .field import FieldElement, FieldParams, fe_add, fe_mul, fe_random
+from .field import FieldParams, fe_add, fe_mul, fe_random
 from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
 from .group import GroupElement, GroupParams, g_pow, generator_element, identity
 
@@ -186,16 +186,6 @@ class ReductionReport:
         return all(s.successes == s.trials for s in self.arrows.values())
 
 
-def _exact_dlog(inst: DlogInstance) -> int:
-    # Looked up at call time, so a solver rebound in this module (a
-    # profiler span, a test double) is the one every oracle below calls.
-    return dlog_bruteforce(inst)
-
-
-def _exact_fdlog(inst: FdlogInstance) -> FieldElement:
-    return fdlog_bruteforce(inst)
-
-
 def _ddh_exponents(rng: random.Random, q: int) -> tuple[int, int, int, bool]:
     """x1, x2, x3 and a fair coin that says whether x3 = x1 * x2 mod q."""
     x1, x2 = rng.randrange(q), rng.randrange(q)
@@ -260,18 +250,21 @@ def _trial_fddp_le_fdhp(oracle, rng, g, fld) -> bool:
     return got == genuine
 
 
-# (arrow, exact oracle for the problem reduced to, one trial on a fresh
-# instance).  Trials draw from one shared rng in this order.
-_ARROWS = (
-    ("dlp_le_fdlp", _exact_fdlog, _trial_dlp_le_fdlp),
-    ("fdlp_le_dlp", _exact_dlog, _trial_fdlp_le_dlp),
-    ("dhp_le_fdhp", fdh_from_fdlog(_exact_fdlog), _trial_dhp_le_fdhp),
-    ("ddp_le_fddp", fddh_from_fdh(fdh_from_fdlog(_exact_fdlog)), _trial_ddp_le_fddp),
-    ("dhp_le_dlp", _exact_dlog, _trial_dhp_le_dlp),
-    ("ddp_le_dhp", dh_from_dlog(_exact_dlog), _trial_ddp_le_dhp),
-    ("fdhp_le_fdlp", _exact_fdlog, _trial_fdhp_le_fdlp),
-    ("fddp_le_fdhp", fdh_from_fdlog(_exact_fdlog), _trial_fddp_le_fdhp),
-)
+def _arrows() -> tuple:
+    """(arrow, exact oracle for the problem reduced to, one trial on a fresh
+    instance).  Trials draw from one shared rng in this order.  Built per
+    call, so a solver rebound in this module (a profiler span, a test
+    double) is the one every oracle calls."""
+    return (
+        ("dlp_le_fdlp", fdlog_bruteforce, _trial_dlp_le_fdlp),
+        ("fdlp_le_dlp", dlog_bruteforce, _trial_fdlp_le_dlp),
+        ("dhp_le_fdhp", fdh_from_fdlog(fdlog_bruteforce), _trial_dhp_le_fdhp),
+        ("ddp_le_fddp", fddh_from_fdh(fdh_from_fdlog(fdlog_bruteforce)), _trial_ddp_le_fddp),
+        ("dhp_le_dlp", dlog_bruteforce, _trial_dhp_le_dlp),
+        ("ddp_le_dhp", dh_from_dlog(dlog_bruteforce), _trial_ddp_le_dhp),
+        ("fdhp_le_fdlp", fdlog_bruteforce, _trial_fdhp_le_fdlp),
+        ("fddp_le_fdhp", fdh_from_fdlog(fdlog_bruteforce), _trial_fddp_le_fdhp),
+    )
 
 
 def run_reduction_matrix(
@@ -289,7 +282,7 @@ def run_reduction_matrix(
     rng = random.Random(seed)
     g = generator_element(group)
     report = ReductionReport()
-    for name, exact, trial in _ARROWS:
+    for name, exact, trial in _arrows():
         oracle = CountingOracle(exact)
         successes = sum(trial(oracle, rng, g, fld) for _ in range(trials))
         report.arrows[name] = ArrowStats(trials, successes, oracle.calls)

@@ -2,12 +2,15 @@
 
 Everything here recomputes results through a different route than the
 library: plain convolution plus top-down long division for field products
-(and left-to-right square-and-multiply over it for field powers),
-bilinear-form elimination for the symbolic coefficient matrices, factor
-enumeration for irreducibility, Ben-Or's test with a fresh power for every
-X^(q^i), iterated multiplication for powers, one square-and-multiply per
-coefficient-matrix entry for tuple powers, Miller-Rabin with 28 fixed
-witnesses for primality, and argparse for the command line.
+(and left-to-right square-and-multiply over it for field powers), the
+coefficient matrix built column by column from those products, a fold
+through the reduction of every X^m, m < 2n - 1 (and right-to-left
+square-and-multiply over it), bilinear-form elimination for the symbolic
+coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
+with a fresh power for every X^(q^i), iterated multiplication for powers,
+one square-and-multiply per coefficient-matrix entry for tuple powers,
+Miller-Rabin with 28 fixed witnesses for primality, and argparse for the
+command line.
 """
 
 from __future__ import annotations
@@ -42,6 +45,59 @@ def schoolbook_powmod(q, f_low, a, k):
         acc = schoolbook_mulmod(q, f_low, acc, acc)
         if bit == "1":
             acc = schoolbook_mulmod(q, f_low, acc, a)
+    return acc
+
+
+def lambda_matrix(q, f_low, y):
+    """lam[i][j] of y: column j is the product X^j * y by schoolbook_mulmod."""
+    n = len(f_low)
+    cols = [schoolbook_mulmod(q, f_low, (0,) * j + (1,) + (0,) * (n - 1 - j), y)
+            for j in range(n)]
+    return tuple(zip(*cols))
+
+
+def reduction_columns(q, f_low):
+    """Columns C[i] with X^m = sum_i C[i][m] X^i modulo (f, q), m = 0 .. 2n-2.
+
+    Row m >= n is the shift of row m-1 with the overflow folded back
+    through X^n = -f.
+    """
+    n = len(f_low)
+    rows = [[0] * n for _ in range(2 * n - 1)]
+    for m in range(n):
+        rows[m][m] = 1
+    for m in range(n, 2 * n - 1):
+        prev = rows[m - 1]
+        top = prev[n - 1]
+        row = [0] + prev[: n - 1]
+        for i in range(n):
+            row[i] = (row[i] - top * f_low[i]) % q
+        rows[m] = row
+    return tuple(zip(*rows))
+
+
+def column_fold(q, columns, prod):
+    """All 2n-1 coefficients of a product folded through the full columns."""
+    return tuple(sum(c * p for c, p in zip(col, prod)) % q for col in columns)
+
+
+def column_mulmod(q, f_low, a, b):
+    """Convolution folded through every reduction column."""
+    prod = [0] * (2 * len(f_low) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return column_fold(q, reduction_columns(q, f_low), prod)
+
+
+def column_powmod(q, f_low, a, k):
+    """a**k by right-to-left square and multiply over column_mulmod."""
+    acc = (1,) + (0,) * (len(f_low) - 1)
+    while k:
+        if k & 1:
+            acc = column_mulmod(q, f_low, acc, a)
+        a = column_mulmod(q, f_low, a, a)
+        k >>= 1
     return acc
 
 

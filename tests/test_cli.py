@@ -489,7 +489,6 @@ def test_config_over_size_cap_rejected_before_checks(capsys, tmp_path, monkeypat
 def test_config_modulus_out_of_range_exits_before_any_power(capsys, tmp_path, monkeypatch):
     # f_0 = q at a 256-bit q with n = 32 exits 65 without computing X^q mod f
     group = fusionexp.group.gen_group_params(256, seed=2)
-    monkeypatch.setattr(fusionexp.field, "_x_to_the_q", reached)
     monkeypatch.setattr(fusionexp.field, "_pow", reached)
     cfg = tmp_path / "f0.json"
     cfg.write_text(json.dumps({

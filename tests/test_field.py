@@ -99,7 +99,6 @@ def test_rejects_coefficients_outside_range_before_any_power(monkeypatch):
     def no_power(*args):
         raise AssertionError("X^q computed for a modulus out of range")
 
-    monkeypatch.setattr(fusionexp.field, "_x_to_the_q", no_power)
     monkeypatch.setattr(fusionexp.field, "_pow", no_power)
     with pytest.raises(BadDegree):
         make_field_params(Q256, 32, [Q256 + 1] + [1] * 31)
@@ -350,7 +349,8 @@ def test_fe_mul_matches_schoolbook_random(q11_fields, fields64, field256):
 
 def test_fe_mul_reduction_budget(fields64):
     # one reduction mod q per output coefficient; the lambda route reduces
-    # each of the n**2 matrix entries and then each of the n outputs
+    # the n(n-1) entries of its n - 1 shift steps and then each of the n
+    # outputs
     counting = helpers.CountingModulus
     n = 8
     params = make_field_params(counting(fields64[n].q), n, fields64[n].f_low)
@@ -364,7 +364,7 @@ def test_fe_mul_reduction_budget(fields64):
         via_lambda = tuple(
             sum(map(operator.mul, a.coeffs, row)) % params.q for row in lambda_entries(b)
         )
-        assert counting.reductions == n * n + n
+        assert counting.reductions == n * n
         assert got.coeffs == via_lambda
 
 
@@ -378,7 +378,7 @@ def test_x_to_the_q_matches_square_and_multiply(q, n):
     rng = random.Random(q * 100 + n)
     f_low = tuple(rng.randrange(q) for _ in range(n))
     x = (0, 1) + (0,) * (n - 2)
-    assert fusionexp.field._x_to_the_q(f_low, q) == fusionexp.field._pow(x, q, f_low, q)
+    assert fusionexp.field._pow(x, q, f_low, q) == helpers.column_powmod(q, f_low, x, q)
 
 
 @pytest.mark.parametrize("q, n", [(11, 1), (11, 2), (5, 3), (Q64, 4), (Q64, 8), (Q256, 16)])
@@ -386,13 +386,12 @@ def test_high_half_fold_matches_full_column_fold(q, n):
     field = fusionexp.field
     rng = random.Random(n)
     f_low = tuple(rng.randrange(q) for _ in range(n))
-    columns = field._reduction_columns(n, f_low, q)
+    columns = helpers.reduction_columns(q, f_low)
     high = field._fold_columns(n, f_low, q)
     for _ in range(20):
         # unreduced coefficients up to n * q^2, as a convolution leaves them
         prod = [rng.randrange(n * q * q) for _ in range(2 * n - 1)]
-        full = tuple(sum(map(operator.mul, prod, col)) % q for col in columns)
-        assert field._fold(prod, high, q) == full
+        assert field._fold(prod, high, q) == helpers.column_fold(q, columns, prod)
         a = tuple(rng.randrange(q) for _ in range(n))
         assert field._square(a, high, q) == field._mul(a, a, f_low, q)
 
@@ -484,6 +483,42 @@ def test_fe_pow_group_order(f121, field256):
         assert fe_pow(a, field256.field_order - 1) == fe_one(field256)
 
 
+def test_fe_pow_exponents_zero_and_one(f121, fields64):
+    rng = random.Random(13)
+    for params in (f121, fields64[1], fields64[8]):
+        zero, one = fe_zero(params), fe_one(params)
+        a = fe_random(params, rng, nonzero=True)
+        assert fe_pow(zero, 0) == fe_pow(a, 0) == one
+        assert fe_pow(zero, 1) == zero
+        assert fe_pow(a, 1) == a
+
+
+def test_fe_pow_of_x_matches_schoolbook(q11_fields, fields64):
+    # a power of X itself multiplies by a shift on each set bit
+    rng = random.Random(14)
+    for params in (q11_fields[2], q11_fields[3], q11_fields[5], fields64[2], fields64[3],
+                   fields64[8]):
+        n, q = params.n, params.q
+        x = fe(params, [0, 1] + [0] * (n - 2))
+        for k in (1, 2, 3, q, q + 1, q * q - 1, rng.randrange(params.field_order)):
+            expected = helpers.schoolbook_powmod(q, params.f_low, x.coeffs, k)
+            assert fe_pow(x, k).coeffs == expected, (n, k)
+
+
+def test_fe_pow_degree_one(fields64):
+    # at n = 1, X is not an element (it is the constant -f_0): every power
+    # is a scalar power mod q
+    params = make_field_params(11, 1, [3])
+    for a in range(11):
+        for k in range(25):
+            assert fe_pow(fe(params, [a]), k).coeffs == (pow(a, k, 11),)
+    rng = random.Random(15)
+    q = fields64[1].q
+    for _ in range(20):
+        a, k = rng.randrange(q), rng.randrange(q)
+        assert fe_pow(fe(fields64[1], [a]), k).coeffs == (pow(a, k, q),)
+
+
 # ---------------------------------------------------------------------------
 # Lambda matrices
 # ---------------------------------------------------------------------------
@@ -521,6 +556,20 @@ def test_lambda_matrix_is_multiplication_matrix(q11_fields):
                 sum(lx[i][j] * y.coeffs[j] for j in range(n)) % q for i in range(n)
             )
             assert prod.coeffs == via_y == via_x
+
+
+LAMBDA_MODULI = {"q11": 11, "q64": Q64, "q256": Q256}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("q", LAMBDA_MODULI.values(), ids=LAMBDA_MODULI)
+def test_lambda_entries_match_schoolbook_columns(q, n):
+    # column j of the matrix is X^j * y, here by convolution and long division
+    params = make_field_params(q, n, find_irreducible(q, n, seed=n))
+    rng = random.Random(n)
+    for _ in range(10):
+        y = fe_random(params, rng)
+        assert lambda_entries(y) == helpers.lambda_matrix(q, params.f_low, y.coeffs)
 
 
 def test_lambda_linearity(q11_fields, fields64):

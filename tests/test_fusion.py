@@ -26,7 +26,6 @@ from fusionexp import (
     generator_element,
     identity,
     is_identity,
-    lambda_entries,
     make_field_params,
     scalar_embed,
     unit_embed,
@@ -202,9 +201,8 @@ def kernel_cases(group, fields, seed):
 def assert_kernel_matches_oracle(group, fields, seed):
     checked = 0
     for base, x in kernel_cases(group, fields, seed):
-        expected = helpers.pow_components(
-            residues(base), lambda_entries(x), group.modulus
-        )
+        lam = helpers.lambda_matrix(x.params.q, x.params.f_low, x.coeffs)
+        expected = helpers.pow_components(residues(base), lam, group.modulus)
         assert residues(fusion_pow(base, x)) == expected, (base.field.n, x.coeffs)
         checked += 1
     assert checked == sum(4 * (3 + n) for n in KERNEL_DEGREES)
@@ -288,7 +286,8 @@ def route_exponents(fld, rng):
 
 
 def oracle(base, x):
-    return helpers.pow_components(residues(base), lambda_entries(x), base.group.modulus)
+    lam = helpers.lambda_matrix(x.params.q, x.params.f_low, x.coeffs)
+    return helpers.pow_components(residues(base), lam, base.group.modulus)
 
 
 def assert_routes_match_oracle(group, fld, seed):
