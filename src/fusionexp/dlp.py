@@ -12,8 +12,9 @@ solved against the generator together.  One rule covers lone and batched
 calls alike: the square-root solvers keep their precomputation per
 generator (Bernstein-Lange, INDOCRYPT 2012), and batch only sizes the
 baby-step table.  Both live in one cache entry per (P, q, g), for the last
-generator used: the baby-step table, which only grows, to about
-sqrt(batch*q) entries for the widest batch yet, and Pollard rho's up to
+generator used: the baby-step table, which only grows, to sqrt(batch*q)
+entries for the widest batch yet and, as batched calls walk on it, up to
+_GROWN_WIDTH = 14,158 entries, about 1.5 MB; and Pollard rho's up to
 _KNOWN_POINTS = 4096 points of known log, about 0.4 MB, for one seed at a
 time; each later target only walks until it meets one.  The CLI gains
 nothing from either, since each command runs in a fresh interpreter.
@@ -106,39 +107,63 @@ def dlog_bruteforce(inst: DlogInstance) -> int:
 # importing threading would slow every CLI start.
 _lock = _thread.allocate_lock()
 
+# The widest the baby-step table grows by the giant steps walked on it (a
+# batch may still ask for more, about sqrt(batch*q)).  At 24-bit q a batch
+# of 8 asks for 9,439 entries and walks about 4,718 giant steps on them, so
+# the 4,719 entries that this cap adds are paid for within the second batch,
+# and from the third on every batch runs on the final table.  About 1.5 MB,
+# keys and values included.
+_GROWN_WIDTH = 14_158
+
 
 @functools.lru_cache(maxsize=1)
 def _kept(P: int, q: int, g: int) -> types.SimpleNamespace:
     """The precomputation kept for generator g of order q mod P, for the last
     (P, q, g): the baby-step table {g^j: j}, its steps = (width, g^width,
-    g^-width), published together, and rho's walk = (seed, multipliers,
-    their logs, points of known log, random stream) for one seed at a time."""
-    return types.SimpleNamespace(table={}, steps=(0, 1, 1), walk=None)
+    g^-width), published together, the giant steps that batched calls walked
+    since the table last grew, counted under the lock, and rho's walk =
+    (seed, multipliers, their logs, points of known log, random stream) for
+    one seed at a time."""
+    return types.SimpleNamespace(table={}, steps=(0, 1, 1), walked=0, walk=None)
 
 
 def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
-    """Baby-step giant-step against a table of about sqrt(L*q) baby steps.
+    """Baby-step giant-step against a kept table of at least sqrt(L*q) baby steps.
 
     L is the instance's batch, the number of targets solved against g
-    together (1 for a lone instance).  With m = ceil(sqrt(L*q)), capped at
-    q, it takes the table of g^j for j < m, then walks y * (g^-m)^i for
-    i < ceil(q/m); the first table hit gives x = i*m + j.  A table m wide
-    costs m multiplications and saves about m/2 giant steps per target, so
-    sizing it for all L targets of a batch balances the two (Bernstein-Lange, "Computing small
-    discrete logarithms faster", INDOCRYPT 2012).  The table is built once
-    per generator and only grows: a call that needs it wider adds the
-    missing entries from the last power, and a narrower call walks with the
-    wider table.  When a stats dict is supplied, 'mults' records the group
-    multiplications this call made: the giant steps, plus the entries it
-    added to the table.
+    together (1 for a lone instance).  With a table of g^j for j < m, it
+    walks y * (g^-m)^i for i < ceil(q/m); the first table hit gives
+    x = i*m + j.  A table m wide costs m multiplications and saves about
+    m/2 giant steps per target, so for T targets against one generator the
+    best width grows like sqrt(T*q) (Bernstein-Lange, "Computing small
+    discrete logarithms faster", INDOCRYPT 2012).
+
+    The table is kept per generator and only grows.  A call asks for
+    m = ceil(sqrt(L*q)); a batched call (L > 1) asks for twice the width,
+    up to _GROWN_WIDTH and q, once batched calls have walked more giant
+    steps on the table since it last grew than that growth would add, so a
+    growth never adds more entries than the steps before it.  Growing adds
+    the missing entries from the last power.  The width is capped at q and
+    at BRUTE_CAP; a q whose lone table, ceil(sqrt(q)) entries, exceeds
+    BRUTE_CAP raises CapExceeded before anything is built.  When a stats
+    dict is supplied, 'mults' records the group multiplications this call
+    made: the entries it added to the table, plus the giant steps.
     """
     params = inst.params
     P, q = params.modulus, params.q
+    if math.isqrt(q - 1) >= BRUTE_CAP:  # ceil(sqrt(q)) > BRUTE_CAP
+        raise CapExceeded(f"q={q} needs more than {BRUTE_CAP} baby steps")
     g, y = inst.g.residue, inst.y.residue
-    m = min(q, math.isqrt(inst.batch * q - 1) + 1)  # ceil(sqrt(L*q)) for q >= 1
+    batched = inst.batch > 1
     kept = _kept(P, q, g)
-    mults = 0
-    if kept.steps[0] < m:
+    width = kept.steps[0]
+    m = math.isqrt(inst.batch * q - 1) + 1  # ceil(sqrt(L*q)) for q >= 1
+    grown = min(q, 2 * width, _GROWN_WIDTH)
+    if batched and kept.walked > grown - width:
+        m = max(m, grown)
+    m = min(q, BRUTE_CAP, m)
+    added = 0
+    if width < m:
         with _lock:
             width, cur, _ = kept.steps  # another thread may have grown it
             for j in range(width, m):
@@ -146,19 +171,21 @@ def dlog_bsgs(inst: DlogInstance, stats: dict | None = None) -> int:
                 cur = cur * g % P
             if width < m:
                 kept.steps = (m, cur, pow(cur, -1, P))
-                mults = m - width
+                kept.walked = 0
+                added = m - width
     # a hit at j beyond an older width still gives x = i*m + j
     m, _, stride = kept.steps
     table = kept.table
     cur = y
     for i in range(-(-q // m)):
-        j = table.get(cur)
-        if j is not None:
+        if cur in table:
+            if batched:
+                with _lock:
+                    kept.walked += i
             if stats is not None:
-                stats["mults"] = mults
-            return (i * m + j) % q
+                stats["mults"] = added + i
+            return (i * m + table[cur]) % q
         cur = cur * stride % P
-        mults += 1
     raise NotFound("target is not a power of the base")
 
 

@@ -512,9 +512,10 @@ def solve_bsgs(insts_and_xs):
 
 def test_bsgs_table_grown_by_threads():
     # 4 threads solve lone, batch-8 and batch-16 targets in their own
-    # orders against one generator, on one table that grows under them;
-    # each entry is computed once
-    params = gen_group_params(20, seed=35)
+    # orders against one generator, on one table that grows under them, by
+    # batch size and by the giant steps walked, up to the cap; each entry
+    # is computed once
+    params = gen_group_params(24, seed=1)
     g, q, P = generator_element(params), params.q, params.modulus
     kept = kept_for(params)
     kept.table = SlowToGrow()
@@ -522,7 +523,7 @@ def test_bsgs_table_grown_by_threads():
     for t in range(4):
         rng = random.Random(60 + t)
         jobs = []
-        for batch in rng.sample([1, 8, 16] * 4, 12):
+        for batch in rng.sample([1, 8, 16] * 10, 30):
             x = rng.randrange(q)
             jobs.append((DlogInstance(g, g_pow(g, x), batch), x))
         work.append(jobs)
@@ -535,7 +536,9 @@ def test_bsgs_table_grown_by_threads():
                 future.result(timeout=60)  # re-raises a failed assert
     finally:
         sys.setswitchinterval(interval)
-    width = math.isqrt(16 * q - 1) + 1
+    # ceil(sqrt(16q)) = 13,348 < the cap: the last growth was by steps walked
+    assert math.isqrt(16 * q - 1) + 1 < dlp._GROWN_WIDTH
+    width = dlp._GROWN_WIDTH
     assert kept.steps[0] == width == kept.table.offered
     assert sorted(kept.table.values()) == list(range(width))
     for key, j in kept.table.items():
@@ -557,16 +560,30 @@ def counting_tuple_instances(q_bits, n, count, seed):
     return out, params.q
 
 
+def warm_table(params, L, seed):
+    """Solve batches of L random targets against params' generator until the
+    kept table stops growing; returns its final width."""
+    g = generator_element(params)
+    q = params.q
+    final = min(q, max(dlp._GROWN_WIDTH, math.isqrt(L * q - 1) + 1))
+    rng = random.Random(seed)
+    for _ in range(100_000):
+        if kept_for(params).steps[0] == final:
+            return final
+        x = rng.randrange(q)
+        assert dlog_bsgs(DlogInstance(g, g_pow(g, x), L)) == x
+    raise AssertionError("the table never reached its final width")
+
+
 def test_fdlog_solve_batched_budgets():
     # the dlog benchmark workload's group: q = 11,135,009, n = 4, L = 2n = 8
     instances, q = counting_tuple_instances(24, 4, 40, seed=1)
     assert q == 11_135_009
     L = 8
-    m = math.isqrt(L * q - 1) + 1
+    group = instances[0][0].base.group
+    W = warm_table(group, L, seed=2)  # the table is grown here, not below
+    kept = kept_for(group)
     stats = {}
-    dlog_bsgs(batch_of(generator_element(instances[0][0].base.group), [1] * L)[0], stats)
-    assert stats["mults"] >= m  # the table for L targets is built here, not below
-    kept = kept_for(instances[0][0].base.group)
     giant = []
     rho = []
 
@@ -578,17 +595,126 @@ def test_fdlog_solve_batched_budgets():
     for inst, x in instances:
         giant.append(0)
         assert fdlog_solve(inst, bsgs) == x
-        assert giant[-1] <= L * (-(-q // m) + 1)
+        assert giant[-1] <= L * (-(-q // W) + 1)
         kept.walk = None  # each batch starts on an empty rho store; the table stays
         got, mults = mults_of(fdlog_solve, inst, dlog_pollard_rho)
         assert got == x
         rho.append(mults)
-    expected = L * math.sqrt(q / L) / 2
+    assert kept.steps[0] == W
+    # a target takes about q/(2W) giant steps on a table W wide
+    expected = L * q / (2 * W)
     assert 0.85 * expected <= sum(giant) / len(giant) <= 1.15 * expected
     # a cold batch of eight targets takes about 4.4 * sqrt(q), where eight
     # solves each on an empty store would take about 8 * 1.35 * sqrt(q); a
     # batch on a warm store costs far less (test_rho_store_steady_state_budget)
     assert sum(rho) / len(rho) <= 6 * math.sqrt(q)
+
+
+@pytest.mark.parametrize("q_bits, seed", [(16, 36), (20, 37)])
+def test_bsgs_grows_by_steps_walked_up_to_the_cap(q_bits, seed):
+    # batches of 8 with lone calls among them, until the table stops
+    # growing: every answer is right on the grown table, the width stays
+    # within the cap, a batched call doubles the table (up to the cap)
+    # exactly when the giant steps that batched calls walked since it last
+    # grew exceed the entries the growth adds, so no growth adds more
+    params = gen_group_params(q_bits, seed)
+    g, q = generator_element(params), params.q
+    L = 8
+    first = math.isqrt(L * q - 1) + 1
+    final = min(q, max(dlp._GROWN_WIDTH, first))
+    assert first < final  # the table does grow by steps walked
+    kept = kept_for(params)
+    rng = random.Random(seed)
+    walked = 0  # giant steps of batched calls since the table last grew
+    stats = {}
+    calls = 0
+    while kept.steps[0] < final:
+        calls += 1
+        assert calls < 100_000
+        x = rng.randrange(q)
+        lone = calls % 32 == 0
+        inst = make_instance(params, x) if lone else DlogInstance(g, g_pow(g, x), L)
+        before = kept.steps[0]
+        assert dlog_bsgs(inst, stats) == x
+        width = kept.steps[0]
+        added = width - before
+        assert width <= max(dlp._GROWN_WIDTH, first)
+        if lone:
+            assert added == 0 and stats["mults"] <= -(-q // width)
+            assert dlog_bruteforce(inst) == x
+            continue
+        if before == 0:
+            assert width == first
+        else:
+            grown = min(2 * before, final)
+            assert (added > 0) == (walked > grown - before)
+            if added:
+                assert width == grown
+                assert added <= walked
+        if added:
+            walked = 0
+        walked += stats["mults"] - added
+    for x in rng.sample(range(q), 20):
+        inst = DlogInstance(g, g_pow(g, x), L)
+        assert dlog_bsgs(inst) == dlog_bruteforce(inst) == x
+    assert kept.steps[0] == final
+
+
+def test_bsgs_table_is_final_after_two_batches():
+    # at the dlog benchmark's q a cold table grows to the cap within the
+    # second batch of 8, so every later tuple dlog does the same work on it
+    params = gen_group_params(24, seed=1)
+    g, q = generator_element(params), params.q
+    first = math.isqrt(8 * q - 1) + 1
+    assert first < dlp._GROWN_WIDTH < 2 * first
+    for seed in range(5):
+        dlp._kept.cache_clear()
+        rng = random.Random(seed)
+        for _ in range(16):
+            x = rng.randrange(q)
+            assert dlog_bsgs(DlogInstance(g, g_pow(g, x), 8)) == x
+        assert kept_for(params).steps[0] == dlp._GROWN_WIDTH
+
+
+def test_bsgs_lone_calls_never_widen_the_table():
+    params = gen_group_params(16, seed=38)
+    g, q = generator_element(params), params.q
+    assert dlog_bsgs(batch_of(g, [7] * 8)[0]) == 7
+    kept = kept_for(params)
+    width = kept.steps[0]
+    assert width == math.isqrt(8 * q - 1) + 1
+    rng = random.Random(16)
+    for _ in range(1000):
+        x = rng.randrange(q)
+        assert dlog_bsgs(make_instance(params, x)) == x
+    assert kept.steps[0] == len(kept.table) == width
+    assert kept.walked <= -(-q // width)  # only the batched call's steps count
+
+
+def test_bsgs_refuses_a_table_wider_than_the_cap():
+    # ceil(sqrt(q)) = 2^32 baby steps at 64-bit q: refused before any is built
+    params = gen_group_params(64, seed=1)
+    g = generator_element(params)
+    for batch in (1, 8):
+        with pytest.raises(CapExceeded):
+            dlog_bsgs(DlogInstance(g, g_pow(g, 12345), batch))
+    assert dlp._kept.cache_info().currsize == 0
+
+
+def test_bsgs_batch_width_is_capped(monkeypatch):
+    # a batch may ask for more than the cap; the table stops at it
+    params = gen_group_params(20, seed=39)
+    g, q = generator_element(params), params.q
+    lone = math.isqrt(q - 1) + 1
+    monkeypatch.setattr(dlp, "BRUTE_CAP", lone + 10)
+    rng = random.Random(17)
+    xs = [rng.randrange(q) for _ in range(8)]
+    for inst, x in zip(batch_of(g, xs), xs):
+        assert dlog_bsgs(inst) == x
+    assert kept_for(params).steps[0] == len(kept_for(params).table) == lone + 10
+    monkeypatch.setattr(dlp, "BRUTE_CAP", lone - 1)
+    with pytest.raises(CapExceeded):
+        dlog_bsgs(make_instance(params, 5))
 
 
 # ---------------------------------------------------------------------------
