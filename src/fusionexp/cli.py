@@ -5,9 +5,10 @@ tuple exponentiation, tuple discrete logs, and protocol demos.  Machine
 output is JSON on stdout; diagnostics go to stderr.  Exit codes: 0 success,
 1 computational failure, 2 I/O error, 64 usage error, 65 malformed input.
 
-Flags are read from one table of commands (`_commands`) by `parse_args`,
-with argparse's syntax and without its import cost: `--flag value` or
-`--flag=value`, a unique prefix for a flag's name, -h or --help for usage.
+Flags are read from one table of commands (`_commands`) by `parse_args`:
+`--flag value` or `--flag=value`, a unique prefix for a flag's name, -h or
+--help for usage.  As with POSIX getopt, a bare flag's value is the next
+token, whatever it holds.
 
 In the interchange format every integer is a decimal string of ASCII
 digits (`parse_decimal`): a config file holds the group and field
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import sys
 from types import SimpleNamespace
 
@@ -116,12 +116,8 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _emit(obj, out_path: str | None) -> None:
-    text = _dump(obj)
+def _emit(obj, out_path: str | None = None) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -272,7 +268,7 @@ def cmd_eval(args) -> int:
         exp = FieldElement(fld, tuple(_vector(args.exp, fld.n, "exponent")))
     except FusionExpError as exc:  # a coefficient outside [0, q)
         raise FormatError(f"bad exponent: {exc}") from exc
-    print(_dump(_decimals(fusion_pow(base, exp))))
+    _emit(_decimals(fusion_pow(base, exp)))
     return EXIT_OK
 
 
@@ -297,7 +293,7 @@ def cmd_fdlog(args) -> int:
         result = fdlog_solve(inst, dlog_bsgs)
     else:
         result = fdlog_solve(inst, lambda i: dlog_pollard_rho(i, seed))
-    print(_dump(_decimals(result)))
+    _emit(_decimals(result))
     return EXIT_OK
 
 
@@ -397,7 +393,7 @@ def cmd_demo(args) -> int:
     else:
         transcript, ok = _demo_reductions(group, fld, args.trials, seed)
     transcript["seed"] = seed
-    print(_dump(transcript))
+    _emit(transcript)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -436,66 +432,60 @@ def _usage(command: str, text: str, flags: dict) -> str:
     return f"{' '.join(words)}\n    {text}"
 
 
-def _read_flag(token: str, names) -> tuple[str | None, str | None] | None:
-    """What token is among the flags --<name> and -h, read as argparse reads it.
+def _flag(token: str, names) -> tuple[str | None, str | None]:
+    """The flag among names that token stands for, and the text after "=".
 
-    None for a value: a token that does not start with "-", a lone "-", a
-    negative number, or one that names no flag and holds a space.  Otherwise
-    (name, the text after "=" or None), where a unique prefix stands for a
-    name and name is None for an unknown flag.
+    --<text>[=value] stands for the name that is text or, if only one is,
+    starts with it, and -h for help.  The name is None for "--" and for any
+    other token; the text is None without an "=".
     """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token[1] != "-":
-        if token.startswith("-h"):  # -h with text after it is an error, as help
-            return "help", token[2:] or None
-        return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (None, None)
-    head, eq, text = token.partition("=")
-    matches = [n for n in names if n == head[2:]] or [n for n in names if n.startswith(head[2:])]
-    if token == "--" or not matches:
-        return None if " " in token else (None, None)
+    if token == "-h":
+        token = "--help"
+    if token[:2] != "--" or token == "--":
+        return None, None
+    text, eq, value = token[2:].partition("=")
+    matches = [n for n in names if n == text] or [n for n in names if n.startswith(text)]
     if len(matches) > 1:
         raise UsageError(f"ambiguous option: {token} could match "
                          + ", ".join(f"--{n}" for n in matches))
-    return matches[0], text if eq else None
+    return (matches[0] if matches else None), value if eq else None
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace | str:
     """The command argv names with its handler (func) and flags, or a help text.
 
     `--flag value` and `--flag=value` both set a flag, a unique prefix names
-    it, and of repeated values the last wins.  -h or --help, first or after
-    the command, returns the usage text.  Misuse raises UsageError, in
-    argparse's order: an ambiguous prefix anywhere, then each flag in turn,
-    then a missing flag, then tokens left over.
+    it, and of repeated values the last wins.  A bare flag's value is the
+    next token, whatever it holds (`--base -x` sets base to "-x").  -h or
+    --help, first or after the command, returns the usage text.  Misuse
+    raises UsageError: the first ambiguous prefix, misused help or bad
+    value in argv's order, then a missing flag, then tokens left over.
     """
     table = _commands()
     if not argv:
         raise UsageError("the following arguments are required: command")
     if argv[0] not in table:
-        if _read_flag(argv[0], ("help",)) == ("help", None):
+        if _flag(argv[0], ("help",)) == ("help", None):
             return "usage: fusionexp COMMAND [--flag value | --flag=value ...]\n" + "\n".join(
                 _usage(command, text, flags) for command, (_, text, flags) in table.items())
         raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
                          f"(choose from {', '.join(table)})")
-    command, rest = argv[0], argv[1:]
+    command, tokens = argv[0], iter(argv[1:])
     func, text, flags = table[command]
-    kinds = [_read_flag(token, (*flags, "help")) for token in rest]
-    values, unknown, i = {}, [], 0
-    while i < len(rest):
-        name, value = kinds[i] or (None, None)
-        i += 1
+    values, unknown = {}, []
+    for token in tokens:
+        name, value = _flag(token, (*flags, "help"))
         if name is None:
-            unknown.append(rest[i - 1])
+            unknown.append(token)
             continue
         if name == "help":
             if value is not None:
                 raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
             return f"usage: {_usage(command, text, flags)}"
         if value is None:
-            if i == len(rest) or kinds[i] is not None:
+            value = next(tokens, None)
+            if value is None:
                 raise UsageError(f"argument --{name}: expected one argument")
-            value, i = rest[i], i + 1
         parse = flags[name][0]
         try:
             if isinstance(parse, tuple) and value not in parse:

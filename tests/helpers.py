@@ -10,7 +10,7 @@ coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
 with a fresh power for every X^(q^i), iterated multiplication for powers,
 one square-and-multiply per coefficient-matrix entry for tuple powers,
 Miller-Rabin with 28 fixed witnesses for primality, and argparse for the
-command line.
+command line, on the argv that it and the CLI read alike.
 """
 
 from __future__ import annotations
@@ -346,6 +346,8 @@ def _flag_int(text):
 def build_parser():
     """The argparse parser that cli.parse_args replaced, kept as its oracle.
 
+    On argv where no token after a bare flag starts with "-", no -h cluster
+    (-hx) or "--" appears and no help comes before an ambiguous prefix,
     parse_args(argv) gives the same Namespace fields (command and func
     included) or a UsageError; -h and --help print help and raise SystemExit(0).
     """

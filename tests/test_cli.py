@@ -750,7 +750,7 @@ def test_flags_by_prefix_equals_sign_and_last_value(config_path):
     (["demo", "--config", "CFG", "--which", "dh", "--trials", "x"], "--trials: expected a "
                                                                     "decimal string of ASCII digits"),
     (["demo", "--config", "CFG", "--which", "dh", "--seed", "-1"], "ASCII digits"),
-    (["eval", "--config", "CFG", "--base", "-x", "--exp", '["1","1"]'], "--base: expected one"),
+    (["vectors", "-hx", "-h=1"], "unrecognized arguments: -hx -h=1"),
     (["fdlog", "--config", "CFG", "--base", '["2","4"]', "--target", '["16","1"]', "--s", "1"],
      "ambiguous option: --s could match --solver, --seed"),
     (["demo", "--config", "CFG", "--which", "dh", "--help=x"], "ignored explicit argument"),
@@ -761,10 +761,29 @@ def test_usage_errors_exit_64(capsys, config_path, argv, message):
     assert err.startswith("usage error: ") and message in err
 
 
-@pytest.mark.parametrize("value", ["-", "-1", "-1 2", "-x y"])
+@pytest.mark.parametrize("value", ["-", "-1", "-1 2", "-x y", "-x", "-h", "--exp"])
 def test_dash_tokens_that_are_values(capsys, config_path, value):
-    # a lone "-", a negative number or a token holding a space is the value of
-    # the flag before it, so the command runs and rejects it as malformed input
+    # the token after a bare flag is its value, whatever it holds, so the
+    # command runs and rejects it as malformed input
     code, out, err = run(capsys, "eval", "--config", config_path, "--base", value,
                          "--exp", '["1","1"]')
     assert code == EXIT_FORMAT and out == "" and err.startswith("input error: bad base")
+
+
+def test_dash_values_of_config_and_out(capsys, tmp_path, monkeypatch):
+    # --config -h names a file (exit 2, not help); --out -x writes one
+    code, out, err = run(capsys, "demo", "--config", "-h", "--which", "vss")
+    assert code == EXIT_IO and out == "" and err.startswith("i/o error:")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "params", "--q-bits", "4", "--n", "2", "--out", "-x")
+    assert code == EXIT_OK and json.loads((tmp_path / "-x").read_text()) == json.loads(out)
+
+
+def test_help_is_read_where_it_stands(capsys, config_path):
+    # tokens are read once, in order: help before an ambiguous prefix is help,
+    # after it the prefix is the error
+    fdlog = ["fdlog", "--config", config_path, "--base", '["2","4"]', "--target", '["16","1"]']
+    for ambiguous in (["--s", "1"], ["--=1"]):
+        assert run(capsys, *fdlog, "-h", *ambiguous) == run(capsys, "fdlog", "-h")
+        code, out, err = run(capsys, *fdlog, *ambiguous, "--help")
+        assert code == EXIT_USAGE and out == "" and "ambiguous option" in err

@@ -78,6 +78,8 @@ def test_bruteforce_cap(g23, monkeypatch):
     monkeypatch.setattr(dlp, "BRUTE_CAP", 10)  # cap below q = 11
     with pytest.raises(CapExceeded):
         dlog_bruteforce(inst)
+    monkeypatch.setattr(dlp, "BRUTE_CAP", 11)  # cap at q: the scan runs
+    assert dlog_bruteforce(inst) == 5
 
 
 def test_bsgs_32_bit_instances():
@@ -715,6 +717,27 @@ def test_bsgs_batch_width_is_capped(monkeypatch):
     monkeypatch.setattr(dlp, "BRUTE_CAP", lone - 1)
     with pytest.raises(CapExceeded):
         dlog_bsgs(make_instance(params, 5))
+    # a cap at ceil(sqrt(q)) still holds a lone table
+    monkeypatch.setattr(dlp, "BRUTE_CAP", lone)
+    dlp._kept.cache_clear()
+    assert dlog_bsgs(make_instance(params, 5)) == 5
+    assert kept_for(params).steps[0] == lone
+
+
+@pytest.mark.parametrize("modulus, q, gen, batch, width", [
+    (11, 5, 4, 2, 4),  # batch * q = 10, one above a square
+    (23, 11, 2, 9, 10),  # batch * q = 99, one below a square
+])
+def test_bsgs_table_is_ceil_sqrt_batch_q_wide(modulus, q, gen, batch, width):
+    params = GroupParams(modulus, q, gen)
+    g = generator_element(params)
+    stats = {}
+    # on a cold table, a target at j = 0 costs exactly the table's entries
+    assert dlog_bsgs(DlogInstance(g, identity(params), batch), stats) == 0
+    assert stats["mults"] == width == kept_for(params).steps[0]
+    # g^width is one giant step away, which a batched call counts as walked
+    assert dlog_bsgs(DlogInstance(g, g_pow(g, width), batch), stats) == width
+    assert stats["mults"] == kept_for(params).walked == 1
 
 
 # ---------------------------------------------------------------------------
