@@ -81,8 +81,8 @@ MAX_CONFIG_BYTES = 1 << 16
 MAX_PARAMS_Q_BITS = 512  # the safe-prime search
 MAX_PARAMS_DEGREE = 32  # the irreducible search: one X^q power per draw
 # A demo reductions trial runs every arrow once, and its exhaustive scans
-# make its time grow with the field order q^n: under 0.1 s at q = 11 and
-# n = 4, about 4 s at a 20-bit q and n = 1.  So trials * q^n is capped at
+# make its time grow with the field order q^n: about 9 ms at q = 11 and
+# n = 4, about 0.3 s at a 20-bit q and n = 1.  So trials * q^n is capped at
 # MAX_TRIALS * 11^4, the largest desk-scale run.
 MAX_TRIALS = 1000
 

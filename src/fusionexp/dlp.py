@@ -32,8 +32,8 @@ import types
 from collections.abc import Callable
 
 from .errors import CapExceeded, IdentityBase, NotFound, ParamsMismatch
-from .field import FieldElement, fe, fe_inv, fe_mul
-from .fusion import FusionBase, fusion_pow, is_identity
+from .field import FieldElement, fe, fe_inv, fe_mul, lambda_entries
+from .fusion import FusionBase, is_identity
 from .group import GroupElement, GroupParams, generator_element
 from .value import Value
 
@@ -302,29 +302,49 @@ def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
     """Exhaustive scan over the exponent field, of order at most FUSION_BRUTE_CAP;
     the reference tuple-dlog oracle.
 
-    Candidates are walked like an odometer in itertools.product order.
-    Tuple exponentiation is additive in the exponent, so moving digit k up
-    by one multiplies the current tuple by H_k = base**X^k; H_k has order
-    q, so the wrap from q-1 to 0 is one multiply as well.
+    Candidates are scanned in itertools.product order.  Tuple
+    exponentiation is additive in the exponent, so with H_k = base**X^k the
+    candidate x maps base to prod_k H_k**x_k; H_0 is the base and
+    H_{k+1} = H_k**X, n^2 built-in pows by the entries of X's coefficient
+    matrix.  The n - 1 slower digits move a prefix tuple like an odometer:
+    moving digit k up by one multiplies it by H_k, and H_k has order q, so
+    the wrap from q-1 to 0 is one multiply as well.  The fastest digit j is
+    scanned on one component c alone, the first where H_{n-1} is not 1, at
+    one multiply per candidate.  That component has order q, so exactly one
+    j per prefix matches it, and only that candidate is checked on the
+    whole tuple.  Nothing is kept that grows with q.
     """
     field = inst.base.field
     if field.field_order > FUSION_BRUTE_CAP:
         raise CapExceeded(
             f"field order {field.field_order} exceeds the scan cap {FUSION_BRUTE_CAP}")
-    n = field.n
+    n, q = field.n, field.q
     P = inst.base.group.modulus
-    steps = []
-    for k in range(n):
-        monomial = fe(field, [int(i == k) for i in range(n)])
-        steps.append(tuple(c.residue for c in fusion_pow(inst.base, monomial).components))
+    # the coefficient matrix of X (of 0 at n = 1, where no step uses it)
+    lam = lambda_entries(fe(field, [int(i == 1) for i in range(n)]))
+    steps = [tuple(c.residue for c in inst.base.components)]
+    for _ in range(n - 1):
+        steps.append(tuple(math.prod(map(pow, steps[-1], row, (P,) * n)) % P for row in lam))
+    *steps, last = steps
     target = tuple(c.residue for c in inst.target.components)
+    # H_{n-1} is not the identity, since base**x is a bijection
+    c = next(i for i, h in enumerate(last) if h != 1)
+    h, want = last[c], target[c]
     cur = (1,) * n
-    prev = (0,) * n
-    for cand in itertools.product(range(field.q), repeat=n):
-        for k in range(n):
-            if cand[k] != prev[k]:
-                cur = tuple(a * h % P for a, h in zip(cur, steps[k]))
-        if cur == target:
-            return fe(field, cand)
-        prev = cand
+    prev = (0,) * (n - 1)
+    for head in itertools.product(range(q), repeat=n - 1):
+        for k in range(n - 1):
+            if head[k] != prev[k]:
+                cur = tuple(a * s % P for a, s in zip(cur, steps[k]))
+        prev = head
+        acc = cur[c]
+        for j in range(q):
+            if acc == want:  # the one j that matches on component c
+                for a, s, t in zip(cur, last, target):
+                    if a * pow(s, j, P) % P != t:
+                        break
+                else:
+                    return fe(field, head + (j,))
+                break
+            acc = acc * h % P
     raise NotFound("no exponent maps base to target; bijectivity violated")

@@ -9,6 +9,7 @@ square-and-multiply over it), bilinear-form elimination for the symbolic
 coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
 with a fresh power for every X^(q^i), iterated multiplication for powers,
 one square-and-multiply per coefficient-matrix entry for tuple powers,
+an odometer over every candidate's whole tuple for the tuple dlog,
 Miller-Rabin with 28 fixed witnesses for primality, and argparse for the
 command line, on the argv that it and the CLI read alike.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 
-from fusionexp import cli
+from fusionexp import NotFound, cli, fe, fusion_pow
 from fusionexp.group import pow_sm
 
 
@@ -224,6 +225,32 @@ def pow_components(residues, lam, modulus):
                 acc = acc * pow_sm(base, e, modulus) % modulus
         out.append(acc)
     return tuple(out)
+
+
+def odometer_fdlog(inst):
+    """Tuple dlog by building every candidate's whole tuple, in itertools.product order.
+
+    The slow path that fdlog_bruteforce's one-component scan replaced: with
+    H_k = base**X^k, moving digit k up by one (or wrapping it from q-1 to
+    0) multiplies the current tuple by H_k.
+    """
+    field = inst.base.field
+    n, P = field.n, inst.base.group.modulus
+    steps = []
+    for k in range(n):
+        h = fusion_pow(inst.base, fe(field, [int(i == k) for i in range(n)]))
+        steps.append(tuple(c.residue for c in h.components))
+    target = tuple(c.residue for c in inst.target.components)
+    cur = (1,) * n
+    prev = (0,) * n
+    for cand in itertools.product(range(field.q), repeat=n):
+        for k in range(n):
+            if cand[k] != prev[k]:
+                cur = tuple(a * h % P for a, h in zip(cur, steps[k]))
+        if cur == target:
+            return fe(field, cand)
+        prev = cand
+    raise NotFound("no exponent maps base to target")
 
 
 class CountingInt(int):

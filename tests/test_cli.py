@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import fusionexp.cli
 import fusionexp.field
 import fusionexp.group
 import fusionexp.primes
+from fusionexp import fe_random, fusion_pow, generator_element, scalar_embed
 from fusionexp.cli import (
     EXIT_FAIL,
     EXIT_FORMAT,
@@ -197,6 +199,31 @@ def test_fdlog_worked_example(capsys, config_path, solver):
                        "--solver", solver, "--seed", "3")
     assert code == EXIT_OK
     assert json.loads(out) == ["3", "5"]
+
+
+def test_fdlog_solvers_print_the_same_exponent(capsys, tmp_path):
+    # q = 11, n = 3: twenty planted instances, each solved by the exhaustive
+    # scan, BSGS and rho, must print the same bytes, the planted exponent
+    config = tmp_path / "q11n3.json"
+    assert main(["params", "--q-bits", "4", "--n", "3", "--seed", "1",
+                 "--out", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    group, field = load_system_config(str(config))
+    g = generator_element(group)
+    rng = random.Random(22)
+    for i in range(20):
+        base = scalar_embed(g, fe_random(field, rng, nonzero=True))
+        x = fe_random(field, rng)
+        argv = ["fdlog", "--config", str(config),
+                "--base", json.dumps([str(c.residue) for c in base.components]),
+                "--target", json.dumps([str(c.residue) for c in fusion_pow(base, x).components]),
+                "--seed", str(i)]
+        outs = set()
+        for solver in ("bruteforce", "bsgs", "rho"):
+            code, out, _ = run(capsys, *argv, "--solver", solver)
+            assert code == EXIT_OK
+            outs.add(out)
+        assert len(outs) == 1 and json.loads(outs.pop()) == [str(c) for c in x.coeffs]
 
 
 @pytest.mark.parametrize("which", ["dh", "elgamal", "vss", "reductions"])

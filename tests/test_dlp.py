@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,9 @@ from fusionexp import (
     fdlog_bruteforce,
     fdlog_solve,
     fe,
+    fe_inv,
+    fe_mul,
+    fe_pow,
     fe_random,
     fe_one,
     fusion_pow,
@@ -278,13 +282,44 @@ def test_fdlog_bruteforce_cap_is_inclusive(g23, f121, monkeypatch):
         fdlog_bruteforce(FdlogInstance(base, target))
 
 
+def last_step(base):
+    """H_{n-1} = base**X^(n-1), the step of the fastest digit."""
+    n = base.field.n
+    return fusion_pow(base, fe(base.field, [int(i == n - 1) for i in range(n)]))
+
+
+def draw_base(g, field, rng, kind):
+    """A base at n >= 2 of one of three kinds: 'full' (no component is 1),
+    'identity' (one component is 1), or 'off_zero' (full, but H_{n-1} has
+    component 0 at 1, so that the fastest digit is scanned on a later one)."""
+    n = field.n
+    x_last = fe_pow(fe(field, [0, 1] + [0] * (n - 2)), n - 1)
+    while True:
+        if kind == "off_zero":
+            # H_{n-1} = g**(w * X^(n-1)) componentwise, so pick w * X^(n-1)
+            v = fe(field, [0] + [rng.randrange(1, field.q) for _ in range(n - 1)])
+            w = fe_mul(v, fe_inv(x_last))
+        else:
+            coeffs = [rng.randrange(1, field.q) for _ in range(n)]
+            if kind == "identity":
+                coeffs[rng.randrange(n)] = 0
+            w = fe(field, coeffs)
+        if kind == "identity" or all(w.coeffs):
+            return scalar_embed(g, w)
+
+
 def test_fdlog_bruteforce_exhaustive_roundtrip(g23, f121):
-    # every exponent, for a full tuple base and for one with an identity component
+    # every exponent, against the odometer, for a full tuple base, one with an
+    # identity component, and one whose last step H_1 has component 0 at 1, so
+    # that the fastest digit is scanned on component 1
     g = generator_element(g23)
-    for base in (scalar_embed(g, fe(f121, [3, 7])), scalar_embed(g, fe(f121, [0, 5]))):
+    bases = [scalar_embed(g, fe(f121, w)) for w in ([3, 7], [0, 5], [5, 0])]
+    assert [last_step(b).components[0].residue == 1 for b in bases] == [False, False, True]
+    for base in bases:
         for coeffs in itertools.product(range(11), repeat=2):
             x = fe(f121, coeffs)
-            assert fdlog_bruteforce(FdlogInstance(base, fusion_pow(base, x))) == x
+            inst = FdlogInstance(base, fusion_pow(base, x))
+            assert fdlog_bruteforce(inst) == helpers.odometer_fdlog(inst) == x
 
 
 def test_fdlog_bruteforce_agrees_with_solve_degree_three(g23, q11_fields):
@@ -295,6 +330,40 @@ def test_fdlog_bruteforce_agrees_with_solve_degree_three(g23, q11_fields):
         base = scalar_embed(g, fe_random(params, rng, nonzero=True))
         inst = FdlogInstance(base, fusion_pow(base, fe_random(params, rng)))
         assert fdlog_bruteforce(inst) == fdlog_solve(inst, dlog_bsgs)
+
+
+@pytest.mark.parametrize("n, count", [(3, 60), (4, 15)])
+def test_fdlog_bruteforce_agrees_with_odometer_on_random_instances(g23, q11_fields, n, count):
+    field = q11_fields[n]
+    g = generator_element(g23)
+    rng = random.Random(30 + n)
+    for i in range(count):
+        kind = ("full", "identity", "off_zero")[i % 3]
+        base = draw_base(g, field, rng, kind)
+        if kind == "off_zero":
+            assert last_step(base).components[0].residue == 1
+        x = fe_random(field, rng)
+        inst = FdlogInstance(base, fusion_pow(base, x))
+        assert fdlog_bruteforce(inst) == helpers.odometer_fdlog(inst) == x
+
+
+def test_fdlog_bruteforce_keeps_no_table():
+    # at n = 1 and a 20-bit q the scan runs over q exponents one multiply
+    # each; a table of the 50,000 it passes here would take MB, the scan
+    # itself a few kB
+    q = 898_409
+    params = GroupParams(2 * q + 1, q, 4)
+    field = make_field_params(q, 1, [0])
+    base = scalar_embed(generator_element(params), fe_one(field))
+    x = fe(field, [50_000])
+    inst = FdlogInstance(base, fusion_pow(base, x))
+    tracemalloc.start()
+    try:
+        assert fdlog_bruteforce(inst) == x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_fdlog_solve_exhaustive_small_degrees(g23, q11_fields):
@@ -326,9 +395,9 @@ def test_fdlog_degree_one_matches_scalar(g23, q11_fields):
     for w in range(1, 11):
         base = scalar_embed(g_pow(g, w), fe_one(params))
         for x in range(11):
-            target = fusion_pow(base, fe(params, [x]))
-            got = fdlog_bruteforce(FdlogInstance(base, target))
-            assert got.coeffs == (x,)
+            inst = FdlogInstance(base, fusion_pow(base, fe(params, [x])))
+            got = fdlog_bruteforce(inst)
+            assert got.coeffs == (x,) and got == helpers.odometer_fdlog(inst)
 
 
 def test_rho_rejects_tiny_group(g7):
@@ -804,6 +873,23 @@ def test_rho_store_stops_at_the_cap():
     solve_batches(batches[400:], seed=0)  # the store fills at about batch 450
     assert len(rho_store(params, 0)) == dlp._KNOWN_POINTS
     assert_store_sound(params, 0)
+
+
+def test_rho_gives_up_after_its_walk_budget(g23):
+    # at q = 11 every point is distinguished (dp_bits = 0), so a walk is one
+    # draw of its start (a, b) and no step; 5 is outside the subgroup, so
+    # its target is given up after exactly 1024 * (isqrt(11) + 1) walks,
+    # counted here through the walk's random stream after the 20 logs of
+    # the multipliers
+    g = generator_element(g23)
+    with pytest.raises(NotFound):
+        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5)), seed=3)
+    want = random.Random(3)
+    for _ in range(20):
+        want.randrange(11)
+    for _ in range(1024 * (math.isqrt(11) + 1)):
+        want.randrange(11), want.randrange(1, 11)
+    assert kept_for(g23).walk[4].getstate() == want.getstate()
 
 
 def test_rho_store_survives_a_target_outside_the_subgroup(g23):
