@@ -90,8 +90,10 @@ from .protocols import (
     felgamal_decrypt,
     felgamal_encrypt,
     felgamal_keygen,
+    vss_check,
     vss_deal,
     vss_reconstruct,
+    vss_split,
     vss_verify,
     vss_verify_all,
 )

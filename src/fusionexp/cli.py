@@ -53,9 +53,9 @@ from .protocols import (
     felgamal_decrypt,
     felgamal_encrypt,
     felgamal_keygen,
-    vss_deal,
+    vss_check,
     vss_reconstruct,
-    vss_verify,
+    vss_split,
 )
 from .reductions import run_reduction_matrix
 
@@ -334,25 +334,22 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     base = unit_embed(generator_element(group), fld)
     secret = fe_random(fld, rng, nonzero=True)
     t, m = 2, 3
-    dealing = vss_deal(secret, t, m, base, rng)
-    all_verified = all(vss_verify(dealing, s.index) for s in dealing.shares)
-    recovered = vss_reconstruct(dealing.shares[:t])
+    shares, commitments = vss_split(secret, t, m, base, rng)
+    all_verified = all(vss_check(base, commitments, s) for s in shares)
+    recovered = vss_reconstruct(shares[:t])
     # corrupt one share and confirm only it is flagged
-    bad = dealing.shares[0]
+    bad = shares[0]
     bumped = VssShare(bad.index, fe_add(bad.value, fe_one(fld)))
-    shares = tuple(bumped if s.index == bad.index else s for s in dealing.shares)
-    corrupted = type(dealing)(t, m, base, shares, dealing.commitments)
-    flagged = [s.index for s in corrupted.shares if not vss_verify(corrupted, s.index)]
+    flagged = [s.index for s in (bumped, *shares[1:]) if not vss_check(base, commitments, s)]
     ok = all_verified and recovered == secret and flagged == [bad.index]
     return {
         "demo": "vss",
         "dealing": {
-            "threshold": dealing.threshold,
-            "share_count": dealing.share_count,
-            "base": _decimals(dealing.base),
-            "shares": [{"index": s.index, "value": _decimals(s.value)}
-                       for s in dealing.shares],
-            "commitments": [_decimals(c) for c in dealing.commitments],
+            "threshold": t,
+            "share_count": m,
+            "base": _decimals(base),
+            "shares": [{"index": s.index, "value": _decimals(s.value)} for s in shares],
+            "commitments": [_decimals(c) for c in commitments],
         },
         "all_verified": all_verified,
         "reconstructed": _decimals(recovered),

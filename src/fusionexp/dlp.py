@@ -34,7 +34,7 @@ from collections.abc import Callable
 from .errors import CapExceeded, IdentityBase, NotFound, ParamsMismatch
 from .field import FieldElement, fe, fe_inv, fe_mul, lambda_entries
 from .fusion import FusionBase, is_identity
-from .group import GroupElement, GroupParams, generator_element
+from .group import GroupElement, GroupParams, generator_element, group_element
 from .value import Value
 
 BRUTE_CAP = 1 << 22
@@ -70,7 +70,12 @@ class DlogInstance(Value):
 
 
 class FdlogInstance(Value):
-    """Find the field exponent x with base**x = target; base not the identity."""
+    """Find the field exponent x with base**x = target; base not the identity.
+
+    Every component of both tuples must lie in the order-q subgroup, else
+    ValueError: outside it no exponent need exist, and a solver could only
+    fail.
+    """
 
     __slots__ = ("base", "target")
 
@@ -79,6 +84,8 @@ class FdlogInstance(Value):
             raise ParamsMismatch("instance tuples from different parameter sets")
         if is_identity(base):
             raise IdentityBase("tuple base must not be the identity")
+        for c in base.components + target.components:
+            group_element(c.params, c.residue)  # the subgroup check
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "target", target)
 

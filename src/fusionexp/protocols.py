@@ -3,8 +3,10 @@
 Diffie-Hellman key agreement, ElGamal encryption, and Feldman-style
 verifiable secret sharing, each phrased over a tuple base and exponents in
 GF(q^n).  At n = 1 they collapse to the textbook scalar constructions.
-Secrets and nonces are drawn from a caller-supplied random.Random so every
-run is reproducible.
+Verifiable sharing is two steps, the dealer's vss_split and a holder's
+vss_check; vss_deal and vss_verify keep a sharing in a VssDealing.  Secrets
+and nonces are drawn from a caller-supplied random.Random so every run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def _vss_dealing_type() -> type:
 
     Still a frozen dataclass, unlike the other values, so
     `dataclasses.replace` can swap in a corrupted share; made lazily so that
-    importing the package does not import `dataclasses`.  Reached as
+    importing the package does not import `dataclasses`, and only callers
+    of vss_deal make it (the CLI shares through vss_split).  Reached as
     `protocols.VssDealing` through the module `__getattr__`, which is where
     pickle looks it up.
     """
@@ -161,18 +164,18 @@ def _poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
     return acc
 
 
-def vss_deal(
+def vss_split(
     secret: FieldElement,
     t: int,
     m: int,
     base: FusionBase,
     rng: random.Random,
-) -> VssDealing:
-    """Split a secret into m shares with threshold t and commit to the polynomial.
+) -> tuple[tuple[VssShare, ...], tuple[FusionBase, ...]]:
+    """The dealer's step: m shares of a secret with threshold t, and the commitments.
 
     The sharing polynomial has degree t-1 with constant term the secret;
     commitment i is base raised to coefficient i, which lets any holder
-    check a share without learning the secret.
+    check a share (vss_check) without learning the secret.
     """
     fld = secret.params
     if base.field != fld:
@@ -188,34 +191,48 @@ def vss_deal(
         VssShare(index=j, value=_poly_eval(coeffs, share_point(fld, j)))
         for j in range(1, m + 1)
     )
-    commitments = tuple(fusion_pow(base, c) for c in coeffs)
-    return _vss_dealing_type()(
-        threshold=t, share_count=m, base=base, shares=shares, commitments=commitments
-    )
+    return shares, tuple(fusion_pow(base, c) for c in coeffs)
 
 
-def vss_verify(dealing: VssDealing, j: int) -> bool:
-    """Check share j against the commitments.
+def vss_deal(
+    secret: FieldElement,
+    t: int,
+    m: int,
+    base: FusionBase,
+    rng: random.Random,
+) -> VssDealing:
+    """vss_split, with its shares and commitments kept in a VssDealing."""
+    return _vss_dealing_type()(t, m, base, *vss_split(secret, t, m, base, rng))
+
+
+def vss_check(base: FusionBase, commitments: Sequence[FusionBase], share: VssShare) -> bool:
+    """The holder's step: check one share against the commitments.
 
     base**share_j must equal the product over i of commitment_i raised to
     alpha_j**i, by the homomorphism base**(a+b) = base**a * base**b.
     """
+    if not commitments:
+        raise ValueError("no commitments to check a share against")
+    alpha = share_point(share.value.params, share.index)
+    lhs = fusion_pow(base, share.value)
+    rhs = commitments[0]
+    for i in range(1, len(commitments)):
+        rhs = fb_mul(rhs, fusion_pow(commitments[i], fe_pow(alpha, i)))
+    return lhs == rhs
+
+
+def vss_verify(dealing: VssDealing, j: int) -> bool:
+    """Check share j of a dealing against its commitments (vss_check)."""
     share = next((s for s in dealing.shares if s.index == j), None)
     if share is None:
         raise ValueError(f"no share with index {j}")
-    fld = share.value.params
-    alpha = share_point(fld, j)
-    lhs = fusion_pow(dealing.base, share.value)
-    rhs = dealing.commitments[0]
-    for i in range(1, len(dealing.commitments)):
-        rhs = fb_mul(rhs, fusion_pow(dealing.commitments[i], fe_pow(alpha, i)))
-    return lhs == rhs
+    return vss_check(dealing.base, dealing.commitments, share)
 
 
 def vss_verify_all(dealing: VssDealing) -> None:
     """Raise VerifyFailed naming the first corrupted share, if any."""
     for share in dealing.shares:
-        if not vss_verify(dealing, share.index):
+        if not vss_check(dealing.base, dealing.commitments, share):
             raise VerifyFailed(share.index)
 
 

@@ -246,6 +246,26 @@ def test_demo_commands_pass(capsys, config_path, which):
             assert stats["successes"] == stats["trials"]
 
 
+# stdout of `demo --which vss --seed 1` on the config of `params --q-bits 4
+# --n 2 --seed 7`: the keys, the values and the order of the seeded draws
+# stay fixed whichever protocol functions the demo calls
+DEMO_VSS_SEED_1 = (
+    '{"all_verified": true, "corrupted_index": 1, "dealing": {"base": ["4", "1"], '
+    '"commitments": [["16", "13"], ["4", "3"]], "share_count": 3, "shares": '
+    '[{"index": 1, "value": ["3", "2"]}, {"index": 2, "value": ["4", "6"]}, '
+    '{"index": 3, "value": ["5", "10"]}], "threshold": 2}, "demo": "vss", '
+    '"flagged_indices": [1], "reconstructed": ["2", "9"], '
+    '"reconstructed_equals_secret": true, "seed": 1}'
+)
+
+
+def test_demo_vss_transcript_is_pinned(capsys, config_path):
+    code, out, _ = run(capsys, "demo", "--config", config_path,
+                       "--which", "vss", "--seed", "1")
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(DEMO_VSS_SEED_1), indent=2, sort_keys=True) + "\n"
+
+
 def test_env_var_default_seed(capsys, monkeypatch):
     monkeypatch.setenv("FUSION_EXP_SEED", "7")
     code_a, out_a, _ = run(capsys, "params", "--q-bits", "4", "--n", "2")

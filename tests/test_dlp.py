@@ -226,6 +226,23 @@ def test_fdlog_instance_rejects_identity_base(g23, f121):
         FdlogInstance(ident, ident)
 
 
+def tuple_of(group, field, residues):
+    """A FusionBase built without the subgroup check of group_element."""
+    return fusionexp.FusionBase(group, field, tuple(GroupElement(group, r) for r in residues))
+
+
+def test_fdlog_instance_rejects_components_outside_the_subgroup(g23, f121):
+    # 22 = -1 and 5 are not squares mod 23: no exponent maps a base onto a
+    # target with such a component, and the base (1, 22) has every component
+    # of base**X equal to 1, so the exhaustive scan finds no component to scan
+    ok = tuple_of(g23, f121, (2, 4))
+    cases = [((1, 22), (1, 22)), ((2, 4), (5, 4)), ((5, 4), (2, 4))]
+    for base, target in cases:
+        with pytest.raises(ValueError, match="not in the order-11 subgroup"):
+            FdlogInstance(tuple_of(g23, f121, base), tuple_of(g23, f121, target))
+    assert fdlog_bruteforce(FdlogInstance(ok, ok)) == fe_one(f121)
+
+
 def test_fdlog_solve_oracle_swappable(g23, f121):
     rng = random.Random(10)
     g = generator_element(g23)

@@ -138,7 +138,9 @@ def test_cli_import_leaves_out_typing_and_threading():
 
 def test_cli_command_leaves_out_argparse_and_its_imports(tmp_path):
     # argparse's help formatter imports shutil to read the terminal size, and
-    # its messages go through gettext, which imports locale
+    # its messages go through gettext, which imports locale; making the
+    # VssDealing dataclass imports dataclasses and inspect, and the vss demo
+    # shares and checks without it
     config = tmp_path / "sys.json"
     probe = (
         "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
@@ -146,12 +148,14 @@ def test_cli_command_leaves_out_argparse_and_its_imports(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['params', '--q-bits', '4', '--n', '2', '--seed', '7', '--out', sys.argv[2]]),\n"
         "             main(['demo', '--config', sys.argv[2], '--which', 'dh', '--seed', '1']),\n"
+        "             main(['demo', '--config', sys.argv[2], '--which', 'vss', '--seed', '1']),\n"
         "             main(['-h']), main(['demo', '-h'])]\n"
-        "print(*codes, *sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules)))"
+        "print(*codes, *sorted({'argparse', 'gettext', 'locale', 'shutil', 'dataclasses', "
+        "'inspect'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC.parent), str(config)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0", "0", "0"]
 
 
 def package_aliases(tree):

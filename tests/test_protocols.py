@@ -29,8 +29,10 @@ from fusionexp import (
     make_field_params,
     scalar_embed,
     unit_embed,
+    vss_check,
     vss_deal,
     vss_reconstruct,
+    vss_split,
     vss_verify,
     vss_verify_all,
 )
@@ -194,6 +196,43 @@ def test_vss_single_corruption_detected(g23, f121):
         with pytest.raises(VerifyFailed) as err:
             vss_verify_all(corrupted)
         assert err.value.share_index == victim.index
+
+
+def test_vss_split_gives_the_dealing_of_vss_deal(g23, f121):
+    base = unit_embed(generator_element(g23), f121)
+    for seed in range(20):
+        secret = fe_random(f121, random.Random(100 + seed))
+        rng_split, rng_deal = random.Random(seed), random.Random(seed)
+        t = 1 + seed % 3
+        shares, commitments = vss_split(secret, t, t + 2, base, rng_split)
+        dealing = vss_deal(secret, t, t + 2, base, rng_deal)
+        assert (shares, commitments) == (dealing.shares, dealing.commitments)
+        assert (dealing.threshold, dealing.share_count, dealing.base) == (t, t + 2, base)
+        assert rng_split.getstate() == rng_deal.getstate()
+
+
+def test_vss_check_agrees_with_vss_verify(g23, f121):
+    rng = random.Random(13)
+    base = unit_embed(generator_element(g23), f121)
+    for t in (1, 2, 3):
+        for m in range(t, 6):
+            dealing = vss_deal(fe_random(f121, rng), t, m, base, rng)
+            for share in dealing.shares:
+                assert vss_check(base, dealing.commitments, share) is True
+                assert vss_verify(dealing, share.index) is True
+                bumped = VssShare(share.index, fe_add(share.value, fe_one(f121)))
+                corrupted = replace(dealing, shares=tuple(
+                    bumped if s.index == share.index else s for s in dealing.shares))
+                assert vss_check(base, dealing.commitments, bumped) is False
+                assert vss_verify(corrupted, share.index) is False
+
+
+def test_vss_check_needs_a_commitment(g23, f121):
+    rng = random.Random(14)
+    base = unit_embed(generator_element(g23), f121)
+    shares, _ = vss_split(fe_random(f121, rng), 2, 3, base, rng)
+    with pytest.raises(ValueError, match="no commitments"):
+        vss_check(base, (), shares[0])
 
 
 def test_vss_share_points_distinct_nonzero(f121):
