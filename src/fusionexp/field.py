@@ -13,7 +13,8 @@ reduction mod q per output coefficient.  `_mul` and `_square` feed it, and
 one power loop, `_pow`, serves `fe_pow` and the irreducibility test's X^q:
 it reads the exponent from the left, squares per bit and, on a set bit,
 multiplies by the base, by a shift when the base is X.  Inversion and the
-gcd of the irreducibility test share one extended Euclid, `_pgcdex`.
+gcd of the irreducibility test share one extended Euclid, `_pgcdex`, and
+the irreducible search's discriminant takes its remainder step, `_prem`.
 
 The coefficient functions lam[i][j] satisfy
 
@@ -33,7 +34,7 @@ import random
 from collections.abc import Sequence
 
 from .errors import BadDegree, NotIrreducible, NotPrime, ParamsMismatch, ZeroInverse
-from .primes import is_prime
+from .primes import is_prime, jacobi
 from .value import Value
 
 
@@ -308,22 +309,27 @@ def _ptrim(p: list[int]) -> list[int]:
     return p
 
 
+def _prem(r: list[int], m: list[int], q: int) -> list[int]:
+    """Reduce the trimmed r modulo the nonzero trimmed m over Z_q, in place,
+    by leading-term elimination; returns the quotient."""
+    quot = [0] * (len(r) - len(m) + 1)
+    inv_lead = pow(m[-1], -1, q)
+    while len(r) >= len(m):
+        shift = len(r) - len(m)
+        factor = r[-1] * inv_lead % q
+        quot[shift] = factor
+        for i, c in enumerate(m, shift):
+            r[i] = (r[i] - factor * c) % q
+        _ptrim(r)
+    return quot
+
+
 def _pgcdex(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list[int]]:
     """Extended Euclid over Z_q: (g, u) with g = gcd(a, b) and u*a = g mod b."""
     r0, r1 = _ptrim(list(a)), _ptrim(list(b))
     u0, u1 = [1], []
     while r1:
-        # reduce r0 mod r1 in place by leading-term elimination; quot
-        # collects the quotient
-        quot = [0] * (len(r0) - len(r1) + 1)
-        inv_lead = pow(r1[-1], -1, q)
-        while len(r0) >= len(r1):
-            shift = len(r0) - len(r1)
-            factor = r0[-1] * inv_lead % q
-            quot[shift] = factor
-            for i, c in enumerate(r1, shift):
-                r0[i] = (r0[i] - factor * c) % q
-            _ptrim(r0)
+        quot = _prem(r0, r1, q)
         # u0 - quot * u1, reduced once per coefficient
         u = u0 + [0] * (len(quot) + len(u1) - 1 - len(u0))
         for i, c in enumerate(quot):
@@ -332,6 +338,41 @@ def _pgcdex(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list
         r0, r1 = r1, r0
         u0, u1 = u1, _ptrim([c % q for c in u])
     return r0, u0
+
+
+def _discriminant(poly: Sequence[int], q: int) -> int:
+    """disc(f) mod q of a monic f of degree n >= 1 with coefficients in [0, q).
+
+    disc(f) = (-1)^(n(n-1)/2) Res(f, f'), and the resultant comes from one
+    Euclid over Z_q: for r = a mod b, Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r); Res(a, c) = c^(deg a) for a nonzero
+    constant c, and 0 once a remainder vanishes.  Res(f, f') is the product
+    of f' over the roots of f, so it holds also where q divides n and f'
+    has lower degree, or is zero.
+    """
+    n = len(poly) - 1
+    # disc(f) = factor * Res(a, b), for the current pair a, b
+    factor = -1 if n * (n - 1) // 2 % 2 else 1
+    a = list(poly)
+    b = _ptrim([i * c % q for i, c in enumerate(poly)][1:])
+    while b:
+        if len(b) == 1:
+            return factor * pow(b[0], len(a) - 1, q) % q
+        r = a[:]
+        _prem(r, b, q)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            factor = -factor
+        factor = factor * pow(b[-1], len(a) - len(r), q) % q
+        a, b = b, r
+    return 0
+
+
+def _discriminant_admits(poly: Sequence[int], q: int) -> bool:
+    """False when the monic f of degree n >= 2 over Z_q, q an odd prime, is
+    certainly reducible: its discriminant is zero, or its quadratic
+    character is not (-1)^(n-1).  Every irreducible f passes."""
+    n = len(poly) - 1
+    return jacobi(_discriminant(poly, q), q) == (-1) ** (n - 1)
 
 
 def is_irreducible(q: int, poly: Sequence[int]) -> bool:
@@ -385,13 +426,26 @@ def find_irreducible(q: int, n: int, seed: int) -> tuple[int, ...]:
 
     Seeded random search filtered by is_irreducible; deterministic for a
     fixed (q, n, seed).  Roughly one in n monic candidates is irreducible,
-    so the search is short.  The first is_irreducible call rejects a q
-    that is not prime (NotPrime) or an n below 1 (BadDegree); a q below 1
-    already fails the first draw (ValueError).  q's primality test runs on
-    the first draw only; later draws read `is_prime`'s kept answer.
+    so the search is short.  For an odd prime q and n >= 2, a candidate is
+    first read by its discriminant, one Euclid (`_discriminant_admits`): a
+    squarefree f with r irreducible factors has (disc f / q) = (-1)^(n-r)
+    (Stickelberger, in Swan's form, 1962), so an irreducible f has
+    (-1)^(n-1), and a zero discriminant means a repeated factor.  About
+    half the candidates fail that and skip the X^q power of
+    is_irreducible; every irreducible one passes, so the draws and the
+    result are those of testing each draw with is_irreducible alone.
+    q = 2 skips the filter.  q's primality test runs once, before the
+    first draw.  Where it fails, or n is below 2, the first draw goes
+    straight to is_irreducible, which rejects a q that is not prime
+    (NotPrime) or an n below 1 (BadDegree); a q below 1 already fails the
+    first draw (ValueError).
     """
     rng = random.Random(seed)
+    sieve = n >= 2 and q > 2 and is_prime(q)
     while True:
         cand = tuple(rng.randrange(q) for _ in range(n))
-        if is_irreducible(q, cand + (1,)):
+        poly = cand + (1,)
+        if sieve and not _discriminant_admits(poly, q):
+            continue
+        if is_irreducible(q, poly):
             return cand

@@ -12,7 +12,7 @@ import math
 import random
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
-from .primes import is_prime
+from .primes import is_prime, may_be_safe_prime
 from .value import Value
 
 MAX_DRAWS = 500_000
@@ -88,23 +88,31 @@ def gen_group_params(q_bits: int, seed: int) -> GroupParams:
 
     Draws random odd q of the requested size until both q and P = 2q + 1
     are prime, then takes the square of the smallest h >= 2 as generator
-    (a quadratic residue, hence of order q).  Deterministic per seed;
-    SearchExhausted after MAX_DRAWS draws.
+    (a quadratic residue, hence of order q).  A draw is tested cheapest
+    first: `may_be_safe_prime` drops it when q or P has a prime factor
+    below 200 other than itself or fails a strong base-2 round.  Only a
+    draw that passes reaches GroupParams, which runs the full `is_prime(q)`
+    and Pocklington's proof of P; a base-2 strong pseudoprime fails there
+    and the search goes on.  Every prime pair passes the filter, so the
+    draws and the result are those of testing is_prime(q) and is_prime(P)
+    on every draw.  Deterministic per seed; SearchExhausted after
+    MAX_DRAWS draws, filtered ones included.
     """
     if q_bits < 4:
         raise ValueError(f"q_bits must be >= 4, got {q_bits}")
     rng = random.Random(seed)
     for _ in range(MAX_DRAWS):
         q = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
-        if not is_prime(q):
+        if not may_be_safe_prime(q):
             continue
         modulus = 2 * q + 1
-        if not is_prime(modulus):
-            continue
         h = 2
         while pow(h, 2, modulus) == 1:
             h += 1
-        return GroupParams(modulus=modulus, q=q, generator=h * h % modulus)
+        try:
+            return GroupParams(modulus=modulus, q=q, generator=h * h % modulus)
+        except NotPrime:
+            continue
     raise SearchExhausted(f"no {q_bits}-bit safe-prime group found in {MAX_DRAWS} draws")
 
 

@@ -6,6 +6,11 @@ is the Baillie-PSW test (Baillie-Wagstaff 1980): one strong Miller-Rabin
 round to base 2 and one strong Lucas test with Selfridge's parameters.  No
 composite is known to pass it, and unlike a fixed set of Miller-Rabin
 witnesses it cannot be fooled by a composite built for those witnesses.
+
+`may_be_safe_prime` is a cheaper filter for the safe-prime search, which
+discards most of its draws before any full test.  `jacobi` is the Jacobi
+symbol that the Lucas test chooses its parameter by, and that the field's
+irreducible search reads a discriminant's quadratic character by.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -41,7 +47,33 @@ def _miller_rabin(n: int, witness: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
+def _has_small_factor(n: int) -> bool:
+    """True iff n > 1 has a prime factor below 200 other than n itself.
+
+    Above 199 that is one gcd with the product of those primes; at and
+    below it, n is checked against the table.
+    """
+    if n <= _SMALL_PRIMES[-1]:
+        return n not in _SMALL_PRIMES
+    return math.gcd(n, _SMALL_PRIMORIAL) != 1
+
+
+def may_be_safe_prime(q: int) -> bool:
+    """False when the odd q > 2 or 2q + 1 is certainly composite.
+
+    Cheapest first, q and 2q + 1 together (Wiener's combined sieve, 2003):
+    a prime factor below 200 other than the number itself, on either, then
+    a strong base-2 round on q and on 2q + 1.  Every pair of primes passes.
+    A composite passes only as a base-2 strong pseudoprime, so a True
+    answer still needs `is_prime` or a proof.
+    """
+    modulus = 2 * q + 1
+    if _has_small_factor(q) or _has_small_factor(modulus):
+        return False
+    return _miller_rabin(q, 2) and _miller_rabin(modulus, 2)
+
+
+def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for an odd n > 0, by quadratic reciprocity."""
     a %= n
     result = 1
@@ -69,7 +101,7 @@ def _strong_lucas(n: int) -> bool:
         return False
     D = 5
     while True:
-        j = _jacobi(D, n)
+        j = jacobi(D, n)
         if j == -1:
             break
         if j == 0:
@@ -113,20 +145,17 @@ def _baillie_psw(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """True iff n is prime: a proof below 3.3·10^24, Baillie-PSW above.
 
-    Trial division by the primes below 200 comes first.  Below the bound,
-    Miller-Rabin to the first twelve prime bases decides every n exactly.
+    Small factors come first: a table below 200, and above it one gcd with
+    the product of the primes below 200.  Below the bound, Miller-Rabin to the first twelve prime bases decides every n exactly.
     From the bound on, Baillie-PSW decides; no composite is known to pass
     it.  The last few answers are kept, so a number checked at two
     boundaries, such as a q that both the group and the field's
     irreducibility test check, costs one test.
     """
-    if n < 2:
+    if n < 2 or _has_small_factor(n):
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n <= _SMALL_PRIMES[-1]:
+        return True
     if n >= _MR_DETERMINISTIC_BOUND:
         return _baillie_psw(n)
     return all(_miller_rabin(n, w) for w in _MR_WITNESSES)

@@ -10,17 +10,20 @@ coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
 with a fresh power for every X^(q^i), iterated multiplication for powers,
 one square-and-multiply per coefficient-matrix entry for tuple powers,
 an odometer over every candidate's whole tuple for the tuple dlog,
-Miller-Rabin with 28 fixed witnesses for primality, and argparse for the
-command line, on the argv that it and the CLI read alike.
+Miller-Rabin with 28 fixed witnesses for primality, the parameter searches
+with the full test on every draw, and argparse for the command line, on
+the argv that it and the CLI read alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import random
 
-from fusionexp import NotFound, cli, fe, fusion_pow
+from fusionexp import GroupParams, NotFound, cli, fe, fusion_pow, is_irreducible
 from fusionexp.group import pow_sm
+from fusionexp.primes import is_prime
 
 
 def schoolbook_mulmod(q, f_low, a, b):
@@ -202,6 +205,31 @@ def ben_or_irreducible(q, poly):
         if len(_poly_gcd(poly, h_minus_x, q)) > 1:
             return False
     return True
+
+
+def search_group_params(q_bits, seed):
+    """The safe-prime search that gen_group_params' sieve replaced:
+    is_prime(q), then is_prime(2q + 1), on every draw.  Returns the group
+    and the 1-based index of the draw that found it."""
+    rng = random.Random(seed)
+    for draw in itertools.count(1):
+        q = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
+        modulus = 2 * q + 1
+        if is_prime(q) and is_prime(modulus):
+            h = 2
+            while pow(h, 2, modulus) == 1:
+                h += 1
+            return GroupParams(modulus=modulus, q=q, generator=h * h % modulus), draw
+
+
+def search_irreducible(q, n, seed):
+    """The irreducible search that find_irreducible's discriminant filter
+    replaced: is_irreducible on every draw."""
+    rng = random.Random(seed)
+    while True:
+        cand = tuple(rng.randrange(q) for _ in range(n))
+        if is_irreducible(q, cand + (1,)):
+            return cand
 
 
 def iterated_pow(g, e, modulus):

@@ -34,7 +34,7 @@ from fusionexp import (
     make_field_params,
 )
 from fusionexp.cli import EXIT_OK, lambda_entry_expr, load_system_config, main
-from fusionexp.field import fe_from_int
+from fusionexp.field import _discriminant, _discriminant_admits, fe_from_int
 
 
 Q64 = 2**64 - 59
@@ -216,6 +216,77 @@ def test_find_irreducible_tests_q_once(monkeypatch):
     find_irreducible(Q256, 4, seed=4)
     assert len(draws) >= 3
     assert rounds == [Q256]
+
+
+FIND_IRREDUCIBLE_ORACLE_CASES = [
+    (q, n, seeds)
+    for q, seeds in ((3, range(12)), (5, range(12)), (7, range(12)), (11, range(12)),
+                     (Q64, range(1, 6)), (Q256, range(1, 4)))
+    for n in (2, 3, 4, 8)
+]
+
+
+@pytest.mark.parametrize("q, n, seeds", FIND_IRREDUCIBLE_ORACLE_CASES,
+                         ids=[f"q{q.bit_length()}-n{n}" for q, n, _ in FIND_IRREDUCIBLE_ORACLE_CASES])
+def test_find_irreducible_matches_full_test_per_draw(q, n, seeds):
+    # the discriminant filter drops reducible draws only, so each search
+    # ends at the same draw; n = 3, 4, 8 over Z_3 and n = 8 over Z_5 and
+    # Z_7 have n >= q, where f' loses its top term
+    for seed in seeds:
+        assert find_irreducible(q, n, seed) == helpers.search_irreducible(q, n, seed)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_discriminant_filter_never_rejects_an_irreducible(q):
+    # every monic f of degree 2-5; at n >= q the derivative loses terms,
+    # and over Z_3 and Z_5 f = X^q + aX + b has a constant f'
+    rejected = total = 0
+    for n in range(2, 6):
+        for tail in itertools.product(range(q), repeat=n):
+            poly = list(tail) + [1]
+            total += 1
+            if not _discriminant_admits(poly, q):
+                rejected += 1
+                assert helpers.poly_has_factor(q, poly), poly
+    # it pays: about half the candidates skip the X^q power
+    assert rejected > total // 3
+
+
+def test_discriminant_matches_closed_forms():
+    for q in (3, 5, 7, 11, 13):
+        for b, c, d in itertools.product(range(q), repeat=3):
+            assert _discriminant([c, b, 1], q) == (b * b - 4 * c) % q
+            cubic = b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+            assert _discriminant([d, c, b, 1], q) == cubic % q
+    # X^n - 1 over Z_q has discriminant (-1)^(n(n-1)/2) n^n (-1)^(n-1)
+    for q, n in ((7, 5), (11, 4), (Q64, 8)):
+        expected = (-1) ** (n * (n - 1) // 2) * n**n * (-1) ** (n - 1)
+        assert _discriminant([q - 1] + [0] * (n - 1) + [1], q) == expected % q
+
+
+def test_find_irreducible_rejects_composite_q_on_first_draw(monkeypatch):
+    draws = []
+    original = fusionexp.field.is_irreducible
+
+    def logged(q, poly):
+        draws.append(poly)
+        return original(q, poly)
+
+    monkeypatch.setattr(fusionexp.field, "is_irreducible", logged)
+    with pytest.raises(NotPrime):
+        find_irreducible(4, 2, seed=0)
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_find_irreducible_over_z2_skips_the_filter(monkeypatch, n):
+    # Stickelberger's criterion needs odd q
+    def unused(poly, q):
+        raise AssertionError("discriminant read at q = 2")
+
+    monkeypatch.setattr(fusionexp.field, "_discriminant_admits", unused)
+    for seed in range(6):
+        assert find_irreducible(2, n, seed) == helpers.search_irreducible(2, n, seed)
 
 
 def test_find_irreducible_degree_one():

@@ -11,6 +11,7 @@ from fusionexp import (
     GroupParams,
     NotPrime,
     ParamsMismatch,
+    SearchExhausted,
     g_inv,
     g_mul,
     g_pow,
@@ -162,8 +163,38 @@ def test_serialization_roundtrip(tmp_path, capsys):
 
 
 def test_gen_group_params_search_exhausted(monkeypatch):
-    from fusionexp import SearchExhausted
-
     monkeypatch.setattr(fusionexp.group, "MAX_DRAWS", 2)
     with pytest.raises(SearchExhausted):
         gen_group_params(64, seed=0)
+
+
+@pytest.mark.parametrize("q_bits, seeds", [
+    *((bits, range(1, 31)) for bits in (4, 5, 8, 12, 16, 24, 64)),
+    (256, range(1, 4)),
+], ids=lambda v: str(v) if isinstance(v, int) else f"seeds{v.start}-{v.stop - 1}")
+def test_gen_group_params_matches_full_test_per_draw(q_bits, seeds):
+    # the sieve drops draws only; each search ends at the same draw
+    for seed in seeds:
+        assert gen_group_params(q_bits, seed) == helpers.search_group_params(q_bits, seed)[0]
+
+
+def test_gen_group_params_goes_on_past_a_composite_the_filter_passed(monkeypatch):
+    # a base-2 strong pseudoprime q or P reaches GroupParams, whose NotPrime
+    # moves the search to the next draw; with a filter that passes every
+    # draw, each composite takes that path
+    monkeypatch.setattr(fusionexp.group, "may_be_safe_prime", lambda q: True)
+    for seed in range(1, 6):
+        assert gen_group_params(16, seed) == helpers.search_group_params(16, seed)[0]
+
+
+@pytest.mark.parametrize("q_bits, seed", [(64, 1), (256, 2)])
+def test_gen_group_params_draw_cap_edge(monkeypatch, q_bits, seed):
+    # MAX_DRAWS counts every draw, sieved or tested: the first hit is at
+    # draw k, so a cap of k - 1 draws exhausts and a cap of k finds it
+    expected, k = helpers.search_group_params(q_bits, seed)
+    assert k > 1
+    monkeypatch.setattr(fusionexp.group, "MAX_DRAWS", k - 1)
+    with pytest.raises(SearchExhausted):
+        gen_group_params(q_bits, seed)
+    monkeypatch.setattr(fusionexp.group, "MAX_DRAWS", k)
+    assert gen_group_params(q_bits, seed) == expected

@@ -13,7 +13,8 @@ import helpers
 from fusionexp.primes import (
     _MR_DETERMINISTIC_BOUND,
     _baillie_psw,
-    _jacobi,
+    jacobi,
+    may_be_safe_prime,
     _miller_rabin,
     _strong_lucas,
     is_prime,
@@ -124,13 +125,23 @@ def test_jacobi_matches_euler_criterion_and_is_multiplicative():
     for p in odd_primes:
         for a in range(-2 * p, 2 * p):
             euler = pow(a, (p - 1) // 2, p)
-            assert _jacobi(a, p) == {0: 0, 1: 1, p - 1: -1}[euler]
+            assert jacobi(a, p) == {0: 0, 1: 1, p - 1: -1}[euler]
     for m, n in itertools.product((1, 9, 15, 21, 35), odd_primes[:8]):
         for a in range(-40, 40):
-            assert _jacobi(a, m * n) == _jacobi(a, m) * _jacobi(a, n)
+            assert jacobi(a, m * n) == jacobi(a, m) * jacobi(a, n)
 
 
 @pytest.mark.parametrize("p", (2**61 - 1, 2**64 - 59, 2**127 - 1, 2**256 - 189, 2**521 - 1))
 def test_accepts_known_large_primes(p):
     assert _baillie_psw(p)
     assert is_prime(p)
+
+
+def test_safe_prime_sieve_is_exact_below_2_16():
+    # every pair with q and 2q + 1 prime passes, and no other odd q: the
+    # one base-2 strong pseudoprime below 2^17 with no prime factor below
+    # 200, 104653 = 229 * 457, is 2q + 1 for an even q.  From q = 30113
+    # (2q + 1 = 229 * 263) on, some composite 2q + 1 needs its own round
+    for q in range(3, 1 << 16, 2):
+        expected = helpers.trial_division_prime(q) and helpers.trial_division_prime(2 * q + 1)
+        assert may_be_safe_prime(q) == expected, q
