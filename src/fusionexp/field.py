@@ -6,15 +6,17 @@ of degree n and is stored through its n low coefficients only.
 
 Every table derived from f comes from one step, `_times_x`: h -> h * X mod
 f, a shift with the overflowing coefficient folded back through X^n = -f.
-Starting from X^(n-1), n - 1 steps give X^n .. X^(2n-2), the fold columns
-that bring a product below degree n (built once per modulus and cached).
-Only that high half moves, so a fold costs n(n-1) products and one
-reduction mod q per output coefficient.  `_mul` and `_square` feed it, and
-one power loop, `_pow`, serves `fe_pow` and the irreducibility test's X^q:
-it reads the exponent from the left, squares per bit and, on a set bit,
-multiplies by the base, by a shift when the base is X.  Inversion and the
-gcd of the irreducibility test share one extended Euclid, `_pgcdex`, and
-the irreducible search's discriminant takes its remainder step, `_prem`.
+Starting from X^(n-1), n steps give X^n .. X^(2n-1), the fold columns that
+bring a product below degree n (built once per modulus and cached).  Only
+that high half moves, so a fold costs n(n-1) products and one reduction
+mod q per output coefficient.  `_mul` and `_square` feed it, and one power
+loop, `_pow`, serves `fe_pow` and the irreducibility test's X^q: it reads
+the exponent from the left, squares per bit and, on a set bit, multiplies
+by the base.  When the base is X, that multiplication is a shift of the
+square by one place before its fold, which then reads the column of
+X^(2n-1).  Inversion and the gcd of the irreducibility test share one
+extended Euclid, `_pgcdex`, and the irreducible search's discriminant
+takes its remainder step, `_prem`.
 
 The coefficient functions lam[i][j] satisfy
 
@@ -194,21 +196,25 @@ def _fold_columns(
     n: int, f_low: tuple[int, ...], q: int
 ) -> tuple[tuple[int, ...], ...]:
     """Columns C[i] with C[i][m - n] the coefficient of X^i in X^m mod
-    (f, q), for n <= m <= 2n - 2: the part of a fold that is not the
-    identity.  Each X^m is X^(m-1) * X, so the table is n - 1 `_times_x`
-    steps from X^(n-1).  Cached per modulus."""
+    (f, q), for n <= m <= 2n - 1: the part of a fold that is not the
+    identity.  X^(2n-1) serves a square shifted by X in `_pow`; a plain
+    product's fold reads only the first n - 1 entries.  Each X^m is
+    X^(m-1) * X, so the table is n `_times_x` steps from X^(n-1).  Cached
+    per modulus."""
     powers = [(0,) * (n - 1) + (1,)]
-    for _ in range(n - 1):
+    for _ in range(n):
         powers.append(_times_x(powers[-1], f_low, q))
     return tuple(col[1:] for col in zip(*powers))
 
 
 def _fold(prod: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
-    """A product's 2n-1 coefficients brought below degree n modulo (f, q).
+    """A product's 2n-1 coefficients (2n for a square shifted by X) brought
+    below degree n modulo (f, q).
 
     X^m for m < n is its own base monomial, so only the high half moves:
     out_i = prod[i] + sum_(m >= n) prod[m] * C[i][m - n], which is n(n-1)
-    products, reduced mod q once per output coefficient.
+    products (n^2 for 2n coefficients), reduced mod q once per output
+    coefficient.
     """
     high = prod[len(cols):]
     return tuple(sum(map(operator.mul, high, col), low) % q for low, col in zip(prod, cols))
@@ -231,9 +237,11 @@ def _mul(
     return _fold(prod, _fold_columns(n, f_low, q), q)
 
 
-def _square(a: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tuple[int, ...]:
-    """a * a modulo (f, q): the symmetric convolution, n(n+1)/2 products,
-    feeds the same fold as `_mul`."""
+def _square(a: Sequence[int], q: int) -> list[int]:
+    """The convolution a * a for `_fold`: the symmetric products, n(n+1)/2
+    of them, with the coefficients of X^(n-1) and up reduced mod q.  So the
+    fold multiplies numbers below q, also after `_pow` shifts the square
+    by X, which moves the coefficient of X^(n-1) into the high half."""
     n = len(a)
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
@@ -242,15 +250,17 @@ def _square(a: Sequence[int], cols: tuple[tuple[int, ...], ...], q: int) -> tupl
             twice = 2 * ai
             for k in range(i + 1, n):
                 prod[i + k] += twice * a[k]
-    return _fold(prod, cols, q)
+    prod[n - 1 :] = [c % q for c in prod[n - 1 :]]
+    return prod
 
 
 def _pow(a: tuple[int, ...], k: int, f_low: tuple[int, ...], q: int) -> tuple[int, ...]:
     """a**k modulo (f, q) for k >= 0, over the bits of k from the left.
 
-    Each bit after the first squares, n(n+1)/2 products; a set bit then
-    multiplies by a: by `_times_x` when a is X, n products, and by `_mul`
-    otherwise.
+    Each bit after the first squares, n(n+1)/2 products, and folds.  On a
+    set bit, when a is X, the square is shifted one place before that fold,
+    which then reads one more column; otherwise the folded square is
+    multiplied by a with `_mul`.
     """
     n = len(f_low)
     if not k:
@@ -259,9 +269,12 @@ def _pow(a: tuple[int, ...], k: int, f_low: tuple[int, ...], q: int) -> tuple[in
     by_x = n > 1 and a == (0, 1) + (0,) * (n - 2)
     h = a
     for bit in bin(k)[3:]:
-        h = _square(h, cols, q)
-        if bit == "1":
-            h = _times_x(h, f_low, q) if by_x else _mul(h, a, f_low, q)
+        prod = _square(h, q)
+        if bit == "1" and by_x:
+            prod.insert(0, 0)
+        h = _fold(prod, cols, q)
+        if bit == "1" and not by_x:
+            h = _mul(h, a, f_low, q)
     return h
 
 
@@ -382,12 +395,11 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     degree d <= deg/2 divides X^(q^d) - X and is caught by the gcd.
 
     X^q comes from the one power loop, `_pow`, over the bits of q from the
-    left: one squaring per bit, and per set bit a multiplication by X, one
-    `_times_x` step of O(deg) products.  The map h -> h^q is Z_q-linear on
-    Z_q[X]/(f), and its matrix has the columns (X^q)^j, j < deg.  So from
-    i = 2 on, which needs deg >= 4, each X^(q^i) is one matrix-vector
-    product mod q instead of a power with exponent q (von zur Gathen-Shoup
-    1992).
+    left: one squaring and fold per bit, a set bit shifting the square by X
+    before its fold.  The map h -> h^q is Z_q-linear on Z_q[X]/(f), and its
+    matrix has the columns (X^q)^j, j < deg.  So from i = 2 on, which needs
+    deg >= 4, each X^(q^i) is one matrix-vector product mod q instead of a
+    power with exponent q (von zur Gathen-Shoup 1992).
     A q that is not prime raises NotPrime and a coefficient outside [0, q)
     BadDegree before any power is taken.  `is_prime` keeps its last few
     answers, so a q the group has already tested is not tested again.

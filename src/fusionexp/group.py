@@ -90,8 +90,9 @@ def gen_group_params(q_bits: int, seed: int) -> GroupParams:
     are prime, then takes the square of the smallest h >= 2 as generator
     (a quadratic residue, hence of order q).  A draw is tested cheapest
     first: `may_be_safe_prime` drops it when q or P has a prime factor
-    below 200 other than itself or fails a strong base-2 round.  Only a
-    draw that passes reaches GroupParams, which runs the full `is_prime(q)`
+    other than itself up to 13 (one word-sized gcd), below 200, or, for
+    q > 4096, up to 4096, or fails a strong base-2 round.  Only a draw
+    that passes reaches GroupParams, which runs the full `is_prime(q)`
     and Pocklington's proof of P; a base-2 strong pseudoprime fails there
     and the search goes on.  Every prime pair passes the filter, so the
     draws and the result are those of testing is_prime(q) and is_prime(P)

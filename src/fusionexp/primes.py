@@ -8,9 +8,10 @@ composite is known to pass it, and unlike a fixed set of Miller-Rabin
 witnesses it cannot be fooled by a composite built for those witnesses.
 
 `may_be_safe_prime` is a cheaper filter for the safe-prime search, which
-discards most of its draws before any full test.  `jacobi` is the Jacobi
-symbol that the Lucas test chooses its parameter by, and that the field's
-irreducible search reads a discriminant's quadratic character by.
+discards most of its draws by three sieves and a base-2 round before any
+full test.  `jacobi` is the Jacobi symbol that the Lucas test chooses its
+parameter by, and that the field's irreducible search reads a
+discriminant's quadratic character by.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ _SMALL_PRIMES = (
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# 3·5·7·11·13: one word-sized gcd with it drops about nine safe-prime
+# draws in ten
+_PRESIEVE = 15015
+# the safe-prime search's last sieve takes the primes in (200, 4096]
+_SIEVE_LIMIT = 4096
 
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,17 +64,40 @@ def _has_small_factor(n: int) -> bool:
     return math.gcd(n, _SMALL_PRIMORIAL) != 1
 
 
+@functools.lru_cache(maxsize=1)
+def _sieve_product() -> int:
+    """Product of the primes in (200, 4096], about 5,500 bits, built on
+    first use so that importing the package does not pay for it.
+
+    A composite up to 4,096 has a prime factor up to 64, so an odd number
+    in that range with no prime factor below 200 is prime.
+    """
+    return math.prod(
+        m for m in range(201, _SIEVE_LIMIT + 1, 2) if math.gcd(m, _SMALL_PRIMORIAL) == 1
+    )
+
+
 def may_be_safe_prime(q: int) -> bool:
     """False when the odd q > 2 or 2q + 1 is certainly composite.
 
-    Cheapest first, q and 2q + 1 together (Wiener's combined sieve, 2003):
-    a prime factor below 200 other than the number itself, on either, then
-    a strong base-2 round on q and on 2q + 1.  Every pair of primes passes.
-    A composite passes only as a base-2 strong pseudoprime, so a True
-    answer still needs `is_prime` or a proof.
+    Cheapest first, on q and 2q + 1 together (Wiener's combined sieve,
+    2003): three sieves, then a strong base-2 round on each.  The first,
+    for q > 13, is one word-sized gcd of r(2r + 1) with 15015 =
+    3·5·7·11·13, where r = q mod 15015; it drops about 90% of the draws.
+    The second looks for a prime factor below 200, other than the number
+    itself, on either.  The third, for q > 4096, is one gcd of q(2q + 1)
+    with the product of the primes in (200, 4096].  Every pair of primes
+    passes.  A composite passes only as a base-2 strong pseudoprime, so a
+    True answer still needs `is_prime` or a proof.
     """
+    if q > 13:
+        r = q % _PRESIEVE
+        if math.gcd(r * (2 * r + 1), _PRESIEVE) != 1:
+            return False
     modulus = 2 * q + 1
     if _has_small_factor(q) or _has_small_factor(modulus):
+        return False
+    if q > _SIEVE_LIMIT and math.gcd(q * modulus, _sieve_product()) != 1:
         return False
     return _miller_rabin(q, 2) and _miller_rabin(modulus, 2)
 

@@ -10,8 +10,9 @@ coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
 with a fresh power for every X^(q^i), iterated multiplication for powers,
 one square-and-multiply per coefficient-matrix entry for tuple powers,
 an odometer over every candidate's whole tuple for the tuple dlog,
-Miller-Rabin with 28 fixed witnesses for primality, the parameter searches
-with the full test on every draw, and argparse for the command line, on
+Miller-Rabin with 28 fixed witnesses for primality, the safe-prime filter
+with its sieve below 200 alone, the parameter searches with the full test
+on every draw, and argparse for the command line, on
 the argv that it and the CLI read alike.
 """
 
@@ -23,7 +24,7 @@ import random
 
 from fusionexp import GroupParams, NotFound, cli, fe, fusion_pow, is_irreducible
 from fusionexp.group import pow_sm
-from fusionexp.primes import is_prime
+from fusionexp.primes import _has_small_factor, _miller_rabin, is_prime
 
 
 def schoolbook_mulmod(q, f_low, a, b):
@@ -60,17 +61,19 @@ def lambda_matrix(q, f_low, y):
     return tuple(zip(*cols))
 
 
-def reduction_columns(q, f_low):
-    """Columns C[i] with X^m = sum_i C[i][m] X^i modulo (f, q), m = 0 .. 2n-2.
+def reduction_columns(q, f_low, size=None):
+    """Columns C[i] with X^m = sum_i C[i][m] X^i modulo (f, q), for m below
+    size (2n - 1 unless given).
 
     Row m >= n is the shift of row m-1 with the overflow folded back
     through X^n = -f.
     """
     n = len(f_low)
-    rows = [[0] * n for _ in range(2 * n - 1)]
+    size = 2 * n - 1 if size is None else size
+    rows = [[0] * n for _ in range(size)]
     for m in range(n):
         rows[m][m] = 1
-    for m in range(n, 2 * n - 1):
+    for m in range(n, size):
         prev = rows[m - 1]
         top = prev[n - 1]
         row = [0] + prev[: n - 1]
@@ -205,6 +208,16 @@ def ben_or_irreducible(q, poly):
         if len(_poly_gcd(poly, h_minus_x, q)) > 1:
             return False
     return True
+
+
+def safe_prime_filter_below_200(q):
+    """The safe-prime filter before its word-sized pre-sieve and its sieve
+    to 4,096: a prime factor below 200 other than the number itself on q or
+    2q + 1, then a strong base-2 round on each."""
+    modulus = 2 * q + 1
+    if _has_small_factor(q) or _has_small_factor(modulus):
+        return False
+    return _miller_rabin(q, 2) and _miller_rabin(modulus, 2)
 
 
 def search_group_params(q_bits, seed):

@@ -439,17 +439,26 @@ def test_fe_mul_reduction_budget(fields64):
         assert got.coeffs == via_lambda
 
 
+def edge_exponents(q):
+    """1, 2, 3, 2^j and 2^j - 1 for a small j and j = bits(q), and q."""
+    powers = (1 << 5, 1 << q.bit_length())
+    return (1, 2, 3, *powers, *(p - 1 for p in powers), q)
+
+
 X_POWER_MODULI = {"q2": 2, "q3": 3, "q11": 11, "q64": Q64, "q256": Q256}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 @pytest.mark.parametrize("q", X_POWER_MODULI.values(), ids=X_POWER_MODULI)
 def test_x_to_the_q_matches_square_and_multiply(q, n):
-    # any monic f will do: X^q mod f needs no irreducibility
+    # any monic f will do: X^q mod f needs no irreducibility.  A set bit
+    # shifts the square by X before its fold: 2^j - 1 sets every bit, the
+    # first and the last included, and 2^j only the first
     rng = random.Random(q * 100 + n)
     f_low = tuple(rng.randrange(q) for _ in range(n))
     x = (0, 1) + (0,) * (n - 2)
-    assert fusionexp.field._pow(x, q, f_low, q) == helpers.column_powmod(q, f_low, x, q)
+    for k in edge_exponents(q):
+        assert fusionexp.field._pow(x, k, f_low, q) == helpers.column_powmod(q, f_low, x, k), k
 
 
 @pytest.mark.parametrize("q, n", [(11, 1), (11, 2), (5, 3), (Q64, 4), (Q64, 8), (Q256, 16)])
@@ -457,14 +466,19 @@ def test_high_half_fold_matches_full_column_fold(q, n):
     field = fusionexp.field
     rng = random.Random(n)
     f_low = tuple(rng.randrange(q) for _ in range(n))
-    columns = helpers.reduction_columns(q, f_low)
+    # X^0 .. X^(2n-1): a square shifted by X has 2n coefficients
+    columns = helpers.reduction_columns(q, f_low, 2 * n)
     high = field._fold_columns(n, f_low, q)
     for _ in range(20):
         # unreduced coefficients up to n * q^2, as a convolution leaves them
         prod = [rng.randrange(n * q * q) for _ in range(2 * n - 1)]
         assert field._fold(prod, high, q) == helpers.column_fold(q, columns, prod)
+        shifted = [0] + prod
+        assert field._fold(shifted, high, q) == helpers.column_fold(q, columns, shifted)
         a = tuple(rng.randrange(q) for _ in range(n))
-        assert field._square(a, high, q) == field._mul(a, a, f_low, q)
+        square = field._square(a, q)
+        assert all(0 <= c < q for c in square[n - 1 :])
+        assert field._fold(square, high, q) == field._mul(a, a, f_low, q)
 
 
 def test_fe_mul_cubic_closed_form():
@@ -534,13 +548,16 @@ def test_fe_pow_matches_repeated_mul(f121, fields64, field256):
 
 
 def test_fe_pow_matches_schoolbook_square_and_multiply(fields64, field256):
+    # a general base, multiplied in with _mul on a set bit, at the exponents
+    # that reach the first and last bits and at random ones
     rng = random.Random(6)
-    for params in (fields64[8], field256):
-        for _ in range(5):
+    fields = [make_field_params(q, n, find_irreducible(q, n, seed=n))
+              for q, n in ((11, 2), (11, 4), (11, 8), (Q64, 2), (Q64, 4), (Q256, 2), (Q256, 4))]
+    for params in (*fields, fields64[8], field256):
+        for k in (*edge_exponents(params.q), *(rng.randrange(params.q) for _ in range(5))):
             a = fe_random(params, rng)
-            k = rng.randrange(params.q)
             expected = helpers.schoolbook_powmod(params.q, params.f_low, a.coeffs, k)
-            assert fe_pow(a, k).coeffs == expected
+            assert fe_pow(a, k).coeffs == expected, (params.q, params.n, k)
 
 
 def test_fe_pow_group_order(f121, field256):

@@ -125,15 +125,18 @@ def test_only_cli_holds_the_interchange_format():
 def test_cli_import_leaves_out_typing_and_threading():
     # -S as well as -I, as in the benchmark's child: site and its .pth files
     # can import typing and threading before the package does; dataclasses
-    # loads only when a VssDealing is first needed
+    # loads only when a VssDealing is first needed, and the safe-prime
+    # search's product of the primes in (200, 4096] when a search first
+    # needs it
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fusionexp.cli; "
+        "from fusionexp.primes import _sieve_product; "
         "print(' '.join(sorted({'typing', 'threading', 'dataclasses', "
-        "'fusionexp.protocols'} & set(sys.modules))))"
+        "'fusionexp.protocols'} & set(sys.modules))), _sieve_product.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["fusionexp.protocols"]
+    assert out.split() == ["fusionexp.protocols", "0"]
 
 
 def test_cli_command_leaves_out_argparse_and_its_imports(tmp_path):

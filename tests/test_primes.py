@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionexp.primes
 import helpers
 from fusionexp.primes import (
     _MR_DETERMINISTIC_BOUND,
     _baillie_psw,
+    _has_small_factor,
     jacobi,
     may_be_safe_prime,
     _miller_rabin,
@@ -138,10 +140,47 @@ def test_accepts_known_large_primes(p):
 
 
 def test_safe_prime_sieve_is_exact_below_2_16():
-    # every pair with q and 2q + 1 prime passes, and no other odd q: the
-    # one base-2 strong pseudoprime below 2^17 with no prime factor below
-    # 200, 104653 = 229 * 457, is 2q + 1 for an even q.  From q = 30113
-    # (2q + 1 = 229 * 263) on, some composite 2q + 1 needs its own round
+    # every pair with q and 2q + 1 prime passes, and no other odd q.  Here
+    # the sieves alone decide, with no base-2 round failing: a composite
+    # below 2^17 has a prime factor below 363, a 2q + 1 below 8,194 one
+    # below 200, and from q = 4,097 on the sieve to 4,096 sees every prime
+    # up to 362.  The range spans both sieve edges: the word-sized one from
+    # q = 15 on, the one to 4,096 from q = 4,097
     for q in range(3, 1 << 16, 2):
         expected = helpers.trial_division_prime(q) and helpers.trial_division_prime(2 * q + 1)
         assert may_be_safe_prime(q) == expected, q
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_safe_prime_sieves_add_only_the_primes_to_4096(monkeypatch, bits):
+    # against the filter with the sieve below 200 alone: the word-sized
+    # pre-sieve drops nothing that sieve would pass, and the sieve to 4,096
+    # drops exactly the q with a prime factor in (200, 4096] on q(2q + 1).
+    # Each later step runs on exactly the q that pass the sieves before it:
+    # the sieve below 200 after the primes to 13, the base-2 rounds after
+    # the primes to 4,096
+    odd_primes = [p for p in range(3, 4097, 2) if helpers.trial_division_prime(p)]
+    beyond_200 = [p for p in odd_primes if p > 200]
+    calls = []
+
+    def counting(step):
+        def counted(*args):
+            calls.append(step)
+            return step(*args)
+        return counted
+
+    monkeypatch.setattr(fusionexp.primes, "_has_small_factor", counting(_has_small_factor))
+    monkeypatch.setattr(fusionexp.primes, "_miller_rabin", counting(_miller_rabin))
+    rng = random.Random(bits)
+    for _ in range(20_000):
+        q = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        modulus = 2 * q + 1
+
+        def clear(primes):
+            return all(q % p and modulus % p for p in primes)
+
+        calls.clear()
+        got = may_be_safe_prime(q)
+        assert got == (helpers.safe_prime_filter_below_200(q) and clear(beyond_200)), q
+        assert (_has_small_factor in calls) == clear((3, 5, 7, 11, 13)), q
+        assert (_miller_rabin in calls) == clear(odd_primes), q
