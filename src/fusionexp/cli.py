@@ -335,12 +335,15 @@ def _demo_vss(group, fld, rng) -> tuple[dict, bool]:
     secret = fe_random(fld, rng, nonzero=True)
     t, m = 2, 3
     shares, commitments = vss_split(secret, t, m, base, rng)
-    all_verified = all(vss_check(base, commitments, s) for s in shares)
+    honest = [vss_check(base, commitments, s) for s in shares]
+    all_verified = all(honest)
     recovered = vss_reconstruct(shares[:t])
-    # corrupt one share and confirm only it is flagged
+    # corrupt one share and confirm only it is flagged; the others keep
+    # their honest checks
     bad = shares[0]
     bumped = VssShare(bad.index, fe_add(bad.value, fe_one(fld)))
-    flagged = [s.index for s in (bumped, *shares[1:]) if not vss_check(base, commitments, s)]
+    checks = [vss_check(base, commitments, bumped), *honest[1:]]
+    flagged = [s.index for s, ok in zip((bumped, *shares[1:]), checks) if not ok]
     ok = all_verified and recovered == secret and flagged == [bad.index]
     return {
         "demo": "vss",

@@ -400,13 +400,22 @@ def is_irreducible(q: int, poly: Sequence[int]) -> bool:
     matrix has the columns (X^q)^j, j < deg.  So from i = 2 on, which needs
     deg >= 4, each X^(q^i) is one matrix-vector product mod q instead of a
     power with exponent q (von zur Gathen-Shoup 1992).
-    A q that is not prime raises NotPrime and a coefficient outside [0, q)
+    A coefficient that is not an integer raises TypeError; then a q that
+    is not prime raises NotPrime and a coefficient outside [0, q)
     BadDegree before any power is taken.  `is_prime` keeps its last few
-    answers, so a q the group has already tested is not tested again.
+    answers, so a q the group has already tested is not tested again, and
+    this test keeps its last answer (never an exception), so the f that
+    `find_irreducible` has just returned is not tested again when
+    FieldParams checks it.
     """
+    return _irreducible(q, tuple(map(operator.index, poly)))
+
+
+@functools.lru_cache(maxsize=1)
+def _irreducible(q: int, p: tuple[int, ...]) -> bool:
+    """is_irreducible on coefficients already read as ints."""
     if not is_prime(q):
         raise NotPrime(f"coefficient modulus {q} is not prime")
-    p = list(map(operator.index, poly))
     if any(not 0 <= c < q for c in p):
         raise BadDegree("coefficients must lie in [0, q)")
     if len(p) < 2 or p[-1] != 1:

@@ -11,14 +11,18 @@ usual exponent laws, degenerates to ordinary exponentiation at n = 1, and
 is a bijection from the exponent field onto the product group for every
 non-identity base.
 
-`fusion_pow` computes all n components in one simultaneous
+`fusion_pow` drops the base's identity components and their lam columns,
+then computes the other k components in one simultaneous
 multi-exponentiation kernel, `_multi_pow`, over tables of subset products
 of the bases.  The first full-width call on a base builds its tables for
 that call only.  At a q of 64 bits or more, a base that comes back (one of
 the last 16 seen, each noted with a call counter in an lru_cache) gets
-Lim-Lee comb tables, kept in a second lru_cache for the last 4 such bases,
-so each row runs over a quarter of the exponent bits.  An exponent in the
-prime subfield skips the kernel: lam is then a multiple of the identity.
+Lim-Lee comb tables, kept in a second lru_cache for the last 4 such bases.
+Each of the k components is cut there into max(1, 8 // k) slices of its
+exponent bits, so that the slices fill a table's 8 slots, and a row runs
+over a quarter of the exponent bits, or an eighth at k = 1.  An exponent
+in the prime subfield skips the kernel: lam is then a multiple of the
+identity.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .group import (
     g_inv,
     g_mul,
     identity,
-    pow_sm,
 )
 from .value import Value
 
@@ -77,9 +80,7 @@ def scalar_embed(g: GroupElement, x: FieldElement) -> FusionBase:
     if g.residue == 1:
         raise IdentityBase("cannot embed the group identity")
     P = g.params.modulus
-    comps = tuple(
-        GroupElement(g.params, pow_sm(g.residue, c, P)) for c in x.coeffs
-    )
+    comps = tuple(GroupElement(g.params, pow(g.residue, c, P)) for c in x.coeffs)
     return FusionBase(group=g.params, field=x.params, components=comps)
 
 
@@ -138,7 +139,8 @@ def _subset_tables(
 ) -> list[list[list[int]]]:
     """tables[g][c] = subset products of the bases of group g, each raised to 2**(c*chunk).
 
-    Group g holds residues[8g : 8g + 8]; c runs below `chunks`.
+    Group g holds residues[8g : 8g + 8]; c runs below `chunks`.  The bases
+    may be a reused base's slices (see _comb_tables).
     """
     tables = []
     for s in range(0, len(residues), _TABLE_WIDTH):
@@ -152,7 +154,31 @@ def _subset_tables(
     return tables
 
 
-_comb_tables = functools.lru_cache(maxsize=_COMB_BASES)(_subset_tables)
+@functools.lru_cache(maxsize=_COMB_BASES)
+def _comb_tables(
+    residues: tuple[int, ...], modulus: int, bits: int
+) -> tuple[list[list[list[int]]], int, int, int]:
+    """Comb tables of a reused base, their chunk width, and how rows are cut.
+
+    A table has 8 slots.  With k < 8 bases, the exponent of each base B_j
+    is cut into per = 8 // k slices of `stripe` bits; slice p, its bits
+    from p*stripe up, goes with the virtual base B_j ** 2**(p*stripe) in
+    slot p*k + j.  The exponent bits are cut into max(_COMB_CHUNKS, per)
+    chunks, so a stripe spans chunks // per of them, one per table, and
+    each lookup reads up to 8 exponent bits; k = 1 takes 8 chunks.  At
+    k >= 8, per = 1 and the virtual bases are the bases.
+    """
+    per = max(1, _TABLE_WIDTH // len(residues))
+    chunks = max(_COMB_CHUNKS, per)
+    chunk = -(-bits // chunks)
+    stripe = chunks // per * chunk
+    virtual = list(residues)
+    for _ in range(1, per):
+        last = virtual[-len(residues) :]
+        for _ in range(stripe):
+            last = [b * b % modulus for b in last]
+        virtual += last
+    return _subset_tables(tuple(virtual), modulus, chunk, chunks // per), chunk, per, stripe
 
 
 @functools.lru_cache(maxsize=_SEEN_BASES)
@@ -163,20 +189,20 @@ def _visits(modulus: int, residues: tuple[int, ...]) -> itertools.count:
 
 def _tables(
     residues: tuple[int, ...], modulus: int, bits: int
-) -> tuple[list[list[list[int]]], int]:
-    """Subset-product tables for _multi_pow and the chunk width they serve.
+) -> tuple[list[list[list[int]]], int, int, int]:
+    """Subset-product tables for _multi_pow, their chunk width, slices and stripe.
 
     The first full-width call on a base builds one chunk of `bits` bits for
-    that call only; _visits counts it.  A later call takes the base's comb
-    tables, _COMB_CHUNKS chunks of ceil(bits / _COMB_CHUNKS) bits, cached
-    for the last _COMB_BASES bases.  A q of fewer than _COMB_MIN_BITS bits
-    always takes the first route.  Two threads that meet a new base at once
-    may both take the first route; the result is the same either way.
+    that call only, over the bases themselves (one slice); _visits counts
+    it.  A later call takes the base's comb tables, cached for the last
+    _COMB_BASES bases; their rows need each exponent cut into `per` slices
+    of `stripe` bits.  A q of fewer than _COMB_MIN_BITS bits always takes
+    the first route.  Two threads that meet a new base at once may both
+    take the first route; the result is the same either way.
     """
     if bits >= _COMB_MIN_BITS and next(_visits(modulus, residues)) > 0:
-        chunk = -(-bits // _COMB_CHUNKS)
-        return _comb_tables(residues, modulus, chunk, _COMB_CHUNKS), chunk
-    return _subset_tables(residues, modulus, bits, 1), bits
+        return _comb_tables(residues, modulus, bits)
+    return _subset_tables(residues, modulus, bits, 1), bits, 1, bits
 
 
 def _multi_pow(
@@ -197,6 +223,8 @@ def _multi_pow(
     use, the per-bit picks of the later tables are first multiplied into
     one per-bit list, indexed from 1 by bit position.  One table per
     group with chunk >= bits(q) is plain simultaneous exponentiation.
+    The B_j may be a reused base's slices (_comb_tables), each row cut to
+    match, so that one table serves up to 8 chunk lookups at once.
     """
     out = []
     for row in lam:
@@ -231,17 +259,29 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
 
     An exponent in the prime subfield (every coefficient above the
     constant c zero) has lambda = c*I, so for n >= 2 component i is
-    B_i ** c by built-in pow.
+    B_i ** c by built-in pow.  Otherwise the identity components of the
+    base, and their lambda columns, are left out of the kernel.
     """
     if exp.params != base.field:
         raise ParamsMismatch("exponent from a different field")
     residues = tuple(c.residue for c in base.components)
     modulus = base.group.modulus
+    kept = [j for j, r in enumerate(residues) if r != 1]
+    if not kept:
+        return base  # the identity, whatever the exponent
     c, *high = exp.coeffs
     if high and not any(high):
         powered = tuple(pow(r, c, modulus) for r in residues)
     else:
-        tables, chunk = _tables(residues, modulus, base.field.q.bit_length())
-        powered = _multi_pow(tables, chunk, lambda_entries(exp), modulus)
+        lam = lambda_entries(exp)
+        if len(kept) < len(residues):
+            residues = tuple(residues[j] for j in kept)
+            lam = [[row[j] for j in kept] for row in lam]
+        tables, chunk, per, stripe = _tables(residues, modulus, base.field.q.bit_length())
+        if per > 1:  # slice p of e is its bits p*stripe and up
+            mask = (1 << stripe) - 1
+            lam = [[e >> s & mask for s in range(0, per * stripe, stripe) for e in row]
+                   for row in lam]
+        powered = _multi_pow(tables, chunk, lam, modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)

@@ -266,6 +266,26 @@ def test_demo_vss_transcript_is_pinned(capsys, config_path):
     assert out == json.dumps(json.loads(DEMO_VSS_SEED_1), indent=2, sort_keys=True) + "\n"
 
 
+def test_demo_vss_checks_each_share_once(capsys, config_path, monkeypatch):
+    # m = 3 honest checks and one of the corrupted share; the honest checks
+    # give both all_verified and the flags of the shares left uncorrupted
+    checked = []
+    original = fusionexp.cli.vss_check
+
+    def logged(base, commitments, share):
+        checked.append(share.index)
+        return original(base, commitments, share) and share.index != 3
+
+    monkeypatch.setattr(fusionexp.cli, "vss_check", logged)
+    code, out, _ = run(capsys, "demo", "--config", config_path,
+                       "--which", "vss", "--seed", "1")
+    transcript = json.loads(out)
+    assert checked == [1, 2, 3, 1]
+    assert code == EXIT_FAIL
+    assert transcript["all_verified"] is False
+    assert transcript["flagged_indices"] == [1, 3]
+
+
 def test_env_var_default_seed(capsys, monkeypatch):
     monkeypatch.setenv("FUSION_EXP_SEED", "7")
     code_a, out_a, _ = run(capsys, "params", "--q-bits", "4", "--n", "2")
@@ -441,6 +461,7 @@ def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
     counted(fusionexp.group, "is_prime")
     counted(fusionexp.field, "is_prime")
     counted(fusionexp.field, "is_irreducible")
+    fusionexp.field._irreducible.cache_clear()  # a fresh process, as the CLI runs
     load_system_config(config_path)
     assert calls == {"is_prime": 2, "is_irreducible": 1}
 

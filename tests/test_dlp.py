@@ -40,6 +40,7 @@ from fusionexp import (
     identity,
     make_field_params,
     scalar_embed,
+    unit_embed,
 )
 from fusionexp.group import pow_sm
 
@@ -297,6 +298,25 @@ def test_fdlog_bruteforce_cap_is_inclusive(g23, f121, monkeypatch):
     monkeypatch.setattr(dlp, "FUSION_BRUTE_CAP", 120)
     with pytest.raises(CapExceeded):
         fdlog_bruteforce(FdlogInstance(base, target))
+
+
+def test_fdlog_bruteforce_real_cap_edge():
+    # the cap itself, 2^20, is the order of GF(2^20): its scan runs (the
+    # answer X^19 is among the first candidates); the next field order,
+    # the prime 2^20 + 7, is over it.  No prime power lies in between.
+    group = GroupParams(5, 2, 4)
+    fld = make_field_params(2, 20, find_irreducible(2, 20, seed=0))
+    assert fld.field_order == 1 << 20
+    base = unit_embed(generator_element(group), fld)
+    x = fe(fld, [0] * 19 + [1])
+    assert fdlog_bruteforce(FdlogInstance(base, fusion_pow(base, x))) == x
+    q = (1 << 20) + 7
+    P = 20 * q + 1  # the first prime kq + 1
+    group = GroupParams(P, q, pow(2, 20, P))
+    fld = make_field_params(q, 1, [0])
+    base = unit_embed(generator_element(group), fld)
+    with pytest.raises(CapExceeded, match="exceeds the scan cap 1048576"):
+        fdlog_bruteforce(FdlogInstance(base, base))
 
 
 def last_step(base):
@@ -888,7 +908,8 @@ def test_rho_store_stops_at_the_cap():
     solve_batches(batches[:400], seed=0)
     assert len(rho_store(params, 0)) <= dlp._KNOWN_POINTS
     solve_batches(batches[400:], seed=0)  # the store fills at about batch 450
-    assert len(rho_store(params, 0)) == dlp._KNOWN_POINTS
+    # it holds the cap, 4096 points, and never a point more
+    assert len(rho_store(params, 0)) == dlp._KNOWN_POINTS == 4096
     assert_store_sound(params, 0)
 
 

@@ -218,6 +218,50 @@ def test_find_irreducible_tests_q_once(monkeypatch):
     assert rounds == [Q256]
 
 
+@pytest.mark.parametrize("q, n, seed", [(11, 3, 5), (Q64, 4, 1), (Q256, 4, 4), (Q256, 8, 2)])
+def test_found_modulus_is_not_tested_again(monkeypatch, q, n, seed):
+    # FieldParams re-tests the f that find_irreducible has just returned and
+    # reads the kept answer: one X^q power per draw past the discriminant
+    # filter, not one more
+    draws, powers = [], []
+    test, power = fusionexp.field.is_irreducible, fusionexp.field._pow
+
+    def logged_test(q, poly):
+        draws.append(poly)
+        return test(q, poly)
+
+    def logged_power(*args):
+        powers.append(args[1])
+        return power(*args)
+
+    monkeypatch.setattr(fusionexp.field, "is_irreducible", logged_test)
+    monkeypatch.setattr(fusionexp.field, "_pow", logged_power)
+    fusionexp.field._irreducible.cache_clear()
+    f_low = find_irreducible(q, n, seed)
+    filtered = len(draws)
+    assert powers == [q] * filtered
+    make_field_params(q, n, list(f_low))
+    assert len(draws) == filtered + 1
+    assert powers == [q] * filtered
+
+
+def test_irreducibility_memo_keeps_answers_not_errors():
+    fusionexp.field._irreducible.cache_clear()
+    assert is_irreducible(11, [1, 0, 1]) is is_irreducible(11, (1, 0, 1)) is True
+    assert fusionexp.field._irreducible.cache_info()[:2] == (1, 1)
+    # an int and a float compare equal, but the float is still refused
+    with pytest.raises(TypeError):
+        is_irreducible(11, [1.0, 0, 1])
+    for _ in range(2):
+        with pytest.raises(NotPrime):
+            is_irreducible(10, [1, 0, 1])
+        with pytest.raises(BadDegree):
+            is_irreducible(11, [11, 0, 1])
+    assert not is_irreducible(11, [0, 0, 1])
+    assert is_irreducible(11, [1, 0, 1])
+    assert fusionexp.field._irreducible.cache_info()[:2] == (1, 7)
+
+
 FIND_IRREDUCIBLE_ORACLE_CASES = [
     (q, n, seeds)
     for q, seeds in ((3, range(12)), (5, range(12)), (7, range(12)), (11, range(12)),

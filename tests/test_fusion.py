@@ -32,6 +32,7 @@ from fusionexp import (
 )
 from fusionexp import fusion
 from fusionexp.fusion import FusionBase
+from fusionexp.group import pow_sm
 
 
 def residues(base):
@@ -48,6 +49,21 @@ def test_scalar_embed_worked_example(g23, f121):
 def test_scalar_embed_rejects_identity(g23, f121):
     with pytest.raises(IdentityBase):
         scalar_embed(identity(g23), fe_one(f121))
+
+
+@pytest.mark.parametrize("bits", [11, 64, 256])
+def test_scalar_embed_matches_square_and_multiply(bits, g23, group64, group256):
+    # built-in pow against the group's own square-and-multiply, per coefficient
+    group = {11: g23, 64: group64, 256: group256}[bits]
+    P = group.modulus
+    rng = random.Random(bits)
+    for n in (1, 2, 4):
+        fld = route_field(group.q, n)
+        for _ in range(4):
+            g = g_pow(generator_element(group), rng.randrange(1, group.q))
+            x = fe_random(fld, rng)
+            expected = tuple(pow_sm(g.residue, c, P) for c in x.coeffs)
+            assert residues(scalar_embed(g, x)) == expected
 
 
 def test_unit_embed(g23, q11_fields):
@@ -426,3 +442,120 @@ def test_reused_base_multiplication_budget(group64, fields64, fresh_combs):
     assert 0 < counts[2] <= 8 * 5 * 16
     info = fusion._comb_tables.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Packed comb tables: a reused base with k < 8 non-identity components fills
+# each table's 8 slots with slices of its exponents
+# ---------------------------------------------------------------------------
+
+
+PACKED_DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16)
+
+
+@pytest.fixture(scope="module")
+def group256():
+    return gen_group_params(256, seed=1)
+
+
+def holed_base(group, fld, holes, rng):
+    """A base with `holes` identity components at random places, the rest random."""
+    g = generator_element(group)
+    ones = set(rng.sample(range(fld.n), holes))
+    return FusionBase(group, fld, tuple(identity(group) if j in ones
+                                        else g_pow(g, rng.randrange(1, fld.q))
+                                        for j in range(fld.n)))
+
+
+def assert_packed_matches_oracles(group, n, hole_counts, seed):
+    # each base's first call (one-shot tables), second (builds the combs) and
+    # third (reads them) against the per-call route over every
+    # component, identities included, and one pow_sm per lambda entry
+    fld = route_field(group.q, n)
+    P, bits = group.modulus, group.q.bit_length()
+    rng = random.Random(seed)
+    for holes in hole_counts:
+        base = holed_base(group, fld, holes, rng)
+        fusion._visits.cache_clear()
+        fusion._comb_tables.cache_clear()
+        for _ in range(3):
+            x = fe_random(fld, rng)
+            lam = helpers.lambda_matrix(fld.q, fld.f_low, x.coeffs)
+            per_call = fusion._multi_pow(fusion._subset_tables(residues(base), P, bits, 1),
+                                         bits, lam, P)
+            assert residues(fusion_pow(base, x)) == per_call, (n, holes, x.coeffs)
+            assert per_call == helpers.pow_components(residues(base), lam, P)
+        assert fusion._comb_tables.cache_info()[:2] == (1, 1), (n, holes)
+
+
+@pytest.mark.parametrize("n", PACKED_DEGREES)
+def test_packed_combs_match_oracles_64_bit(group64, n, fresh_combs):
+    assert_packed_matches_oracles(group64, n, range(n), seed=80 + n)
+
+
+@pytest.mark.parametrize("n", PACKED_DEGREES)
+def test_packed_combs_match_oracles_256_bit(group256, n, fresh_combs):
+    assert_packed_matches_oracles(group256, n, sorted({0, 1 % n, n // 2, n - 1}), seed=90 + n)
+
+
+@pytest.mark.parametrize("bits", [11, 64, 256])
+def test_identity_base_gives_the_identity_without_the_kernel(bits, g23, group64, group256,
+                                                              monkeypatch, fresh_combs):
+    def no_kernel(*args):
+        raise AssertionError("kernel ran for the identity base")
+
+    monkeypatch.setattr(fusion, "_multi_pow", no_kernel)
+    group = {11: g23, 64: group64, 256: group256}[bits]
+    rng = random.Random(bits)
+    for n in (1, 2, 4, 8):
+        fld = route_field(group.q, n)
+        for _ in range(3):
+            x = fe_random(fld, rng)
+            assert is_identity(fusion_pow(fb_identity(group, fld), x))
+    assert fusion._visits.cache_info().currsize == 0
+
+
+# Multiplications per reused call at a 256-bit q, from the third call on.
+# (n, non-identity components k, bound): k = 1 is one table of 8 slices of
+# 32 bits, so a row takes 32 squarings and 32 multiplies; k = 2 one table of
+# 4 slices, chunk 64; k = 3, 4 two tables of 2 slices each, chunk 64, so a
+# row adds 64 folds.
+PACKED_COUNTS = [(4, 1, 256), (4, 4, 768), (1, 1, 64), (2, 2, 256), (3, 3, 576),
+                 (8, 1, 512), (8, 2, 1024)]
+
+
+def counted_base(group, fld, k, rng):
+    """A base whose first k components are random CountingInts, the rest 1."""
+    g = generator_element(group)
+    return FusionBase(group, fld, tuple(
+        GroupElement(group, helpers.CountingInt(g_pow(g, rng.randrange(1, fld.q)).residue))
+        if j < k else identity(group) for j in range(fld.n)))
+
+
+def reused_counts(base, xs):
+    counts = []
+    for x in xs:
+        expected = oracle(base, x)
+        helpers.CountingInt.mults = 0
+        assert residues(fusion_pow(base, x)) == expected
+        counts.append(helpers.CountingInt.mults)
+    return counts
+
+
+@pytest.mark.parametrize("n, k, bound", PACKED_COUNTS)
+def test_packed_comb_multiplication_budget(group256, n, k, bound, fresh_combs):
+    fld = route_field(group256.q, n)
+    rng = random.Random(100 + 10 * n + k)
+    base = counted_base(group256, fld, k, rng)
+    xs = [fe(fld, [fld.q - 1] * n)] * 2 + [fe_random(fld, rng) for _ in range(3)]
+    counts = reused_counts(base, xs)
+    assert 0 < max(counts[2:]) <= bound, counts
+
+
+def test_full_width_comb_count_is_unchanged(group256, fresh_combs):
+    # eight components fill a table with one slice each: four tables of
+    # 64-bit chunks, 320 multiplications per row and fewer on zero bits
+    fld = route_field(group256.q, 8)
+    base = counted_base(group256, fld, 8, random.Random(108))
+    counts = reused_counts(base, [fe(fld, [fld.q - 1] * 8)] * 3)
+    assert counts == [4340, 5108, 2552]
