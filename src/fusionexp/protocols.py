@@ -108,7 +108,13 @@ def fdh_keygen(base: FusionBase, rng: random.Random) -> FusionKeyPair:
 
 
 def fdh_shared(my: FusionKeyPair, their_public: FusionBase) -> FusionBase:
-    """Both sides arrive at base**(x1*x2) by commutativity of the exponent field."""
+    """Both sides arrive at base**(x1*x2) by commutativity of the exponent field.
+
+    A peer key from another group raises ParamsMismatch here, one from
+    another field in fusion_pow.
+    """
+    if their_public.group != my.public.group:
+        raise ParamsMismatch("peer public key from a different group")
     if is_identity(their_public):
         raise IdentityBase("peer public key must not be the identity")
     return fusion_pow(their_public, my.secret)
@@ -160,7 +166,7 @@ def share_point(field_params, j: int) -> FieldElement:
 def _poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
     acc = fe_zero(x.params)
     for c in reversed(coeffs):
-        acc = fe_add(fe_mul(acc, x), c)
+        acc = fe_add(fe_mul(x, acc), c)  # a share point first: fe_mul skips its zeros
     return acc
 
 
@@ -230,10 +236,86 @@ def vss_verify(dealing: VssDealing, j: int) -> bool:
 
 
 def vss_verify_all(dealing: VssDealing) -> None:
-    """Raise VerifyFailed naming the first corrupted share, if any."""
+    """Raise VerifyFailed naming the first corrupted share, if any.
+
+    With t commitments, the polynomial p' of degree < t through the first t
+    shares is interpolated in the field; when every later share lies on p'
+    and base**c'_i equals commitment C_i for each coefficient c'_i of p',
+    every share passes vss_check, so the call returns after t powers of
+    the base instead of checking the m shares one by one.  Proof: when each
+    component of the base has order dividing q, the exponent laws give
+    prod_i C_i**(alpha_j**i) = base**(sum_i c'_i alpha_j**i) = base**p'(alpha_j)
+    = base**s_j, which is vss_check's equation.  In every other case (a
+    share off p', a commitment that differs, or a dealing the check cannot
+    read, such as a base component outside the subgroup) the shares are
+    checked one by one, so the outcome is that of the per-share loop: a
+    return, VerifyFailed naming the first failing share, or its exception.
+    """
+    if _commitments_fit_shares(dealing):
+        return
     for share in dealing.shares:
         if not vss_check(dealing.base, dealing.commitments, share):
             raise VerifyFailed(share.index)
+
+
+def _commitments_fit_shares(dealing: VssDealing) -> bool:
+    """vss_verify_all's check of every share at once; False when it fails or does not apply.
+
+    The preconditions are read without raising, so that a dealing the
+    per-share loop rejects is rejected there, at the share it names; an
+    exception past them is a fault of the arithmetic and is not caught.
+    """
+    base, shares, commitments = dealing.base, dealing.shares, dealing.commitments
+    fld, t = base.field, len(commitments)
+    order = fld.field_order
+    if not (
+        1 <= t <= len(shares)
+        and all(
+            isinstance(s.index, int)
+            and 1 <= s.index < order
+            and isinstance(s.value, FieldElement)
+            and s.value.params == fld
+            for s in shares
+        )
+        and len({s.index for s in shares[:t]}) == t
+        and _in_subgroup(base)
+    ):
+        return False
+    points = [share_point(fld, s.index) for s in shares]
+    coeffs = _interpolate(points[:t], [s.value for s in shares[:t]])
+    return all(
+        _poly_eval(coeffs, x) == s.value for x, s in zip(points[t:], shares[t:])
+    ) and all(fusion_pow(base, c) == com for c, com in zip(coeffs, commitments))
+
+
+@functools.lru_cache(maxsize=1)
+def _in_subgroup(base: FusionBase) -> bool:
+    """Whether every component of base has order dividing q; kept for the last base."""
+    modulus, q = base.group.modulus, base.group.q
+    return all(pow(c.residue, q, modulus) == 1 for c in base.components)
+
+
+def _interpolate(
+    points: Sequence[FieldElement], values: Sequence[FieldElement]
+) -> list[FieldElement]:
+    """Coefficients, constant first, of the polynomial of degree < len(points)
+    through the (point, value) pairs; the points must be distinct.
+
+    Newton's divided differences d_k, then p = d_0 + (X - x_0)(d_1 + ...)
+    expanded from the inside out.  Share points below q are constants, so
+    each product and inverse with one costs little.
+    """
+    d = list(values)
+    for k in range(1, len(d)):
+        for i in range(len(d) - 1, k - 1, -1):
+            d[i] = fe_mul(fe_inv(fe_sub(points[i], points[i - k])), fe_sub(d[i], d[i - 1]))
+    coeffs = [d[-1]]
+    for x, dk in zip(reversed(points[:-1]), reversed(d[:-1])):
+        # coeffs * (X - x) + dk
+        shifted = [dk] + coeffs
+        coeffs = [fe_sub(high, fe_mul(x, low)) for high, low in zip(shifted, coeffs)]
+        coeffs.append(shifted[-1])
+    return coeffs
 
 
 def vss_reconstruct(shares: Iterable[VssShare]) -> FieldElement:

@@ -10,6 +10,7 @@ coefficient matrices, factor enumeration for irreducibility, Ben-Or's test
 with a fresh power for every X^(q^i), iterated multiplication for powers,
 one square-and-multiply per coefficient-matrix entry for tuple powers,
 an odometer over every candidate's whole tuple for the tuple dlog,
+vss_check on every share for checking a whole VSS dealing,
 Miller-Rabin with 28 fixed witnesses for primality, the safe-prime filter
 with its sieve below 200 alone, the parameter searches with the full test
 on every draw, and argparse for the command line, on
@@ -22,7 +23,16 @@ import argparse
 import itertools
 import random
 
-from fusionexp import GroupParams, NotFound, cli, fe, fusion_pow, is_irreducible
+from fusionexp import (
+    GroupParams,
+    NotFound,
+    VerifyFailed,
+    cli,
+    fe,
+    fusion_pow,
+    is_irreducible,
+    vss_check,
+)
 from fusionexp.group import pow_sm
 from fusionexp.primes import _has_small_factor, _miller_rabin, is_prime
 
@@ -292,6 +302,17 @@ def odometer_fdlog(inst):
             return fe(field, cand)
         prev = cand
     raise NotFound("no exponent maps base to target")
+
+
+def vss_verify_each(dealing):
+    """Raise VerifyFailed naming the first share that fails vss_check, if any.
+
+    The slow path that vss_verify_all's check of the commitments against
+    the polynomial through the shares replaced: m checks of one share each.
+    """
+    for share in dealing.shares:
+        if not vss_check(dealing.base, dealing.commitments, share):
+            raise VerifyFailed(share.index)
 
 
 class CountingInt(int):

@@ -9,7 +9,11 @@ import pytest
 import helpers
 from fusionexp import (
     BadThreshold,
+    FusionBase,
+    GroupElement,
+    GroupParams,
     IdentityBase,
+    ParamsMismatch,
     VerifyFailed,
     VssShare,
     fb_identity,
@@ -83,6 +87,20 @@ def test_fdh_shared_rejects_identity_peer_key(g23, f121):
         fdh_shared(me, fb_identity(g23, f121))
 
 
+def test_fdh_shared_rejects_a_peer_key_from_other_parameters(g23, f121):
+    # P = 67 has an order-11 subgroup too, and X^2 + 3 is irreducible mod 11
+    g67 = GroupParams(modulus=67, q=11, generator=9)
+    other_f = make_field_params(11, 2, [3, 0])
+    rng = random.Random(15)
+    me = fdh_keygen(unit_embed(generator_element(g23), f121), rng)
+    for group, fld in ((g67, f121), (g23, other_f), (g67, other_f)):
+        peer = fdh_keygen(unit_embed(generator_element(group), fld), rng)
+        with pytest.raises(ParamsMismatch):
+            fdh_shared(me, peer.public)
+        with pytest.raises(ParamsMismatch):
+            fdh_shared(peer, me.public)
+
+
 def test_felgamal_encrypt_rejects_identity_base_or_key(g23, f121):
     # with pk the identity, c2 would be the plaintext itself
     rng = random.Random(1)
@@ -93,6 +111,20 @@ def test_felgamal_encrypt_rejects_identity_base_or_key(g23, f121):
     for b, pk in ((base, one), (one, keys.public), (one, one)):
         with pytest.raises(IdentityBase):
             felgamal_encrypt(b, pk, msg, rng)
+
+
+def test_felgamal_encrypt_rejects_a_message_from_other_parameters(g23, f121):
+    # rejected before a nonce is drawn, as fb_mul would reject it only after
+    g67 = GroupParams(modulus=67, q=11, generator=9)
+    rng = random.Random(21)
+    base = unit_embed(generator_element(g23), f121)
+    keys = felgamal_keygen(base, rng)
+    for group, fld in ((g67, f121), (g23, make_field_params(11, 2, [3, 0]))):
+        msg = unit_embed(generator_element(group), fld)
+        state = rng.getstate()
+        with pytest.raises(ParamsMismatch, match="message"):
+            felgamal_encrypt(base, keys.public, msg, rng)
+        assert rng.getstate() == state
 
 
 def test_felgamal_roundtrip_trials(g23, f121):
@@ -247,8 +279,8 @@ def test_vss_share_index_outside_the_point_range_rejected(g23, f121):
     base = unit_embed(generator_element(g23), f121)
     dealing = vss_deal(fe_random(f121, rng), t=2, m=3, base=base, rng=rng)
     first, second = dealing.shares[:2]
-    for bad in (VssShare(1 + 121, first.value), VssShare(0, second.value),
-                VssShare(-1, second.value)):
+    for bad in (VssShare(1 + 121, first.value), VssShare(121, first.value),
+                VssShare(0, second.value), VssShare(-1, second.value)):
         with pytest.raises(ValueError, match="share index"):
             vss_reconstruct([first, bad])
         with pytest.raises(ValueError, match="share index"):
@@ -266,8 +298,9 @@ def test_vss_bad_threshold(g23, f121):
         vss_deal(secret, t=4, m=3, base=base, rng=rng)
     tiny = make_field_params(3, 1, [1])
     tiny_base = unit_embed(generator_element(_g7()), tiny)
-    with pytest.raises(BadThreshold):
+    with pytest.raises(BadThreshold, match="at most 2 distinct share points"):
         vss_deal(fe(tiny, [2]), t=1, m=3, base=tiny_base, rng=rng)  # only 2 points
+    assert len(vss_deal(fe(tiny, [2]), t=1, m=2, base=tiny_base, rng=rng).shares) == 2
 
 
 def _g7():
@@ -310,3 +343,153 @@ def test_vss_dealing_is_one_frozen_dataclass(g23, f121):
         protocols.VssDealings
     with pytest.raises(AttributeError):
         fusionexp.VssDealings
+
+
+def _outcome(verify, dealing):
+    """What a whole-dealing check did: returned, named a share, or raised."""
+    try:
+        verify(dealing)
+    except VerifyFailed as err:
+        return ("failed", err.share_index)
+    except Exception as err:  # the type is what is compared
+        return ("raised", type(err))
+    return ("passed",)
+
+
+def _agrees_with_each(dealing):
+    """The outcome of vss_verify_all, checked against the per-share loop."""
+    got = _outcome(vss_verify_all, dealing)
+    assert got == _outcome(helpers.vss_verify_each, dealing)
+    return got
+
+
+def _bumped(share):
+    return VssShare(share.index, fe_add(share.value, fe_one(share.value.params)))
+
+
+def test_vss_verify_all_agrees_with_each_share_on_honest_dealings(g23, f121, group64, fields64):
+    rng = random.Random(16)
+    g = generator_element(g23)
+    bases = (unit_embed(g, f121), scalar_embed(g, fe(f121, [3, 7])))
+    # from m = 11 on, share points leave the prime subfield (index 11 is X)
+    sizes = [(t, m) for t in (1, 2, 3, 4) for m in range(t, 7)] + [(3, 13), (4, 14)]
+    for base in bases:
+        for t, m in sizes:
+            dealing = vss_deal(fe_random(f121, rng), t, m, base, rng)
+            assert _agrees_with_each(dealing) == ("passed",)
+    base64 = scalar_embed(generator_element(group64), fe_random(fields64[2], rng, nonzero=True))
+    for t, m in ((1, 2), (3, 5), (4, 6)):
+        dealing = vss_deal(fe_random(fields64[2], rng), t, m, base64, rng)
+        assert _agrees_with_each(dealing) == ("passed",)
+
+
+def test_vss_verify_all_agrees_with_each_share_on_tampered_dealings(g23, f121):
+    rng = random.Random(17)
+    g = generator_element(g23)
+    base = scalar_embed(g, fe(f121, [3, 7]))
+    dealing = vss_deal(fe_random(f121, rng), 3, 5, base, rng)
+    shares, commitments = dealing.shares, dealing.commitments
+
+    def with_shares(*new):
+        return replace(dealing, shares=tuple(new))
+
+    for k in range(5):  # each share bumped, and it with a later one
+        one = list(shares)
+        one[k] = _bumped(one[k])
+        assert _agrees_with_each(with_shares(*one)) == ("failed", k + 1)
+        for later in range(k + 1, 5):
+            two = list(one)
+            two[later] = _bumped(two[later])
+            assert _agrees_with_each(with_shares(*two)) == ("failed", k + 1)
+    shift = unit_embed(g, f121)
+    for i in range(3):  # a commitment replaced fails the first share
+        swapped = list(commitments)
+        swapped[i] = fb_mul(swapped[i], shift)
+        assert _agrees_with_each(replace(dealing, commitments=tuple(swapped))) == ("failed", 1)
+    for perm in itertools.islice(itertools.permutations(shares), 1, None, 17):
+        assert _agrees_with_each(with_shares(*perm)) == ("passed",)
+    first, second, third, fourth, fifth = shares
+    cases = [
+        # duplicate indices, among the first t and after them
+        with_shares(first, first, third, fourth, fifth),
+        with_shares(first, VssShare(1, second.value), third, fourth, fifth),
+        with_shares(first, second, third, third, fifth),
+        # an index outside [1, q^n) after a corrupted share, and alone
+        with_shares(_bumped(first), second, third, fourth, VssShare(121, fifth.value)),
+        with_shares(first, second, third, fourth, VssShare(0, fifth.value)),
+        # an index or a value of the wrong type after a corrupted share
+        with_shares(_bumped(first), second, third, fourth, VssShare(5.0, fifth.value)),
+        with_shares(_bumped(first), second, third, fourth, VssShare(5, 7)),
+        # a share from another field, after a corrupted share and first
+        with_shares(_bumped(first), VssShare(2, fe(make_field_params(11, 2, [3, 0]), [1, 2])),
+                    third, fourth, fifth),
+        with_shares(VssShare(1, fe(make_field_params(11, 1, [0]), [4])), second, third),
+    ]
+    outcomes = [_agrees_with_each(case) for case in cases]
+    assert [outcomes[k] for k in (3, 5, 6, 7)] == [("failed", 1)] * 4
+    assert ("raised", ValueError) in outcomes and ("raised", ParamsMismatch) in outcomes
+    # more commitments than shares, and none
+    short = vss_deal(fe_random(f121, rng), 3, 3, base, rng)
+    longer = replace(short, commitments=short.commitments + (base,))
+    assert _agrees_with_each(longer) == ("failed", 1)
+    assert _agrees_with_each(replace(short, commitments=())) == ("raised", ValueError)
+    assert _agrees_with_each(replace(short, shares=(), commitments=())) == ("passed",)
+
+
+def test_vss_verify_all_agrees_with_each_share_off_the_subgroup(g23, f121):
+    rng = random.Random(18)
+    g = generator_element(g23)
+    one = fb_identity(g23, f121)
+    dealing = vss_deal(fe_random(f121, rng), 3, 5, unit_embed(g, f121), rng)
+    assert _agrees_with_each(replace(dealing, base=one)) == ("failed", 1)
+    trivial = replace(dealing, base=one, commitments=(one,) * 3)
+    assert _agrees_with_each(trivial) == ("passed",)
+    # P - g has order 2q: its exponents are not read mod q, and the
+    # commitments of an honest dealing fail the per-share check
+    outside = GroupElement(g23, 23 - 2)
+    for comps in ((outside, GroupElement(g23, 1)), (g, outside), (GroupElement(g23, 22), g)):
+        base = FusionBase(g23, f121, comps)
+        for t, m in ((2, 3), (3, 5)):
+            dealing = vss_deal(fe_random(f121, rng, nonzero=True), t, m, base, rng)
+            assert _agrees_with_each(dealing)[0] == "failed"
+
+
+def test_vss_verify_all_powers_the_base_once_per_commitment(g23, f121, group64, fields64,
+                                                            monkeypatch):
+    calls = []
+
+    def counted(base, exp):
+        calls.append(exp)
+        return fusion_pow(base, exp)
+
+    rng = random.Random(19)
+    for g, fld in ((generator_element(g23), f121), (generator_element(group64), fields64[4])):
+        base = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+        # the per-share loop takes m + m(t - 1) powers: 15, 2 and 9
+        dealings = [vss_deal(fe_random(fld, rng), t, m, base, rng)
+                    for t, m in ((3, 5), (1, 2), (3, 3))]
+        protocols._in_subgroup.cache_clear()
+        monkeypatch.setattr(protocols, "fusion_pow", counted)
+        for dealing in dealings:
+            calls.clear()
+            vss_verify_all(dealing)
+            assert tuple(fusion_pow(base, c) for c in calls) == dealing.commitments
+        monkeypatch.undo()
+        info = protocols._in_subgroup.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+def test_vss_verify_all_lets_an_arithmetic_fault_through(g23, f121, monkeypatch):
+    rng = random.Random(20)
+    dealing = vss_deal(fe_random(f121, rng), 3, 5, unit_embed(generator_element(g23), f121), rng)
+    faults = []
+
+    def faulty(base, exp):
+        if not faults:
+            faults.append(exp)
+            raise RuntimeError("injected")
+        return fusion_pow(base, exp)
+
+    monkeypatch.setattr(protocols, "fusion_pow", faulty)
+    with pytest.raises(RuntimeError, match="injected"):
+        vss_verify_all(dealing)
