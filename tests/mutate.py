@@ -1,8 +1,7 @@
 """Mutation testing of chosen functions, one mutant at a time.
 
     python tests/mutate.py src/fusionexp/protocols.py tests/test_protocols.py \\
-        --functions vss_verify_all,_interpolate [--timeout 120] [--sample 40 --seed 1] \\
-        [--replace OLD NEW ...]
+        --functions vss_verify_all,_interpolate [--replace OLD NEW ...]
 
 Each mutant changes one node of the named functions' syntax trees:
 - a comparison flipped (== and !=, < and <=, > and >=, in and not in,
@@ -15,10 +14,11 @@ Each mutant changes one node of the named functions' syntax trees:
 occur once in the module, by NEW (for mutants no operator above makes,
 such as a `try` around a call).  For each mutant, `pyproject.toml`, `src/`
 and `tests/` are copied to a temporary directory, the mutated module is
-written there, and the test file runs there under `timeout`; a mutant is
-killed when the tests fail or time out.  The checkout itself is never
-written.  Uses the standard library only; the name keeps pytest from
-collecting this file.  Exits 1 when a mutant survives.
+written there, and the test file runs there under `timeout` (TIMEOUT
+seconds) with bytecode writing off, so that no mutant runs another's cached
+code; a mutant is killed when the tests fail or time out.  The checkout
+itself is never written.  Uses the standard library only; the name keeps
+pytest from collecting this file.  Exits 1 when a mutant survives.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
-import random
 import shutil
 import subprocess
 import sys
@@ -34,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds per test run
 
 _COMPARE_FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -125,10 +125,10 @@ def text_mutants(source: str, pairs: list[tuple[str, str]]) -> list[tuple[str, s
     return mutants
 
 
-def run_tests(workdir: Path, module: Path, source: str, test_file: str, timeout: int) -> bool:
+def run_tests(workdir: Path, module: Path, source: str, test_file: str) -> bool:
     """Whether the test file passes with `source` in place of the module."""
     (workdir / module).write_text(source)
-    cmd = ["timeout", str(timeout), sys.executable, "-m", "pytest", "-x", "-q",
+    cmd = ["timeout", str(TIMEOUT), sys.executable, "-B", "-m", "pytest", "-x", "-q",
            "-p", "no:cacheprovider", test_file]
     return subprocess.run(cmd, cwd=workdir, capture_output=True).returncode == 0
 
@@ -138,17 +138,12 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="module path from the repository root")
     parser.add_argument("tests", help="test file path from the repository root")
     parser.add_argument("--functions", required=True, help="comma-separated top-level names")
-    parser.add_argument("--timeout", type=int, default=120, help="seconds per mutant")
-    parser.add_argument("--sample", type=int, help="run this many mutants, drawn at random")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--replace", nargs=2, action="append", default=[],
                         metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     module = Path(args.module)
     source = (ROOT / module).read_text()
     mutants = ast_mutants(source, set(args.functions.split(",")))
-    if args.sample is not None and args.sample < len(mutants):
-        mutants = random.Random(args.seed).sample(mutants, args.sample)
     mutants += text_mutants(source, [tuple(p) for p in args.replace])
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         workdir = Path(tmp)
@@ -156,11 +151,11 @@ def main(argv=None) -> int:
         for sub in ("src", "tests"):
             shutil.copytree(ROOT / sub, workdir / sub,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        if not run_tests(workdir, module, source, args.tests, args.timeout):
+        if not run_tests(workdir, module, source, args.tests):
             raise SystemExit("the tests fail on the unmutated module")
         survivors = 0
         for what, mutated in mutants:
-            killed = not run_tests(workdir, module, mutated, args.tests, args.timeout)
+            killed = not run_tests(workdir, module, mutated, args.tests)
             survivors += not killed
             print(f"{'killed  ' if killed else 'SURVIVED'} {what}", flush=True)
     print(f"{len(mutants)} mutants, {len(mutants) - survivors} killed, {survivors} survived")
