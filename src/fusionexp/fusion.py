@@ -14,15 +14,18 @@ non-identity base.
 `fusion_pow` drops the base's identity components and their lam columns,
 then computes the other k components in one simultaneous
 multi-exponentiation kernel, `_multi_pow`, over tables of subset products
-of the bases.  The first full-width call on a base builds its tables for
-that call only.  At a q of 64 bits or more, a base that comes back (one of
-the last 16 seen, each noted with a call counter in an lru_cache) gets
-Lim-Lee comb tables, kept in a second lru_cache for the last 4 such bases.
-Each of the k components is cut there into max(1, 8 // k) slices of its
-exponent bits, so that the slices fill a table's 8 slots, and a row runs
-over a quarter of the exponent bits, or an eighth at k = 1.  An exponent
-in the prime subfield skips the kernel: lam is then a multiple of the
-identity.
+of virtual bases.  Each base B_j is cut into `slices` virtual bases
+B_j ** 2**(p*stripe), stripe = ceil(bits(q) / slices), and slice p of an
+exponent, its bits from p*stripe up, goes with virtual base p; per =
+max(1, 8 // k) consecutive slices share one table of 8 slots, and at
+k > 8 a slice takes one table per 8 bases.  A row makes one pass over the
+bits of a slice, so it costs stripe squarings.  The first full-width call
+on a base takes one slice of bits(q) bits, for that call only.  At a q of
+64 bits or more, a base that comes back (one of the last 16 seen, each
+noted with a call counter in an lru_cache) gets Lim-Lee comb tables of
+max(4, 8 // k) slices, kept in a second lru_cache for the last 4 such
+bases.  An exponent in the prime subfield skips the kernel: lam is then a
+multiple of the identity.
 """
 
 from __future__ import annotations
@@ -41,13 +44,13 @@ from .group import (
 )
 from .value import Value
 
-# Bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
+# Virtual bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
 _TABLE_WIDTH = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# A reused base's exponents are cut into this many chunks (Lim-Lee comb).
-_COMB_CHUNKS = 4
+# A reused base's exponents are cut into at least this many slices (Lim-Lee comb).
+_COMB_SLICES = 4
 # Below this size of q a comb row costs more time than a plain one: the
-# squarings it saves are cheaper than the Python work per chunk table.
+# squarings it saves are cheaper than the Python work per table.
 _COMB_MIN_BITS = 64
 # Reused bases whose comb tables are kept (about 70 kB each at 256 bits, n = 8).
 _COMB_BASES = 4
@@ -120,65 +123,60 @@ def _subset_products(bases: tuple[int, ...], modulus: int) -> list[int]:
     return prods
 
 
-def _bit_columns(exps: tuple[int, ...], width: int) -> bytes:
-    """Byte b has bit k set iff exps[k] has bit width-1-b set.
+def _bit_columns(row: tuple[int, ...], per: int, slices: int, width: int) -> list[bytes]:
+    """The bit columns of a row cut into `slices` slices of `width` bits, one string per table.
 
-    Each exponent's binary digits are spread one per byte, then the k-th
-    exponent is shifted into bit k of every byte, so reading the bytes in
-    order walks the bit columns from the most significant down.
+    Each exponent's binary digits are spread one per byte over
+    slices*width bytes, exponent j of each group of 8 shifted into bit j,
+    so that the bytes walk the bit columns from the most significant down
+    and slice p is the p-th run of `width` bytes from the end.  Where `per`
+    slices share a table (k <= 4, one group), slice p + r is shifted onto
+    the run of slice p and into bits r*k up.  One run per table is cut
+    out, in table order: slice by slice, then group by group.
     """
-    cols = 0
-    for k, e in enumerate(exps):
-        digits = format(e, f"0{width}b").encode().translate(_BIT_BYTES)
-        cols |= int.from_bytes(digits, "big") << k
-    return cols.to_bytes(width, "big")
-
-
-def _subset_tables(
-    residues: tuple[int, ...], modulus: int, chunk: int, chunks: int
-) -> list[list[list[int]]]:
-    """tables[g][c] = subset products of the bases of group g, each raised to 2**(c*chunk).
-
-    Group g holds residues[8g : 8g + 8]; c runs below `chunks`.  The bases
-    may be a reused base's slices (see _comb_tables).
-    """
-    tables = []
-    for s in range(0, len(residues), _TABLE_WIDTH):
-        bases = residues[s : s + _TABLE_WIDTH]
-        combs = [_subset_products(bases, modulus)]
-        for _ in range(1, chunks):
-            for _ in range(chunk):
-                bases = [b * b % modulus for b in bases]
-            combs.append(_subset_products(bases, modulus))
-        tables.append(combs)
-    return tables
+    spread = slices * width
+    digits = f"0{spread}b"
+    runs = []
+    for s in range(0, len(row), _TABLE_WIDTH):
+        cols = 0
+        for j, e in enumerate(row[s : s + _TABLE_WIDTH]):
+            cols |= int.from_bytes(format(e, digits).encode().translate(_BIT_BYTES), "big") << j
+        folded = cols
+        for r in range(1, per):  # per > 1 only at k <= 4, in one group
+            folded |= cols >> (8 * r * width) << (r * len(row))
+        runs.append(folded.to_bytes(spread, "big"))
+    return [run[(slices - 1 - p) * width : (slices - p) * width]
+            for p in range(0, slices, per) for run in runs]
 
 
 @functools.lru_cache(maxsize=_COMB_BASES)
 def _comb_tables(
-    residues: tuple[int, ...], modulus: int, bits: int
-) -> tuple[list[list[list[int]]], int, int, int]:
-    """Comb tables of a reused base, their chunk width, and how rows are cut.
+    residues: tuple[int, ...], modulus: int, bits: int, slices: int
+) -> tuple[list[list[int]], int, int]:
+    """Subset-product tables over `slices` slices of each base, slices per table, and stripe.
 
-    A table has 8 slots.  With k < 8 bases, the exponent of each base B_j
-    is cut into per = 8 // k slices of `stripe` bits; slice p, its bits
-    from p*stripe up, goes with the virtual base B_j ** 2**(p*stripe) in
-    slot p*k + j.  The exponent bits are cut into max(_COMB_CHUNKS, per)
-    chunks, so a stripe spans chunks // per of them, one per table, and
-    each lookup reads up to 8 exponent bits; k = 1 takes 8 chunks.  At
-    k >= 8, per = 1 and the virtual bases are the bases.
+    The k bases B_j are squared along one chain into the virtual bases
+    B_j ** 2**(p*stripe), p below `slices`, stripe = ceil(bits / slices),
+    so that slice p of an exponent, its bits from p*stripe up, goes with
+    virtual base p.  A table has 8 slots: per = max(1, 8 // k) consecutive
+    slices, or all when fewer, share one, slice p in slot (p mod per)*k + j,
+    and at k > 8 each slice takes one table per 8 bases.  The tables come slice by slice,
+    then 8 bases by 8.  One slice of bits(q) bits is plain simultaneous
+    exponentiation; the cache keeps the comb tables of a reused base.
     """
-    per = max(1, _TABLE_WIDTH // len(residues))
-    chunks = max(_COMB_CHUNKS, per)
-    chunk = -(-bits // chunks)
-    stripe = chunks // per * chunk
+    k = len(residues)
+    per = min(slices, max(1, _TABLE_WIDTH // k))
+    stripe = -(-bits // slices)
     virtual = list(residues)
-    for _ in range(1, per):
-        last = virtual[-len(residues) :]
+    for _ in range(1, slices):
+        last = virtual[-k:]
         for _ in range(stripe):
             last = [b * b % modulus for b in last]
         virtual += last
-    return _subset_tables(tuple(virtual), modulus, chunk, chunks // per), chunk, per, stripe
+    run = per * k
+    tables = [_subset_products(virtual[s : min(s + _TABLE_WIDTH, r + run)], modulus)
+              for r in range(0, slices * k, run) for s in range(r, r + run, _TABLE_WIDTH)]
+    return tables, per, stripe
 
 
 @functools.lru_cache(maxsize=_SEEN_BASES)
@@ -189,42 +187,41 @@ def _visits(modulus: int, residues: tuple[int, ...]) -> itertools.count:
 
 def _tables(
     residues: tuple[int, ...], modulus: int, bits: int
-) -> tuple[list[list[list[int]]], int, int, int]:
-    """Subset-product tables for _multi_pow, their chunk width, slices and stripe.
+) -> tuple[list[list[int]], int, int]:
+    """Subset-product tables for _multi_pow, slices per table, and stripe (see _comb_tables).
 
-    The first full-width call on a base builds one chunk of `bits` bits for
-    that call only, over the bases themselves (one slice); _visits counts
-    it.  A later call takes the base's comb tables, cached for the last
-    _COMB_BASES bases; their rows need each exponent cut into `per` slices
-    of `stripe` bits.  A q of fewer than _COMB_MIN_BITS bits always takes
+    The first full-width call on a base builds tables of one slice for
+    that call only; _visits counts it.  A later call takes the base's comb
+    tables of max(_COMB_SLICES, 8 // k) slices, cached for the last
+    _COMB_BASES bases.  A q of fewer than _COMB_MIN_BITS bits always takes
     the first route.  Two threads that meet a new base at once may both
     take the first route; the result is the same either way.
     """
     if bits >= _COMB_MIN_BITS and next(_visits(modulus, residues)) > 0:
-        return _comb_tables(residues, modulus, bits)
-    return _subset_tables(residues, modulus, bits, 1), bits, 1, bits
+        slices = max(_COMB_SLICES, _TABLE_WIDTH // len(residues))
+        return _comb_tables(residues, modulus, bits, slices)
+    return _comb_tables.__wrapped__(residues, modulus, bits, 1)
 
 
 def _multi_pow(
-    tables: list[list[list[int]]],
-    chunk: int,
+    tables: list[list[int]],
+    per: int,
+    stripe: int,
     lam: tuple[tuple[int, ...], ...],
     modulus: int,
 ) -> tuple[int, ...]:
     """Component i = prod_j B_j ** lam[i][j], all by one kernel.
 
     Simultaneous exponentiation (Straus 1964; Moeller, SAC 2001) with
-    Lim-Lee combs (CRYPTO '94): tables[g][c] holds the subset products of
-    the bases B_j of group g (j in [8g, 8g + 8)) raised to 2**(c*chunk),
-    and a row's exponents are cut into chunks of `chunk` bits, chunk c
-    looked up in table c.  A row then makes one left-to-right pass over
-    the bits of a chunk: per bit, one squaring and one multiply by the
-    product that the bit columns select.  With more than one table in
-    use, the per-bit picks of the later tables are first multiplied into
-    one per-bit list, indexed from 1 by bit position.  One table per
-    group with chunk >= bits(q) is plain simultaneous exponentiation.
-    The B_j may be a reused base's slices (_comb_tables), each row cut to
-    match, so that one table serves up to 8 chunk lookups at once.
+    Lim-Lee combs (CRYPTO '94) over the tables of _comb_tables, `per`
+    slices of `stripe` bits to a table.  A row's exponents are cut into
+    slices of `stripe` bits, or one slice of all their bits when that is
+    shorter, and each table in use reads its column string (_bit_columns).
+    A row then makes one left-to-right pass over the bits of a slice: per
+    bit, one squaring and one multiply by the product that the bit columns
+    select.  With more than one table in use, the per-bit picks of the
+    later tables are first multiplied into one per-bit list, indexed from
+    1 by bit position.
     """
     out = []
     for row in lam:
@@ -232,19 +229,14 @@ def _multi_pow(
         if not top:
             out.append(1)
             continue
-        width = min(chunk, top)
-        used = -(-top // width)
+        width = min(stripe, top)
         keys = lookup = None
-        for g, combs in enumerate(tables):
-            s = g * _TABLE_WIDTH
-            cols = _bit_columns(row[s : s + _TABLE_WIDTH], used * width)
-            for c in range(used):
-                more, tab = cols[(used - 1 - c) * width : (used - c) * width], combs[c]
-                if keys is None:
-                    keys, lookup = more, tab
-                    continue
-                lookup = [1] + [lookup[a] * tab[b] % modulus for a, b in zip(keys, more)]
-                keys = [i if a or b else 0 for i, (a, b) in enumerate(zip(keys, more), 1)]
+        for tab, more in zip(tables, _bit_columns(row, per, -(-top // width), width)):
+            if keys is None:
+                keys, lookup = more, tab
+                continue
+            lookup = [1] + [lookup[a] * tab[b] % modulus for a, b in zip(keys, more)]
+            keys = [i if a or b else 0 for i, (a, b) in enumerate(zip(keys, more), 1)]
         acc = 1
         for k in keys:
             acc = acc * acc % modulus
@@ -277,11 +269,6 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
         if len(kept) < len(residues):
             residues = tuple(residues[j] for j in kept)
             lam = [[row[j] for j in kept] for row in lam]
-        tables, chunk, per, stripe = _tables(residues, modulus, base.field.q.bit_length())
-        if per > 1:  # slice p of e is its bits p*stripe and up
-            mask = (1 << stripe) - 1
-            lam = [[e >> s & mask for s in range(0, per * stripe, stripe) for e in row]
-                   for row in lam]
-        powered = _multi_pow(tables, chunk, lam, modulus)
+        powered = _multi_pow(*_tables(residues, modulus, base.field.q.bit_length()), lam, modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)

@@ -280,8 +280,8 @@ def fresh_combs():
     fusion._comb_tables.cache_clear()
 
 
-# 9, 10 and 16 bases need two subset tables per chunk; at n = 1 the exponent
-# one gives a row shorter than a chunk.
+# 9, 10 and 16 bases need two subset tables per slice; at n = 1 the exponent
+# one gives a row shorter than a slice.
 ROUTE_DEGREES = (1, 2, 3, 4, 8, 9, 10, 16)
 
 
@@ -419,7 +419,7 @@ def test_comb_tables_shared_by_threads(group64, fields64, fresh_combs):
 def test_reused_base_multiplication_budget(group64, fields64, fresh_combs):
     # the first call on a base counts as before; the second builds its comb
     # tables; from the third on a row takes ceil(64/4) = 16 bits, each with one
-    # squaring, three folds of the later chunk tables and one table multiply
+    # squaring, three folds of the later slice tables and one table multiply
     counting = helpers.CountingInt
     # the base of test_fusion_pow_multiplication_budget at n = 8
     fields = kernel_fields(group64.q, fields64)
@@ -481,8 +481,8 @@ def assert_packed_matches_oracles(group, n, hole_counts, seed):
         for _ in range(3):
             x = fe_random(fld, rng)
             lam = helpers.lambda_matrix(fld.q, fld.f_low, x.coeffs)
-            per_call = fusion._multi_pow(fusion._subset_tables(residues(base), P, bits, 1),
-                                         bits, lam, P)
+            one_shot = fusion._comb_tables.__wrapped__(residues(base), P, bits, 1)
+            per_call = fusion._multi_pow(*one_shot, lam, P)
             assert residues(fusion_pow(base, x)) == per_call, (n, holes, x.coeffs)
             assert per_call == helpers.pow_components(residues(base), lam, P)
         assert fusion._comb_tables.cache_info()[:2] == (1, 1), (n, holes)
@@ -518,10 +518,12 @@ def test_identity_base_gives_the_identity_without_the_kernel(bits, g23, group64,
 # Multiplications per reused call at a 256-bit q, from the third call on.
 # (n, non-identity components k, bound): k = 1 is one table of 8 slices of
 # 32 bits, so a row takes 32 squarings and 32 multiplies; k = 2 one table of
-# 4 slices, chunk 64; k = 3, 4 two tables of 2 slices each, chunk 64, so a
-# row adds 64 folds.
+# 4 slices of 64 bits; k = 3, 4 two tables of 2 slices each, so a row adds
+# 64 folds; k = 5 to 8 four tables of one slice, 320 per row; k = 9 to 16
+# four slices of two tables each, 64 squarings, 64 multiplies and 7·64 folds.
 PACKED_COUNTS = [(4, 1, 256), (4, 4, 768), (1, 1, 64), (2, 2, 256), (3, 3, 576),
-                 (8, 1, 512), (8, 2, 1024)]
+                 (8, 1, 512), (8, 2, 1024), (8, 5, 2560), (8, 6, 2560), (8, 7, 2560),
+                 (16, 9, 16 * 576), (16, 12, 16 * 576), (16, 16, 16 * 576)]
 
 
 def counted_base(group, fld, k, rng):
@@ -554,7 +556,7 @@ def test_packed_comb_multiplication_budget(group256, n, k, bound, fresh_combs):
 
 def test_full_width_comb_count_is_unchanged(group256, fresh_combs):
     # eight components fill a table with one slice each: four tables of
-    # 64-bit chunks, 320 multiplications per row and fewer on zero bits
+    # 64-bit slices, 320 multiplications per row and fewer on zero bits
     fld = route_field(group256.q, 8)
     base = counted_base(group256, fld, 8, random.Random(108))
     counts = reused_counts(base, [fe(fld, [fld.q - 1] * 8)] * 3)
