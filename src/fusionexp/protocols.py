@@ -66,9 +66,12 @@ def _vss_dealing_type() -> type:
     """The VssDealing class, made on first use.
 
     Still a frozen dataclass, unlike the other values, so
-    `dataclasses.replace` can swap in a corrupted share; made lazily so that
-    importing the package does not import `dataclasses`, and only callers
-    of vss_deal make it (the CLI shares through vss_split).  Reached as
+    `dataclasses.replace` can swap in a corrupted share.  Its counts must
+    agree, 1 <= threshold <= share_count with threshold commitments and
+    share_count shares, or BadThreshold is raised, under `replace` too.
+    Made lazily so that importing the package does not import
+    `dataclasses`, and only callers of vss_deal make it (the CLI shares
+    through vss_split).  Reached as
     `protocols.VssDealing` through the module `__getattr__`, which is where
     pickle looks it up.
     """
@@ -83,6 +86,14 @@ def _vss_dealing_type() -> type:
         base: FusionBase
         shares: tuple[VssShare, ...]
         commitments: tuple[FusionBase, ...]
+
+        def __post_init__(self):
+            t, m = self.threshold, self.share_count
+            if not (1 <= t <= m and len(self.commitments) == t and len(self.shares) == m):
+                raise BadThreshold(
+                    f"need 1 <= t <= m, t commitments and m shares; got t={t}, m={m},"
+                    f" {len(self.commitments)} commitments, {len(self.shares)} shares"
+                )
 
     VssDealing.__qualname__ = "VssDealing"  # its __module__ is already this one
     return VssDealing
@@ -181,7 +192,9 @@ def vss_split(
 
     The sharing polynomial has degree t-1 with constant term the secret;
     commitment i is base raised to coefficient i, which lets any holder
-    check a share (vss_check) without learning the secret.
+    check a share (vss_check) without learning the secret.  A base with a
+    component outside the order-q subgroup raises ValueError, since its
+    commitments would fail that check.
     """
     fld = secret.params
     if base.field != fld:
@@ -192,6 +205,8 @@ def vss_split(
         raise BadThreshold(f"need 1 <= t <= m, got t={t}, m={m}")
     if m > fld.field_order - 1:
         raise BadThreshold(f"at most {fld.field_order - 1} distinct share points exist")
+    if not _in_subgroup(base):
+        raise ValueError("commitment base has a component outside the order-q subgroup")
     coeffs = [secret] + [fe_random(fld, rng) for _ in range(t - 1)]
     shares = tuple(
         VssShare(index=j, value=_poly_eval(coeffs, share_point(fld, j)))
@@ -264,13 +279,13 @@ def _commitments_fit_shares(dealing: VssDealing) -> bool:
     The preconditions are read without raising, so that a dealing the
     per-share loop rejects is rejected there, at the share it names; an
     exception past them is a fault of the arithmetic and is not caught.
+    The dealing itself holds 1 <= t <= m (VssDealing).
     """
     base, shares, commitments = dealing.base, dealing.shares, dealing.commitments
     fld, t = base.field, len(commitments)
     order = fld.field_order
     if not (
-        1 <= t <= len(shares)
-        and all(
+        all(
             isinstance(s.index, int)
             and 1 <= s.index < order
             and isinstance(s.value, FieldElement)
@@ -290,9 +305,16 @@ def _commitments_fit_shares(dealing: VssDealing) -> bool:
 
 @functools.lru_cache(maxsize=1)
 def _in_subgroup(base: FusionBase) -> bool:
-    """Whether every component of base has order dividing q; kept for the last base."""
-    modulus, q = base.group.modulus, base.group.q
-    return all(pow(c.residue, q, modulus) == 1 for c in base.components)
+    """Whether every component of base has order dividing q; kept for the last base.
+
+    The identity and the group's generator, whose order GroupParams
+    checked, take no power.
+    """
+    group = base.group
+    return all(
+        c.residue in (1, group.generator) or pow(c.residue, group.q, group.modulus) == 1
+        for c in base.components
+    )
 
 
 def _interpolate(
@@ -319,26 +341,11 @@ def _interpolate(
 
 
 def vss_reconstruct(shares: Iterable[VssShare]) -> FieldElement:
-    """Recover the secret by Lagrange interpolation at zero."""
+    """Recover the secret: the constant term of the polynomial through the shares."""
     shares = list(shares)
     if not shares:
         raise BadThreshold("no shares given")
     if len({s.index for s in shares}) != len(shares):
         raise ValueError("duplicate share indices")
     fld = shares[0].value.params
-    points = [(share_point(fld, s.index), s.value) for s in shares]
-    acc = fe_zero(fld)
-    for alpha_j, value in points:
-        num = None
-        den = None
-        for alpha_l, _ in points:
-            if alpha_l == alpha_j:
-                continue
-            num = alpha_l if num is None else fe_mul(num, alpha_l)
-            diff = fe_sub(alpha_l, alpha_j)
-            den = diff if den is None else fe_mul(den, diff)
-        term = value
-        if num is not None:
-            term = fe_mul(term, fe_mul(num, fe_inv(den)))
-        acc = fe_add(acc, term)
-    return acc
+    return _interpolate([share_point(fld, s.index) for s in shares], [s.value for s in shares])[0]

@@ -334,9 +334,11 @@ def test_vss_dealing_is_one_frozen_dataclass(g23, f121):
     assert repr(dealing).startswith("VssDealing(threshold=2, share_count=3, base=")
     with pytest.raises(dataclasses.FrozenInstanceError):
         dealing.threshold = 3
-    changed = replace(dealing, threshold=3)
-    assert isinstance(changed, dealing_type) and changed.threshold == 3
-    assert changed.shares == dealing.shares
+    with pytest.raises(BadThreshold):
+        replace(dealing, threshold=3)
+    changed = replace(dealing, shares=dealing.shares[::-1])
+    assert isinstance(changed, dealing_type) and changed.shares[0] == dealing.shares[-1]
+    assert changed.commitments == dealing.commitments
     back = pickle.loads(pickle.dumps(dealing))
     assert type(back) is dealing_type and back == dealing
     with pytest.raises(AttributeError):
@@ -423,17 +425,32 @@ def test_vss_verify_all_agrees_with_each_share_on_tampered_dealings(g23, f121):
         # a share from another field, after a corrupted share and first
         with_shares(_bumped(first), VssShare(2, fe(make_field_params(11, 2, [3, 0]), [1, 2])),
                     third, fourth, fifth),
-        with_shares(VssShare(1, fe(make_field_params(11, 1, [0]), [4])), second, third),
+        with_shares(VssShare(1, fe(make_field_params(11, 1, [0]), [4])), second, third,
+                    fourth, fifth),
     ]
     outcomes = [_agrees_with_each(case) for case in cases]
     assert [outcomes[k] for k in (3, 5, 6, 7)] == [("failed", 1)] * 4
     assert ("raised", ValueError) in outcomes and ("raised", ParamsMismatch) in outcomes
-    # more commitments than shares, and none
+    # more commitments than shares, none, and no shares: the dealing's counts
+    # must agree, so none of these is a dealing
     short = vss_deal(fe_random(f121, rng), 3, 3, base, rng)
-    longer = replace(short, commitments=short.commitments + (base,))
-    assert _agrees_with_each(longer) == ("failed", 1)
-    assert _agrees_with_each(replace(short, commitments=())) == ("raised", ValueError)
-    assert _agrees_with_each(replace(short, shares=(), commitments=())) == ("passed",)
+    for changes in ({"commitments": short.commitments + (base,)}, {"commitments": ()},
+                    {"shares": (), "commitments": ()}, {"shares": ()}):
+        with pytest.raises(BadThreshold):
+            replace(short, **changes)
+
+
+def _dealing_over(base, t, m, rng):
+    """The dealing vss_deal would make over base, without vss_split's checks of the base."""
+    fld = base.field
+    coeffs = [fe_random(fld, rng, nonzero=True) for _ in range(t)]
+    shares = tuple(VssShare(j, protocols._poly_eval(coeffs, share_point(fld, j)))
+                   for j in range(1, m + 1))
+    return protocols.VssDealing(t, m, base, shares, tuple(fusion_pow(base, c) for c in coeffs))
+
+
+# over P = 23, q = 11: P - g = 21 has order 2q and P - 1 = 22 order 2
+OFF_SUBGROUP = ((21, 1), (2, 21), (22, 2))
 
 
 def test_vss_verify_all_agrees_with_each_share_off_the_subgroup(g23, f121):
@@ -444,14 +461,58 @@ def test_vss_verify_all_agrees_with_each_share_off_the_subgroup(g23, f121):
     assert _agrees_with_each(replace(dealing, base=one)) == ("failed", 1)
     trivial = replace(dealing, base=one, commitments=(one,) * 3)
     assert _agrees_with_each(trivial) == ("passed",)
-    # P - g has order 2q: its exponents are not read mod q, and the
-    # commitments of an honest dealing fail the per-share check
-    outside = GroupElement(g23, 23 - 2)
-    for comps in ((outside, GroupElement(g23, 1)), (g, outside), (GroupElement(g23, 22), g)):
-        base = FusionBase(g23, f121, comps)
+    # exponents of such a base are not read mod q, and the commitments of
+    # an honest dealing fail the per-share check
+    for comps in OFF_SUBGROUP:
+        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
         for t, m in ((2, 3), (3, 5)):
-            dealing = vss_deal(fe_random(f121, rng, nonzero=True), t, m, base, rng)
-            assert _agrees_with_each(dealing)[0] == "failed"
+            assert _agrees_with_each(_dealing_over(base, t, m, rng))[0] == "failed"
+
+
+def test_vss_split_rejects_a_base_off_the_subgroup(g23, f121):
+    rng = random.Random(21)
+    secret = fe_random(f121, rng)
+    for comps in OFF_SUBGROUP:
+        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
+        with pytest.raises(ValueError, match="outside the order-q subgroup"):
+            vss_split(secret, 2, 3, base, rng)
+        with pytest.raises(ValueError, match="outside the order-q subgroup"):
+            vss_deal(secret, 2, 3, base, rng)
+
+
+def test_subgroup_test_powers_no_identity_and_no_generator(g23, f121, group64, fields64,
+                                                          monkeypatch):
+    powered = []
+
+    def logged(x, e, m):
+        powered.append(x)
+        return pow(x, e, m)
+
+    monkeypatch.setattr(protocols, "pow", logged, raising=False)
+    rng = random.Random(22)
+    for g, fld in ((generator_element(g23), f121), (generator_element(group64), fields64[4])):
+        protocols._in_subgroup.cache_clear()
+        assert protocols._in_subgroup(unit_embed(g, fld))
+        assert powered == []
+        full = scalar_embed(g, fe_random(fld, rng, nonzero=True))
+        assert protocols._in_subgroup(full)
+        assert powered == [c.residue for c in full.components if c.residue != g.residue]
+        powered.clear()
+    protocols._in_subgroup.cache_clear()
+
+
+def test_vss_dealing_counts_must_agree(g23, f121):
+    rng = random.Random(23)
+    dealing = vss_deal(fe_random(f121, rng), 2, 3, unit_embed(generator_element(g23), f121), rng)
+    shares, commitments, base = dealing.shares, dealing.commitments, dealing.base
+    dealing_type = protocols.VssDealing
+    assert dealing_type(2, 3, base, shares, commitments) == dealing
+    for t, m, s, c in ((0, 3, shares, ()), (3, 2, shares[:2], commitments + commitments[:1]),
+                       (2, 3, shares[:2], commitments), (2, 3, shares + shares[:1], commitments),
+                       (2, 3, shares, commitments[:1]), (2, 2, shares, commitments),
+                       (1, 3, shares, commitments)):
+        with pytest.raises(BadThreshold):
+            dealing_type(t, m, base, s, c)
 
 
 def test_vss_verify_all_powers_the_base_once_per_commitment(g23, f121, group64, fields64,
