@@ -14,7 +14,11 @@ In the interchange format every integer is a decimal string of ASCII
 digits (`parse_decimal`): a config file holds the group and field
 parameters, and a tuple base or a field exponent is a JSON array of n such
 strings.  Everything read is untrusted: sizes are capped first, and values
-are then built with the library's checked constructors.
+are then built with the library's checked constructors.  The power is the
+last check: the field's irreducibility test (the power X^q and its gcds,
+whose cost grows with n * bits(q)) runs after the config's other checks
+and the command's checks of its arguments (caps, decimals, lengths,
+subgroup membership, ranges), so a malformed argument exits before it.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .field import (
     make_field_params,
 )
 from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
-from .group import GroupParams, gen_group_params, generator_element, group_element
+from .group import GroupElement, GroupParams, gen_group_params, generator_element, group_element
 from .protocols import (
     VssShare,
     fdh_keygen,
@@ -154,7 +158,21 @@ def _size_error(modulus_bits: int, q_bits: int, n: int) -> str | None:
     return None
 
 
-def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
+def load_system_config(
+    path: str, irreducible: bool = True
+) -> tuple[GroupParams, FieldParams | tuple[int, int, tuple[int, ...]]]:
+    """The group and field of the config file at path, each invariant checked once.
+
+    Cheapest first: the byte and size caps, the JSON and its decimals, the
+    group order equal to the field's q, GroupParams, then the length of f
+    and the range of its coefficients.  The power is the last check:
+    Ben-Or's X^q and its gcds, whose cost grows with n * bits(q), run when
+    `_field` builds FieldParams.  With irreducible=False they are left to
+    the caller, and the field comes back as its checked (q, n, f_low), so
+    that a command checks its own arguments before it pays for the power.
+    A fault is a FormatError naming the config; an unreadable file raises
+    OSError.
+    """
     try:
         # OSError passes through (exit 2); undecodable bytes are a ValueError
         with open(path, "rb") as fh:
@@ -178,14 +196,38 @@ def load_system_config(path: str) -> tuple[GroupParams, FieldParams]:
         if q != field_q:
             raise FormatError("group order and field characteristic differ")
         f_low = tuple(parse_decimal(c) for c in f)
-        return GroupParams(modulus, q, generator), FieldParams(q, n, f_low)
+        params = GroupParams(modulus, q, generator)
+        # FieldParams' checks before its power, in its order and words
+        if n < 1:
+            raise ValueError(f"extension degree must be >= 1, got {n}")
+        if len(f_low) != n:
+            raise ValueError(f"f_low must have length n={n}, got {len(f_low)}")
+        _check_below(f_low, q)
     except (RecursionError, KeyError, TypeError, ValueError, FusionExpError) as exc:
         # json.loads raises RecursionError on arrays or objects nested too deep
         raise FormatError(f"bad config {path}: {exc}") from exc
+    spec = (q, n, f_low)
+    return params, (_field(path, spec) if irreducible else spec)
 
 
-def _vector(text: str, n: int, what: str) -> list[int]:
-    """The n integers of a JSON array of decimal strings, an argument named what."""
+def _field(path: str, spec: tuple[int, int, tuple[int, ...]]) -> FieldParams:
+    """FieldParams from the checked (q, n, f_low) of the config at path: the
+    last check, Ben-Or's power, which a reducible f fails."""
+    try:
+        return FieldParams(*spec)
+    except FusionExpError as exc:
+        raise FormatError(f"bad config {path}: {exc}") from exc
+
+
+def _check_below(values, q: int) -> None:
+    """ValueError unless every value (at least 0) lies below q."""
+    if any(v >= q for v in values):
+        raise ValueError("coefficients must lie in [0, q)")
+
+
+def _vector(text: str, n: int, what: str, q: int | None = None) -> list[int]:
+    """The n integers of a JSON array of decimal strings, an argument named
+    what; each below q when q is given."""
     try:
         data = json.loads(text)
         if not isinstance(data, list):
@@ -193,15 +235,19 @@ def _vector(text: str, n: int, what: str) -> list[int]:
         # outside input: its length is checked before any per-element work
         if len(data) != n:
             raise ValueError(f"need {n} entries, got {len(data)}")
-        return [parse_decimal(x) for x in data]
+        values = [parse_decimal(x) for x in data]
+        if q is not None:
+            _check_below(values, q)
+        return values
     except (RecursionError, ValueError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
 
 
-def _base(group: GroupParams, fld: FieldParams, text: str, what: str) -> FusionBase:
-    residues = _vector(text, fld.n, what)
+def _elements(group: GroupParams, n: int, text: str, what: str) -> tuple[GroupElement, ...]:
+    """The n order-q subgroup elements of a tuple argument named what."""
+    residues = _vector(text, n, what)
     try:
-        return FusionBase(group, fld, tuple(group_element(group, r) for r in residues))
+        return tuple(group_element(group, r) for r in residues)
     except ValueError as exc:  # a residue outside the order-q subgroup
         raise FormatError(f"bad {what}: {exc}") from exc
 
@@ -262,28 +308,29 @@ def cmd_vectors(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    group, fld = load_system_config(args.config)
-    base = _base(group, fld, args.base, "base")
-    try:
-        exp = FieldElement(fld, tuple(_vector(args.exp, fld.n, "exponent")))
-    except FusionExpError as exc:  # a coefficient outside [0, q)
-        raise FormatError(f"bad exponent: {exc}") from exc
-    _emit(_decimals(fusion_pow(base, exp)))
+    group, spec = load_system_config(args.config, irreducible=False)
+    q, n, _ = spec
+    components = _elements(group, n, args.base, "base")
+    exp = _vector(args.exp, n, "exponent", q)
+    fld = _field(args.config, spec)
+    _emit(_decimals(fusion_pow(FusionBase(group, fld, components), FieldElement(fld, exp))))
     return EXIT_OK
 
 
 def cmd_fdlog(args) -> int:
-    group, fld = load_system_config(args.config)
+    group, spec = load_system_config(args.config, irreducible=False)
     if group.q > BRUTE_CAP:
         raise CapExceeded(f"q={group.q} exceeds the desk-scale cap {BRUTE_CAP}")
     if args.solver == "rho" and group.q <= 3:
         raise UsageError(
             f"--solver rho needs q > 3, got q={group.q}; use bruteforce or bsgs"
         )
-    base = _base(group, fld, args.base, "base")
-    target = _base(group, fld, args.target, "target")
+    n = spec[1]
+    base = _elements(group, n, args.base, "base")
+    target = _elements(group, n, args.target, "target")
+    fld = _field(args.config, spec)
     try:
-        inst = FdlogInstance(base, target)
+        inst = FdlogInstance(FusionBase(group, fld, base), FusionBase(group, fld, target))
     except FusionExpError as exc:  # an identity base
         raise FormatError(str(exc)) from exc
     seed = _resolve_seed(args.seed)
@@ -378,10 +425,12 @@ def _demo_reductions(group, fld, trials: int, seed: int) -> tuple[dict, bool]:
 def cmd_demo(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
-    group, fld = load_system_config(args.config)
-    if args.which == "reductions" and args.trials * fld.field_order > MAX_TRIALS * 11**4:
+    group, spec = load_system_config(args.config, irreducible=False)
+    q, n, _ = spec
+    if args.which == "reductions" and args.trials * q**n > MAX_TRIALS * 11**4:
         raise UsageError(f"--trials times the field order must not exceed {MAX_TRIALS} "
-                         f"* 11^4, got {args.trials} * {fld.field_order}")
+                         f"* 11^4, got {args.trials} * {q**n}")
+    fld = _field(args.config, spec)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     if args.which == "dh":

@@ -111,9 +111,16 @@ def __getattr__(name: str):
 
 
 def fdh_keygen(base: FusionBase, rng: random.Random) -> FusionKeyPair:
-    """Nonzero secret exponent and the matching public tuple."""
+    """Nonzero secret exponent and the matching public tuple.
+
+    A base with a component outside the order-q subgroup raises ValueError:
+    its exponents are not read mod q, and the two sides of an agreement
+    would disagree.
+    """
     if is_identity(base):
         raise IdentityBase("system base must not be the identity")
+    if not _in_subgroup(base):
+        raise ValueError("system base has a component outside the order-q subgroup")
     secret = fe_random(base.field, rng, nonzero=True)
     return FusionKeyPair(secret=secret, public=fusion_pow(base, secret))
 

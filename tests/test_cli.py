@@ -397,9 +397,10 @@ def test_config_without_version_rejected(capsys, tmp_path):
         "group": {"modulus": "23", "q": "11", "generator": "2"},
         "field": {"q": "11", "n": 2, "f": ["1", "0"]},
     }))
-    code, _, _ = run(capsys, "eval", "--config", str(bad),
-                     "--base", '["2","4"]', "--exp", '["1","0"]')
+    code, _, err = run(capsys, "eval", "--config", str(bad),
+                       "--base", '["2","4"]', "--exp", '["1","0"]')
     assert code == EXIT_FORMAT
+    assert "schema version must be '1'" in err
 
 
 @pytest.mark.parametrize("exp", ['["-3","5"]', '["3_0","5"]', '[" 8","5"]',
@@ -571,6 +572,117 @@ def test_config_modulus_out_of_range_exits_before_any_power(capsys, tmp_path, mo
     assert out == "" and "[0, q)" in err
 
 
+def no_power(monkeypatch):
+    """Make the field's power raise Reached, with no irreducibility answer kept."""
+    fusionexp.field._irreducible.cache_clear()
+    monkeypatch.setattr(fusionexp.field, "_pow", reached)
+
+
+def write_field_config(path, n, f):
+    """A config over P = 23, q = 11 with degree n and modulus coefficients f."""
+    write_config(path, 23, 11, 11, 1)
+    obj = json.loads(path.read_text())
+    obj["field"].update(n=n, f=f)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# over P = 23, q = 11: 22 = -1 has order 2
+BAD_EVAL_ARGS = {
+    "non-member-base": ('["2","22"]', '["3","5"]', "bad base: residue 22 is not"),
+    "short-base": ('["2"]', '["3","5"]', "bad base: need 2 entries, got 1"),
+    "exponent-at-q": ('["2","4"]', '["3","11"]', "bad exponent: coefficients must lie in [0, q)"),
+}
+
+
+@pytest.mark.parametrize("base, exp, named", BAD_EVAL_ARGS.values(), ids=BAD_EVAL_ARGS)
+def test_eval_checks_its_arguments_before_the_power(capsys, config_path, monkeypatch,
+                                                    base, exp, named):
+    no_power(monkeypatch)
+    code, out, err = run(capsys, "eval", "--config", config_path, "--base", base, "--exp", exp)
+    assert code == EXIT_FORMAT
+    assert out == "" and named in err
+    # good arguments go on to the power
+    with pytest.raises(Reached):
+        main(["eval", "--config", config_path, "--base", '["2","4"]', "--exp", '["3","5"]'])
+
+
+def test_fdlog_checks_its_target_before_the_power(capsys, config_path, monkeypatch):
+    no_power(monkeypatch)
+    argv = ["fdlog", "--config", config_path, "--base", '["2","4"]', "--solver", "bruteforce"]
+    code, out, err = run(capsys, *argv, "--target", '["16","22"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "bad target: residue 22 is not" in err
+    with pytest.raises(Reached):
+        main([*argv, "--target", '["16","1"]'])
+
+
+def test_demo_checks_the_trials_cap_before_the_power(capsys, tmp_path, monkeypatch):
+    # q = 11, n = 5: 91 * 11^5 = 14,655,641 is over 1,000 * 11^4, 90 * 11^5 under it
+    cfg = tmp_path / "q11n5.json"
+    assert main(["params", "--q-bits", "4", "--n", "5", "--seed", "1",
+                 "--out", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    no_power(monkeypatch)
+    argv = ["demo", "--config", str(cfg), "--which", "reductions", "--trials"]
+    code, out, err = run(capsys, *argv, "91")
+    assert code == EXIT_USAGE
+    assert out == "" and "field order" in err
+    with pytest.raises(Reached):
+        main([*argv, "90"])
+
+
+def test_reducible_modulus_is_the_last_fault_reported(capsys, tmp_path):
+    cfg = write_field_config(tmp_path / "x2.json", 2, ["0", "0"])
+    # with good arguments a reducible f exits 65 and names the config
+    good = {
+        "eval": ["--base", '["2","4"]', "--exp", '["3","5"]'],
+        "fdlog": ["--base", '["2","4"]', "--target", '["16","1"]'],
+        "demo": ["--which", "dh"],
+    }
+    for command, flags in good.items():
+        code, out, err = run(capsys, command, "--config", cfg, *flags)
+        assert code == EXIT_FORMAT, command
+        assert out == "" and f"bad config {cfg}: X^2 + [0, 0] is reducible mod 11" in err
+    # with another fault, that fault is reported instead
+    code, out, err = run(capsys, "eval", "--config", cfg,
+                         "--base", '["2","22"]', "--exp", '["3","5"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and "bad base" in err
+    x5 = write_field_config(tmp_path / "x5.json", 5, ["0"] * 5)
+    code, out, err = run(capsys, "demo", "--config", x5, "--which", "reductions", "--trials", "91")
+    assert code == EXIT_USAGE
+    assert out == "" and "field order" in err
+
+
+BAD_FIELDS = {
+    "n-0": (0, [], "extension degree must be >= 1, got 0"),
+    "n-negative": (-1, ["1"], "extension degree must be >= 1, got -1"),
+    "f-short": (2, ["1"], "f_low must have length n=2, got 1"),
+    "f-range": (2, ["1", "11"], "coefficients must lie in [0, q)"),
+}
+
+
+@pytest.mark.parametrize("n, f, named", BAD_FIELDS.values(), ids=BAD_FIELDS)
+def test_config_faults_come_before_argument_faults(capsys, tmp_path, monkeypatch, n, f, named):
+    # the base has 3 entries, which no n here takes
+    no_power(monkeypatch)
+    cfg = write_field_config(tmp_path / "bad.json", n, f)
+    code, out, err = run(capsys, "eval", "--config", cfg,
+                         "--base", '["2","4","8"]', "--exp", '["1"]')
+    assert code == EXIT_FORMAT
+    assert out == "" and f"bad config {cfg}: {named}" in err
+
+
+def test_config_load_can_leave_the_power_to_the_command(config_path, monkeypatch):
+    no_power(monkeypatch)
+    group, spec = load_system_config(config_path, irreducible=False)
+    assert (group.modulus, group.q) == (23, 11)
+    assert spec == (11, 2, (1, 0))
+    with pytest.raises(Reached):
+        load_system_config(config_path)
+
+
 AT_SIZE_CAPS = {
     "modulus-and-q-2048-bits-n4": (2**2048 - 1, 2**2048 - 3, 2**2048 - 3, 4),
     "n-64": (23, 11, 11, 64),
@@ -674,9 +786,10 @@ def test_demo_trials_over_cap_rejected(capsys, config_path, monkeypatch):
 
 def test_demo_trials_at_cap_runs(config_path, monkeypatch):
     monkeypatch.setattr(fusionexp.cli, "run_reduction_matrix", reached)
-    with pytest.raises(Reached):
-        main(["demo", "--config", config_path, "--which", "reductions",
-              "--trials", str(MAX_TRIALS)])
+    for trials in (1, MAX_TRIALS):
+        with pytest.raises(Reached):
+            main(["demo", "--config", config_path, "--which", "reductions",
+                  "--trials", str(trials)])
 
 
 @pytest.fixture(scope="module")

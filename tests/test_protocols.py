@@ -80,6 +80,18 @@ def test_fdh_rejects_identity_base(g23, f121):
         fdh_keygen(fb_identity(g23, f121), random.Random(0))
 
 
+def test_fdh_keygen_rejects_a_base_off_the_subgroup(g23, f121):
+    # over such a base the two sides of an agreement disagree: with (21, 1)
+    # and random.Random(1), 22 of 50 key pairs did; the refusal draws nothing
+    rng = random.Random(1)
+    for comps in OFF_SUBGROUP:
+        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
+        for keygen in (fdh_keygen, felgamal_keygen):
+            with pytest.raises(ValueError, match="outside the order-q subgroup"):
+                keygen(base, rng)
+    assert rng.getstate() == random.Random(1).getstate()
+
+
 def test_fdh_shared_rejects_identity_peer_key(g23, f121):
     base = unit_embed(generator_element(g23), f121)
     me = fdh_keygen(base, random.Random(0))
