@@ -315,11 +315,15 @@ def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
     H_{k+1} = H_k**X, n^2 built-in pows by the entries of X's coefficient
     matrix.  The n - 1 slower digits move a prefix tuple like an odometer:
     moving digit k up by one multiplies it by H_k, and H_k has order q, so
-    the wrap from q-1 to 0 is one multiply as well.  The fastest digit j is
-    scanned on one component c alone, the first where H_{n-1} is not 1, at
-    one multiply per candidate.  That component has order q, so exactly one
-    j per prefix matches it, and only that candidate is checked on the
-    whole tuple.  Nothing is kept that grows with q.
+    the wrap from q-1 to 0 is one multiply as well.  The odometer carries
+    only two components of the prefix: c, the first where H_{n-1} is not 1,
+    and d = c + 1 mod n.  The fastest digit j is scanned on c alone, at one
+    multiply per candidate.  H_{n-1} has order q at c, so exactly one j per
+    prefix matches it; that candidate is filtered on d by one pow, and only
+    one that passes is checked on the whole tuple, component i as
+    prod_k H_k[i]**x_k.  Each component of base**x is a different nonzero
+    linear form in x, so about one prefix in q passes the filter.  Nothing
+    is kept that grows with q.
     """
     field = inst.base.field
     if field.field_order > FUSION_BRUTE_CAP:
@@ -332,26 +336,31 @@ def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
     steps = [tuple(c.residue for c in inst.base.components)]
     for _ in range(n - 1):
         steps.append(tuple(math.prod(map(pow, steps[-1], row, (P,) * n)) % P for row in lam))
+    columns = tuple(zip(*steps))  # component i of H_0 .. H_{n-1}
     *steps, last = steps
     target = tuple(c.residue for c in inst.target.components)
     # H_{n-1} is not the identity, since base**x is a bijection
     c = next(i for i, h in enumerate(last) if h != 1)
-    h, want = last[c], target[c]
-    cur = (1,) * n
+    d = (c + 1) % n
+    h, want, h_d, want_d = last[c], target[c], last[d], target[d]
+    steps = [(s[c], s[d]) for s in steps]
+    mods = (P,) * n
+    cur_c = cur_d = 1
     prev = (0,) * (n - 1)
     for head in itertools.product(range(q), repeat=n - 1):
         for k in range(n - 1):
             if head[k] != prev[k]:
-                cur = tuple(a * s % P for a, s in zip(cur, steps[k]))
+                s_c, s_d = steps[k]
+                cur_c, cur_d = cur_c * s_c % P, cur_d * s_d % P
         prev = head
-        acc = cur[c]
+        acc = cur_c
         for j in range(q):
             if acc == want:  # the one j that matches on component c
-                for a, s, t in zip(cur, last, target):
-                    if a * pow(s, j, P) % P != t:
-                        break
-                else:
-                    return fe(field, head + (j,))
+                x = head + (j,)
+                if cur_d * pow(h_d, j, P) % P == want_d and all(
+                        math.prod(map(pow, col, x, mods)) % P == t
+                        for col, t in zip(columns, target)):
+                    return fe(field, x)
                 break
             acc = acc * h % P
     raise NotFound("no exponent maps base to target; bijectivity violated")

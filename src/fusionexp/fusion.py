@@ -11,19 +11,23 @@ usual exponent laws, degenerates to ordinary exponentiation at n = 1, and
 is a bijection from the exponent field onto the product group for every
 non-identity base.
 
-`fusion_pow` drops the base's identity components and their lam columns,
-then computes the other k components in one simultaneous
-multi-exponentiation kernel, `_multi_pow`, over tables of subset products
-of virtual bases.  Each base B_j is cut into `slices` virtual bases
-B_j ** 2**(p*stripe), stripe = ceil(bits(q) / slices), and slice p of an
-exponent, its bits from p*stripe up, goes with virtual base p; per =
-max(1, 8 // k) consecutive slices share one table of 8 slots, and at
-k > 8 a slice takes one table per 8 bases.  A row makes one pass over the
-bits of a slice, so it costs stripe squarings.  The first full-width call
-on a base takes one slice of bits(q) bits, for that call only.  At a q of
-64 bits or more, a base that comes back (one of the last 16 seen, each
-noted with a call counter in an lru_cache) gets Lim-Lee comb tables of
-max(4, 8 // k) slices, kept in a second lru_cache for the last 4 such
+`fusion_pow` drops the base's identity components and their lam columns.
+When the group modulus P fits in one CPython digit (P.bit_length() <=
+sys.int_info.bits_per_digit, 30 bits on most builds), it computes each of
+the other k components as a product of k built-in pows, one per lam entry:
+there a product is one machine multiply, and the tables below cost more
+Python work than the squarings they save.  A larger P goes to one
+simultaneous multi-exponentiation kernel, `_multi_pow`, over tables of
+subset products of virtual bases.  Each base B_j is cut into `slices`
+virtual bases B_j ** 2**(p*stripe), stripe = ceil(bits(q) / slices), and
+slice p of an exponent, its bits from p*stripe up, goes with virtual base
+p; per = max(1, 8 // k) consecutive slices share one table of 8 slots, and
+at k > 8 a slice takes one table per 8 bases.  A row makes one pass over
+the bits of a slice, so it costs stripe squarings.  The first full-width
+call on a base takes one slice of bits(q) bits, for that call only.  At a
+q of 64 bits or more, a base that comes back (one of the last 16 seen,
+each noted with a call counter in an lru_cache) gets Lim-Lee comb tables
+of max(4, 8 // k) slices, kept in a second lru_cache for the last 4 such
 bases.  An exponent in the prime subfield skips the kernel: lam is then a
 multiple of the identity.
 """
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import sys
 
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
@@ -44,6 +50,8 @@ from .group import (
 )
 from .value import Value
 
+# A modulus of at most this many bits is one CPython digit (per-entry pow route).
+_DIGIT_BITS = sys.int_info.bits_per_digit
 # Virtual bases per subset-product table; a table holds 2**_TABLE_WIDTH products.
 _TABLE_WIDTH = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -252,7 +260,9 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
     An exponent in the prime subfield (every coefficient above the
     constant c zero) has lambda = c*I, so for n >= 2 component i is
     B_i ** c by built-in pow.  Otherwise the identity components of the
-    base, and their lambda columns, are left out of the kernel.
+    base, and their lambda columns, are left out; the rest go through one
+    built-in pow per lambda entry when P has at most _DIGIT_BITS bits, and
+    through the kernel otherwise.
     """
     if exp.params != base.field:
         raise ParamsMismatch("exponent from a different field")
@@ -269,6 +279,11 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
         if len(kept) < len(residues):
             residues = tuple(residues[j] for j in kept)
             lam = [[row[j] for j in kept] for row in lam]
-        powered = _multi_pow(*_tables(residues, modulus, base.field.q.bit_length()), lam, modulus)
+        if modulus.bit_length() <= _DIGIT_BITS:
+            mods = (modulus,) * len(residues)
+            powered = tuple(math.prod(map(pow, residues, row, mods)) % modulus for row in lam)
+        else:
+            bits = base.field.q.bit_length()
+            powered = _multi_pow(*_tables(residues, modulus, bits), lam, modulus)
     comps = tuple(GroupElement(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)

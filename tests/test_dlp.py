@@ -384,6 +384,49 @@ def test_fdlog_bruteforce_agrees_with_odometer_on_random_instances(g23, q11_fiel
         assert fdlog_bruteforce(inst) == helpers.odometer_fdlog(inst) == x
 
 
+@pytest.mark.parametrize("pattern", [(1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 0, 1)],
+                         ids=["c0", "c1", "c3_wraps"])
+def test_fdlog_bruteforce_filter_component_at_the_identity(g23, q11_fields, pattern):
+    # H_{n-1} = g**v with v zero where `pattern` is: the scan's component c
+    # is the first nonzero entry, and the filter component d = c + 1 mod n
+    # has H_{n-1} = 1, so that the filter reads only the carried prefix
+    field = q11_fields[4]
+    g = generator_element(g23)
+    rng = random.Random(sum(k << i for i, k in enumerate(pattern)))
+    x_last = fe_pow(fe(field, [0, 1, 0, 0]), 3)
+    v = fe(field, [rng.randrange(1, 11) if k else 0 for k in pattern])
+    base = scalar_embed(g, fe_mul(v, fe_inv(x_last)))
+    last = [c.residue for c in last_step(base).components]
+    c = pattern.index(1)
+    assert last[c] != 1 and last[(c + 1) % 4] == 1
+    for _ in range(12):
+        x = fe_random(field, rng)
+        inst = FdlogInstance(base, fusion_pow(base, x))
+        assert fdlog_bruteforce(inst) == helpers.odometer_fdlog(inst) == x
+
+
+def test_fdlog_bruteforce_builds_few_whole_tuples(g23, q11_fields, monkeypatch):
+    # the one candidate per prefix that matches on component c is filtered on
+    # d before its whole tuple is built, n math.prod calls at most: only the
+    # q^(n-2) candidates that match on both and come first in the scan's
+    # order get there, after the n(n-1) products of the steps H_1 .. H_{n-1}.
+    # With x_0 = q-1 at least (q-1)*q prefixes come first.
+    field = q11_fields[3]
+    n, q = 3, 11
+    g = generator_element(g23)
+    rng = random.Random(14)
+    prods = []
+    prod = math.prod
+    monkeypatch.setattr(math, "prod", lambda factors: prods.append(1) or prod(factors))
+    for _ in range(10):
+        base = draw_base(g, field, rng, "full")
+        x = fe(field, [q - 1] + [rng.randrange(q) for _ in range(n - 1)])
+        inst = FdlogInstance(base, fusion_pow(base, x))
+        prods.clear()
+        assert fdlog_bruteforce(inst) == x
+        assert len(prods) <= n * (n - 1) + n * q ** (n - 2)
+
+
 def test_fdlog_bruteforce_keeps_no_table():
     # at n = 1 and a 20-bit q the scan runs over q exponents one multiply
     # each; a table of the 50,000 it passes here would take MB, the scan

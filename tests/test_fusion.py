@@ -8,6 +8,7 @@ import pytest
 import helpers
 from fusionexp import (
     GroupElement,
+    GroupParams,
     IdentityBase,
     ParamsMismatch,
     fb_identity,
@@ -33,6 +34,7 @@ from fusionexp import (
 from fusionexp import fusion
 from fusionexp.fusion import FusionBase
 from fusionexp.group import pow_sm
+from fusionexp.primes import is_prime
 
 
 def residues(base):
@@ -355,6 +357,65 @@ def test_subfield_exponents_skip_the_kernel(group64, fields64, monkeypatch, fres
                 x = fe(fld, [c] + [0] * (n - 1))
                 assert residues(fusion_pow(base, x)) == oracle(base, x)
     assert fusion._visits.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# Per-entry built-in pow while P is one CPython digit, the kernel past it
+# ---------------------------------------------------------------------------
+
+DIGIT_DEGREES = (1, 2, 3, 4, 8, 16)
+
+
+def safe_prime_group(start, step):
+    """The group of the first safe prime P = 2q + 1 met from `start`, walking by `step`."""
+    P = start
+    while not (is_prime(P) and is_prime(P // 2)):
+        P += step
+    return GroupParams(P, P // 2, 4)
+
+
+@pytest.fixture(scope="module")
+def digit_groups():
+    """q = 11, the largest safe-prime group whose P is one CPython digit, and
+    the smallest past it."""
+    bits = sys.int_info.bits_per_digit
+    below, above = safe_prime_group(2**bits - 1, -2), safe_prime_group(2**bits + 1, 2)
+    assert [below.modulus.bit_length(), above.modulus.bit_length()] == [bits, bits + 1]
+    return {"q11": GroupParams(23, 11, 2), "one_digit": below, "two_digits": above}
+
+
+def counted_kernel(monkeypatch):
+    """Replace _multi_pow by itself plus a list that grows by one per call."""
+    calls, kernel = [], fusion._multi_pow
+    monkeypatch.setattr(fusion, "_multi_pow", lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", DIGIT_DEGREES)
+@pytest.mark.parametrize("which", ["q11", "one_digit", "two_digits"])
+def test_routes_at_the_one_digit_bound(digit_groups, which, n, monkeypatch, fresh_combs):
+    # up to one digit the kernel never runs; past it the kernel runs, but a
+    # q below _COMB_MIN_BITS bits notes no base
+    group = digit_groups[which]
+    fld = route_field(group.q, n)
+    rng = random.Random(80 + n)
+    calls = counted_kernel(monkeypatch)
+    for base in route_bases(group, fld, rng):
+        for x in route_exponents(fld, rng) + [fe_random(fld, rng)]:
+            assert residues(fusion_pow(base, x)) == oracle(base, x), (n, x.coeffs)
+    assert bool(calls) == (which == "two_digits")
+    assert fusion._visits.cache_info().currsize == 0
+
+
+def test_kernel_runs_at_64_bits(group64, fields64, monkeypatch, fresh_combs):
+    calls = counted_kernel(monkeypatch)
+    rng = random.Random(91)
+    base = route_bases(group64, fields64[4], rng)[0]
+    for _ in range(2):
+        x = fe_random(fields64[4], rng)
+        assert residues(fusion_pow(base, x)) == oracle(base, x)
+    assert len(calls) == 2
+    assert fusion._visits.cache_info().currsize == 1
 
 
 def test_comb_cache_round_robin_over_more_bases_than_it_holds(group64, fields64, fresh_combs):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -22,6 +23,7 @@ from fusionexp import (
 )
 from fusionexp.cli import EXIT_OK, load_system_config, main
 from fusionexp.group import pow_sm
+from fusionexp.primes import is_prime
 
 
 def test_gen_group_params_4_bits():
@@ -198,3 +200,62 @@ def test_gen_group_params_draw_cap_edge(monkeypatch, q_bits, seed):
         gen_group_params(q_bits, seed)
     monkeypatch.setattr(fusionexp.group, "MAX_DRAWS", k)
     assert gen_group_params(q_bits, seed) == expected
+
+
+def kq_plus_one_group(q_bits, seed):
+    """A group with P = kq + 1 for the least even k >= 4 that makes P prime."""
+    q = gen_group_params(q_bits, seed).q
+    k = next(k for k in itertools.count(4, 2) if is_prime(k * q + 1))
+    P = k * q + 1
+    h = next(h for h in itertools.count(2) if pow(h, k, P) != 1)
+    return GroupParams(P, q, pow(h, k, P))
+
+
+def membership_agrees_with_the_q_th_power(params, residues):
+    P, q = params.modulus, params.q
+    members = 0
+    for r in residues:
+        if pow(r, q, P) == 1:
+            assert group_element(params, r) == GroupElement(params, r)
+            members += 1
+        else:
+            with pytest.raises(ValueError, match=f"^residue {r} is not in the order-{q} subgroup$"):
+                group_element(params, r)
+    return members
+
+
+@pytest.mark.parametrize("params", [GroupParams(23, 11, 4), GroupParams(7, 3, 2),
+                                    GroupParams(67, 11, 64), GroupParams(53, 13, 16)],
+                         ids=["2q+1", "2q+1-q3", "6q+1", "4q+1"])
+def test_group_element_membership_exhaustive(params):
+    # every residue of both shapes: by the Legendre symbol at P = 2q + 1,
+    # by r^q at P = kq + 1, k > 2; either way exactly q members
+    assert membership_agrees_with_the_q_th_power(params, range(1, params.modulus)) == params.q
+
+
+@pytest.mark.parametrize("shape", ["2q+1", "kq+1"])
+@pytest.mark.parametrize("q_bits", [64, 256])
+def test_group_element_membership_random(shape, q_bits):
+    params = gen_group_params(q_bits, seed=3) if shape == "2q+1" else kq_plus_one_group(q_bits, 3)
+    assert (params.modulus == 2 * params.q + 1) == (shape == "2q+1")
+    rng = random.Random(q_bits)
+    g, P = params.generator, params.modulus
+    members = [pow(g, rng.randrange(1, params.q), P) for _ in range(20)]
+    others = [r for r in (rng.randrange(2, P) for _ in range(40)) if pow(r, params.q, P) != 1]
+    # -1 has order 2, so it lies outside every subgroup of odd order
+    assert membership_agrees_with_the_q_th_power(params, members + others + [P - 1, 1]) == 21
+
+
+@pytest.mark.parametrize("params, by_symbol", [(GroupParams(23, 11, 4), True),
+                                               (GroupParams(67, 11, 64), False)],
+                         ids=["2q+1", "6q+1"])
+def test_group_element_takes_the_symbol_only_at_a_safe_prime(params, by_symbol, monkeypatch):
+    # both routes decide membership alike, so only the calls tell them apart
+    calls = []
+    symbol = fusionexp.group.jacobi
+    monkeypatch.setattr(fusionexp.group, "jacobi", lambda a, n: calls.append(a) or symbol(a, n))
+    group_element(params, 1)
+    group_element(params, params.generator)
+    with pytest.raises(ValueError):
+        group_element(params, params.modulus - 1)
+    assert calls == ([1, params.generator, params.modulus - 1] if by_symbol else [])
