@@ -47,7 +47,6 @@ from .group import (
     g_pow,
     gen_group_params,
     generator_element,
-    group_element,
     identity,
 )
 from .fusion import (

@@ -49,7 +49,7 @@ from .field import (
     make_field_params,
 )
 from .fusion import FusionBase, fusion_pow, scalar_embed, unit_embed
-from .group import GroupElement, GroupParams, gen_group_params, generator_element, group_element
+from .group import GroupElement, GroupParams, gen_group_params, generator_element
 from .protocols import (
     VssShare,
     fdh_keygen,
@@ -247,8 +247,8 @@ def _elements(group: GroupParams, n: int, text: str, what: str) -> tuple[GroupEl
     """The n order-q subgroup elements of a tuple argument named what."""
     residues = _vector(text, n, what)
     try:
-        return tuple(group_element(group, r) for r in residues)
-    except ValueError as exc:  # a residue outside the order-q subgroup
+        return tuple(GroupElement(group, r) for r in residues)
+    except ValueError as exc:  # a residue out of range or outside the order-q subgroup
         raise FormatError(f"bad {what}: {exc}") from exc
 
 

@@ -47,6 +47,7 @@ from .group import (
     g_inv,
     g_mul,
     identity,
+    member,
 )
 from .value import Value
 
@@ -91,7 +92,7 @@ def scalar_embed(g: GroupElement, x: FieldElement) -> FusionBase:
     if g.residue == 1:
         raise IdentityBase("cannot embed the group identity")
     P = g.params.modulus
-    comps = tuple(GroupElement(g.params, pow(g.residue, c, P)) for c in x.coeffs)
+    comps = tuple(member(g.params, pow(g.residue, c, P)) for c in x.coeffs)
     return FusionBase(group=g.params, field=x.params, components=comps)
 
 
@@ -285,5 +286,5 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
         else:
             bits = base.field.q.bit_length()
             powered = _multi_pow(*_tables(residues, modulus, bits), lam, modulus)
-    comps = tuple(GroupElement(base.group, r) for r in powered)
+    comps = tuple(member(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)

@@ -56,47 +56,55 @@ class GroupParams(Value):
 
 
 class GroupElement(Value):
-    """Residue in [1, P); `group_element` also checks subgroup membership."""
+    """Residue in [1, P) that lies in the order-q subgroup, else ValueError.
+
+    The range is checked first.  When P = 2q + 1 the subgroup is the
+    quadratic residues, so membership is the Legendre symbol (r/P) = 1, by
+    reciprocity at a fraction of the cost of r^q at large P (about 32
+    against 120 us at 256 bits); for any other P = kq + 1 it is r^q = 1.
+    Results that are members by construction are built by `member`, which
+    skips the check.
+    """
 
     __slots__ = ("params", "residue")
 
     def __init__(self, params: GroupParams, residue: int):
-        if not 1 <= residue < params.modulus:
+        P, q = params.modulus, params.q
+        if not 1 <= residue < P:
             raise ValueError(f"residue {residue} out of range")
+        if jacobi(residue, P) != 1 if P == 2 * q + 1 else pow(residue, q, P) != 1:
+            raise ValueError(f"residue {residue} is not in the order-{q} subgroup")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "residue", residue)
 
 
+def member(params: GroupParams, residue: int) -> GroupElement:
+    """The GroupElement of a residue known to lie in the order-q subgroup, unchecked.
+
+    For results that are members by construction: a product, inverse or
+    power of members, the generator and the identity.  A residue from
+    outside goes through the GroupElement constructor instead.
+    """
+    elem = object.__new__(GroupElement)
+    object.__setattr__(elem, "params", params)
+    object.__setattr__(elem, "residue", residue)
+    return elem
+
+
 def identity(params: GroupParams) -> GroupElement:
-    return GroupElement(params, 1)
+    return member(params, 1)
 
 
 def generator_element(params: GroupParams) -> GroupElement:
-    return GroupElement(params, params.generator)
-
-
-def group_element(params: GroupParams, residue: int) -> GroupElement:
-    """Checked constructor: residue must lie in the order-q subgroup.
-
-    When P = 2q + 1 that subgroup is the quadratic residues, so membership
-    is the Legendre symbol (r/P) = 1, by reciprocity at a fraction of the
-    cost of r^q at large P (about 32 against 120 us at 256 bits).  For any
-    other P = kq + 1 it is r^q = 1.
-    """
-    elem = GroupElement(params, residue)
-    P, q = params.modulus, params.q
-    member = jacobi(residue, P) == 1 if P == 2 * q + 1 else pow(residue, q, P) == 1
-    if not member:
-        raise ValueError(f"residue {residue} is not in the order-{params.q} subgroup")
-    return elem
+    return member(params, params.generator)
 
 
 def gen_group_params(q_bits: int, seed: int) -> GroupParams:
     """Seeded search for a safe-prime group with a q_bits-bit subgroup order.
 
     Draws random odd q of the requested size until both q and P = 2q + 1
-    are prime, then takes the square of the smallest h >= 2 as generator
-    (a quadratic residue, hence of order q).  A draw is tested cheapest
+    are prime, then takes 4 = 2^2 as generator (a quadratic residue other
+    than 1, as P >= 17, hence of order q).  A draw is tested cheapest
     first: `may_be_safe_prime` drops it when q or P has a prime factor
     other than itself up to 13 (one word-sized gcd), below 200, or, for
     q > 4096, up to 4096, or fails a strong base-2 round.  Only a draw
@@ -114,12 +122,8 @@ def gen_group_params(q_bits: int, seed: int) -> GroupParams:
         q = rng.randrange(1 << (q_bits - 1), 1 << q_bits) | 1
         if not may_be_safe_prime(q):
             continue
-        modulus = 2 * q + 1
-        h = 2
-        while pow(h, 2, modulus) == 1:
-            h += 1
         try:
-            return GroupParams(modulus=modulus, q=q, generator=h * h % modulus)
+            return GroupParams(modulus=2 * q + 1, q=q, generator=4)
         except NotPrime:
             continue
     raise SearchExhausted(f"no {q_bits}-bit safe-prime group found in {MAX_DRAWS} draws")
@@ -132,11 +136,11 @@ def _check_same_params(a: GroupElement, b: GroupElement) -> None:
 
 def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_same_params(a, b)
-    return GroupElement(a.params, a.residue * b.residue % a.params.modulus)
+    return member(a.params, a.residue * b.residue % a.params.modulus)
 
 
 def g_inv(a: GroupElement) -> GroupElement:
-    return GroupElement(a.params, pow(a.residue, -1, a.params.modulus))
+    return member(a.params, pow(a.residue, -1, a.params.modulus))
 
 
 def pow_sm(base: int, exp: int, modulus: int) -> int:
@@ -154,4 +158,4 @@ def pow_sm(base: int, exp: int, modulus: int) -> int:
 def g_pow(base: GroupElement, exp: int) -> GroupElement:
     """base**exp with the exponent reduced into [0, q)."""
     e = exp % base.params.q
-    return GroupElement(base.params, pow_sm(base.residue, e, base.params.modulus))
+    return member(base.params, pow_sm(base.residue, e, base.params.modulus))

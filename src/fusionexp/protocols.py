@@ -113,14 +113,12 @@ def __getattr__(name: str):
 def fdh_keygen(base: FusionBase, rng: random.Random) -> FusionKeyPair:
     """Nonzero secret exponent and the matching public tuple.
 
-    A base with a component outside the order-q subgroup raises ValueError:
-    its exponents are not read mod q, and the two sides of an agreement
-    would disagree.
+    The base's components lie in the order-q subgroup, as every
+    GroupElement does, so its exponents are read mod q and the two sides
+    of an agreement agree.
     """
     if is_identity(base):
         raise IdentityBase("system base must not be the identity")
-    if not _in_subgroup(base):
-        raise ValueError("system base has a component outside the order-q subgroup")
     secret = fe_random(base.field, rng, nonzero=True)
     return FusionKeyPair(secret=secret, public=fusion_pow(base, secret))
 
@@ -199,9 +197,9 @@ def vss_split(
 
     The sharing polynomial has degree t-1 with constant term the secret;
     commitment i is base raised to coefficient i, which lets any holder
-    check a share (vss_check) without learning the secret.  A base with a
-    component outside the order-q subgroup raises ValueError, since its
-    commitments would fail that check.
+    check a share (vss_check) without learning the secret.  The base's
+    components lie in the order-q subgroup, as every GroupElement does,
+    so an honest dealing's shares pass that check.
     """
     fld = secret.params
     if base.field != fld:
@@ -212,8 +210,6 @@ def vss_split(
         raise BadThreshold(f"need 1 <= t <= m, got t={t}, m={m}")
     if m > fld.field_order - 1:
         raise BadThreshold(f"at most {fld.field_order - 1} distinct share points exist")
-    if not _in_subgroup(base):
-        raise ValueError("commitment base has a component outside the order-q subgroup")
     coeffs = [secret] + [fe_random(fld, rng) for _ in range(t - 1)]
     shares = tuple(
         VssShare(index=j, value=_poly_eval(coeffs, share_point(fld, j)))
@@ -264,14 +260,15 @@ def vss_verify_all(dealing: VssDealing) -> None:
     shares is interpolated in the field; when every later share lies on p'
     and base**c'_i equals commitment C_i for each coefficient c'_i of p',
     every share passes vss_check, so the call returns after t powers of
-    the base instead of checking the m shares one by one.  Proof: when each
-    component of the base has order dividing q, the exponent laws give
+    the base instead of checking the m shares one by one.  Proof: each
+    component of the base has order dividing q (it is a GroupElement), so
+    the exponent laws give
     prod_i C_i**(alpha_j**i) = base**(sum_i c'_i alpha_j**i) = base**p'(alpha_j)
     = base**s_j, which is vss_check's equation.  In every other case (a
     share off p', a commitment that differs, or a dealing the check cannot
-    read, such as a base component outside the subgroup) the shares are
-    checked one by one, so the outcome is that of the per-share loop: a
-    return, VerifyFailed naming the first failing share, or its exception.
+    read) the shares are checked one by one, so the outcome is that of the
+    per-share loop: a return, VerifyFailed naming the first failing share,
+    or its exception.
     """
     if _commitments_fit_shares(dealing):
         return
@@ -300,7 +297,6 @@ def _commitments_fit_shares(dealing: VssDealing) -> bool:
             for s in shares
         )
         and len({s.index for s in shares[:t]}) == t
-        and _in_subgroup(base)
     ):
         return False
     points = [share_point(fld, s.index) for s in shares]
@@ -308,20 +304,6 @@ def _commitments_fit_shares(dealing: VssDealing) -> bool:
     return all(
         _poly_eval(coeffs, x) == s.value for x, s in zip(points[t:], shares[t:])
     ) and all(fusion_pow(base, c) == com for c, com in zip(coeffs, commitments))
-
-
-@functools.lru_cache(maxsize=1)
-def _in_subgroup(base: FusionBase) -> bool:
-    """Whether every component of base has order dividing q; kept for the last base.
-
-    The identity and the group's generator, whose order GroupParams
-    checked, take no power.
-    """
-    group = base.group
-    return all(
-        c.residue in (1, group.generator) or pow(c.residue, group.q, group.modulus) == 1
-        for c in base.components
-    )
 
 
 def _interpolate(

@@ -3,7 +3,9 @@
     python tests/mutate.py src/fusionexp/protocols.py tests/test_protocols.py \\
         --functions vss_verify_all,_interpolate [--replace OLD NEW ...]
 
-Each mutant changes one node of the named functions' syntax trees:
+More than one test file may follow the module.  A method of a top-level
+class is named Class.method (GroupElement.__init__).  Each mutant changes
+one node of the named functions' syntax trees:
 - a comparison flipped (== and !=, < and <=, > and >=, in and not in,
   is and is not);
 - an int constant plus 1, or a bool constant negated;
@@ -14,7 +16,7 @@ Each mutant changes one node of the named functions' syntax trees:
 occur once in the module, by NEW (for mutants no operator above makes,
 such as a `try` around a call).  For each mutant, `pyproject.toml`, `src/`
 and `tests/` are copied to a temporary directory, the mutated module is
-written there, and the test file runs there under `timeout` (TIMEOUT
+written there, and the test files run there under `timeout` (TIMEOUT
 seconds) with bytecode writing off, so that no mutant runs another's cached
 code; a mutant is killed when the tests fail or time out.  The checkout
 itself is never written.  Uses the standard library only; the name keeps
@@ -82,11 +84,23 @@ def _mutate(node: ast.AST, choice: int) -> ast.AST:
     return node
 
 
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The top-level functions by name and the methods of top-level classes as Class.method."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{fn.name}", fn) for fn in node.body
+                         if isinstance(fn, ast.FunctionDef))
+    return found
+
+
 def _targets(tree: ast.Module, functions: set[str]) -> list[ast.AST]:
-    """Every node inside the named top-level functions, in a fixed order."""
+    """Every node inside the named functions, in a fixed order."""
     nodes = []
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+    for name, fn in _functions(tree).items():
+        if name in functions:
             nodes.extend(n for stmt in fn.body for n in ast.walk(stmt))
     return nodes
 
@@ -103,9 +117,9 @@ class _Replace(ast.NodeTransformer):
 def ast_mutants(source: str, functions: set[str]) -> list[tuple[str, str]]:
     """(description, mutated source) for every site in the named functions."""
     tree = ast.parse(source)
-    found = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    found = set(_functions(tree))
     if functions - found:
-        raise SystemExit(f"no top-level function {sorted(functions - found)}")
+        raise SystemExit(f"no top-level function or method {sorted(functions - found)}")
     mutants = []
     for i, node in enumerate(_targets(tree, functions)):
         for choice, what in _sites(node):
@@ -125,19 +139,20 @@ def text_mutants(source: str, pairs: list[tuple[str, str]]) -> list[tuple[str, s
     return mutants
 
 
-def run_tests(workdir: Path, module: Path, source: str, test_file: str) -> bool:
-    """Whether the test file passes with `source` in place of the module."""
+def run_tests(workdir: Path, module: Path, source: str, test_files: list[str]) -> bool:
+    """Whether the test files pass with `source` in place of the module."""
     (workdir / module).write_text(source)
     cmd = ["timeout", str(TIMEOUT), sys.executable, "-B", "-m", "pytest", "-x", "-q",
-           "-p", "no:cacheprovider", test_file]
+           "-p", "no:cacheprovider", *test_files]
     return subprocess.run(cmd, cwd=workdir, capture_output=True).returncode == 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module path from the repository root")
-    parser.add_argument("tests", help="test file path from the repository root")
-    parser.add_argument("--functions", required=True, help="comma-separated top-level names")
+    parser.add_argument("tests", nargs="+", help="test file paths from the repository root")
+    parser.add_argument("--functions", required=True,
+                        help="comma-separated top-level names, a method as Class.method")
     parser.add_argument("--replace", nargs=2, action="append", default=[],
                         metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)

@@ -42,7 +42,7 @@ from fusionexp import (
     scalar_embed,
     unit_embed,
 )
-from fusionexp.group import pow_sm
+from fusionexp.group import member, pow_sm
 
 
 @pytest.fixture(autouse=True)
@@ -228,19 +228,19 @@ def test_fdlog_instance_rejects_identity_base(g23, f121):
 
 
 def tuple_of(group, field, residues):
-    """A FusionBase built without the subgroup check of group_element."""
+    """A FusionBase of the residues, through the checked GroupElement constructor."""
     return fusionexp.FusionBase(group, field, tuple(GroupElement(group, r) for r in residues))
 
 
 def test_fdlog_instance_rejects_components_outside_the_subgroup(g23, f121):
     # 22 = -1 and 5 are not squares mod 23: no exponent maps a base onto a
     # target with such a component, and the base (1, 22) has every component
-    # of base**X equal to 1, so the exhaustive scan finds no component to scan
-    ok = tuple_of(g23, f121, (2, 4))
-    cases = [((1, 22), (1, 22)), ((2, 4), (5, 4)), ((5, 4), (2, 4))]
-    for base, target in cases:
+    # of base**X equal to 1, so the exhaustive scan finds no component to
+    # scan; the constructor refuses each such tuple, so no instance holds one
+    for residues in ((1, 22), (5, 4), (2, 5)):
         with pytest.raises(ValueError, match="not in the order-11 subgroup"):
-            FdlogInstance(tuple_of(g23, f121, base), tuple_of(g23, f121, target))
+            tuple_of(g23, f121, residues)
+    ok = tuple_of(g23, f121, (2, 4))
     assert fdlog_bruteforce(FdlogInstance(ok, ok)) == fe_one(f121)
 
 
@@ -490,10 +490,11 @@ def test_rho_rejects_tiny_group(g7):
 @pytest.mark.parametrize("solver", [dlog_bsgs, dlog_pollard_rho])
 def test_square_root_solvers_raise_not_found_outside_subgroup(g23, solver, batch):
     # 5 is not a square mod 23, so no power of g reaches it; the giant steps
-    # run out for BSGS, and rho's step budget bounds its walks
+    # run out for BSGS, and rho's step budget bounds its walks (the target
+    # is built by member, since the GroupElement constructor refuses it)
     g = generator_element(g23)
     with pytest.raises(NotFound):
-        solver(DlogInstance(g, GroupElement(g23, 5), batch))
+        solver(DlogInstance(g, member(g23, 5), batch))
     # the failed target leaves the kept table and walk sound
     assert solver(DlogInstance(g, GroupElement(g23, 13), batch)) == 7
 
@@ -964,7 +965,7 @@ def test_rho_gives_up_after_its_walk_budget(g23):
     # the multipliers
     g = generator_element(g23)
     with pytest.raises(NotFound):
-        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5)), seed=3)
+        dlog_pollard_rho(DlogInstance(g, member(g23, 5)), seed=3)
     want = random.Random(3)
     for _ in range(20):
         want.randrange(11)
@@ -979,7 +980,7 @@ def test_rho_store_survives_a_target_outside_the_subgroup(g23):
     g = generator_element(g23)
     solve_batches(rho_batches(g23, 2, seed=42), seed=1)
     with pytest.raises(NotFound):
-        dlog_pollard_rho(DlogInstance(g, GroupElement(g23, 5), 3), 1)
+        dlog_pollard_rho(DlogInstance(g, member(g23, 5), 3), 1)
     assert_store_sound(g23, 1)
     solve_batches(rho_batches(g23, 20, seed=43), seed=1)
     assert_store_sound(g23, 1)

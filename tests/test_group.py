@@ -8,21 +8,37 @@ import pytest
 import fusionexp.group
 import helpers
 from fusionexp import (
+    FdlogInstance,
+    FusionBase,
     GroupElement,
     GroupParams,
     NotPrime,
     ParamsMismatch,
     SearchExhausted,
+    dlog_bsgs,
+    fb_identity,
+    fb_inv,
+    fb_mul,
+    fdh_keygen,
+    fdh_shared,
+    fdlog_bruteforce,
+    fdlog_solve,
+    fe,
+    fe_random,
+    fusion_pow,
     g_inv,
     g_mul,
     g_pow,
     gen_group_params,
     generator_element,
-    group_element,
     identity,
+    scalar_embed,
+    unit_embed,
+    vss_deal,
+    vss_verify_all,
 )
 from fusionexp.cli import EXIT_OK, load_system_config, main
-from fusionexp.group import pow_sm
+from fusionexp.group import member, pow_sm
 from fusionexp.primes import is_prime
 
 
@@ -67,6 +83,10 @@ def test_params_validation():
         GroupParams(modulus=23, q=11, generator=1)
     with pytest.raises(ValueError):
         GroupParams(modulus=23, q=11, generator=5)  # 5 is not in the subgroup
+    # the range is checked before the order: P itself is out of range
+    for g in (0, 1, 23, 27):
+        with pytest.raises(ValueError, match="^generator out of range$"):
+            GroupParams(modulus=23, q=11, generator=g)
 
 
 def test_g_mul_worked_example(g23):
@@ -99,7 +119,7 @@ def test_g_pow_worked_examples(g23):
 
 def test_g_pow_matches_iterated_multiplication_exhaustive(g23):
     for base in (2, 4, 8, 13):
-        b = group_element(g23, base)
+        b = GroupElement(g23, base)
         for e in range(11):
             assert g_pow(b, e).residue == helpers.iterated_pow(base, e, 23)
 
@@ -161,7 +181,7 @@ def test_serialization_roundtrip(tmp_path, capsys):
     assert main(["eval", "--config", str(path), "--base", '["13","4"]',
                  "--exp", '["1","0"]']) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == ["13", "4"]
-    assert group_element(g, 13) == GroupElement(g, 13)
+    assert GroupElement(g, 13) == member(g, 13)
 
 
 def test_gen_group_params_search_exhausted(monkeypatch):
@@ -216,11 +236,11 @@ def membership_agrees_with_the_q_th_power(params, residues):
     members = 0
     for r in residues:
         if pow(r, q, P) == 1:
-            assert group_element(params, r) == GroupElement(params, r)
+            assert GroupElement(params, r) == member(params, r)
             members += 1
         else:
             with pytest.raises(ValueError, match=f"^residue {r} is not in the order-{q} subgroup$"):
-                group_element(params, r)
+                GroupElement(params, r)
     return members
 
 
@@ -254,8 +274,68 @@ def test_group_element_takes_the_symbol_only_at_a_safe_prime(params, by_symbol, 
     calls = []
     symbol = fusionexp.group.jacobi
     monkeypatch.setattr(fusionexp.group, "jacobi", lambda a, n: calls.append(a) or symbol(a, n))
-    group_element(params, 1)
-    group_element(params, params.generator)
+    GroupElement(params, 1)
+    GroupElement(params, params.generator)
     with pytest.raises(ValueError):
-        group_element(params, params.modulus - 1)
+        GroupElement(params, params.modulus - 1)
     assert calls == ([1, params.generator, params.modulus - 1] if by_symbol else [])
+
+
+@pytest.mark.parametrize("params", [GroupParams(23, 11, 4), GroupParams(67, 11, 64)],
+                         ids=["2q+1", "6q+1"])
+def test_group_element_checks_the_range_before_membership(params):
+    # 0 and P have symbol 0 and P + 4 is a member's lift: each is refused for
+    # its range, before the membership test could read it
+    P = params.modulus
+    for r in (0, -1, P, P + 4, P + params.generator):
+        with pytest.raises(ValueError, match=f"^residue {r} out of range$"):
+            GroupElement(params, r)
+
+
+def test_built_results_never_pay_the_membership_check(g23, q11_fields, group64, fields64,
+                                                      monkeypatch):
+    # results that are members by construction are built by member(); with
+    # both membership routes made to raise, every operation below still runs,
+    # on the per-entry route at q = 11 and the kernel at 64 bits, and each
+    # component it built passes the check afterwards
+    kq = GroupParams(67, 11, 64)
+    systems = []
+    for group, fld in ((g23, q11_fields[3]), (group64, fields64[4])):
+        gen, P = group.generator, group.modulus
+        full = FusionBase(group, fld, tuple(GroupElement(group, pow(gen, k, P))
+                                            for k in (1, 2, 5, 7)[: fld.n]))
+        systems.append((group, fld, full))
+
+    def refuse(*args):
+        raise AssertionError("membership checked")
+
+    orders = {(group.q, group.modulus) for group in (g23, group64, kq)}
+    monkeypatch.setattr(fusionexp.group, "jacobi", refuse)
+    monkeypatch.setattr(fusionexp.group, "pow", raising=False,
+                        value=lambda b, e, m: refuse() if (e, m) in orders else pow(b, e, m))
+    for params in (g23, kq):  # the trap is set on both routes
+        with pytest.raises(AssertionError, match="membership checked"):
+            GroupElement(params, params.generator)
+
+    built = []
+    rng = random.Random(32)
+    for group, fld, full in systems:
+        g = generator_element(group)
+        a = g_pow(g, 3)
+        built += [identity(group), g, a, g_mul(a, g), g_inv(a)]
+        x = fe(fld, [3, 7, 9, 4][: fld.n])
+        y = fusion_pow(full, x)
+        inst = FdlogInstance(full, y)
+        if group is g23:
+            assert fdlog_bruteforce(inst) == x
+            assert fdlog_solve(inst, dlog_bsgs) == x
+        me, peer = fdh_keygen(full, rng), fdh_keygen(full, rng)
+        shared = fdh_shared(me, peer.public)
+        dealing = vss_deal(fe_random(fld, rng), 2, 3, full, rng)
+        vss_verify_all(dealing)
+        tuples = [y, scalar_embed(g, x), unit_embed(g, fld), fb_identity(group, fld),
+                  fb_mul(full, y), fb_inv(y), me.public, peer.public, shared,
+                  *dealing.commitments]
+        built += [c for t in tuples for c in t.components]
+    monkeypatch.undo()
+    assert all(GroupElement(c.params, c.residue) == c for c in built)

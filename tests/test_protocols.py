@@ -41,6 +41,7 @@ from fusionexp import (
     vss_verify_all,
 )
 from fusionexp import protocols
+from fusionexp.group import member
 from fusionexp.protocols import share_point
 
 
@@ -81,15 +82,16 @@ def test_fdh_rejects_identity_base(g23, f121):
 
 
 def test_fdh_keygen_rejects_a_base_off_the_subgroup(g23, f121):
-    # over such a base the two sides of an agreement disagree: with (21, 1)
-    # and random.Random(1), 22 of 50 key pairs did; the refusal draws nothing
+    # over such a base, built here by member, the two sides of an agreement
+    # can disagree; the GroupElement constructor refuses its off-subgroup
+    # component, so no keygen sees one built from outside
     rng = random.Random(1)
-    for comps in OFF_SUBGROUP:
-        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
-        for keygen in (fdh_keygen, felgamal_keygen):
-            with pytest.raises(ValueError, match="outside the order-q subgroup"):
-                keygen(base, rng)
-    assert rng.getstate() == random.Random(1).getstate()
+    unchecked = FusionBase(g23, f121, (member(g23, 21), member(g23, 1)))
+    pairs = [(fdh_keygen(unchecked, rng), felgamal_keygen(unchecked, rng)) for _ in range(50)]
+    assert any(fdh_shared(a, b.public) != fdh_shared(b, a.public) for a, b in pairs)
+    for comps, outside in zip(OFF_SUBGROUP, (21, 21, 22)):
+        with pytest.raises(ValueError, match=f"^residue {outside} is not in the order-11"):
+            FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
 
 
 def test_fdh_shared_rejects_identity_peer_key(g23, f121):
@@ -452,20 +454,11 @@ def test_vss_verify_all_agrees_with_each_share_on_tampered_dealings(g23, f121):
             replace(short, **changes)
 
 
-def _dealing_over(base, t, m, rng):
-    """The dealing vss_deal would make over base, without vss_split's checks of the base."""
-    fld = base.field
-    coeffs = [fe_random(fld, rng, nonzero=True) for _ in range(t)]
-    shares = tuple(VssShare(j, protocols._poly_eval(coeffs, share_point(fld, j)))
-                   for j in range(1, m + 1))
-    return protocols.VssDealing(t, m, base, shares, tuple(fusion_pow(base, c) for c in coeffs))
-
-
 # over P = 23, q = 11: P - g = 21 has order 2q and P - 1 = 22 order 2
 OFF_SUBGROUP = ((21, 1), (2, 21), (22, 2))
 
 
-def test_vss_verify_all_agrees_with_each_share_off_the_subgroup(g23, f121):
+def test_vss_verify_all_agrees_with_each_share_on_an_identity_base(g23, f121):
     rng = random.Random(18)
     g = generator_element(g23)
     one = fb_identity(g23, f121)
@@ -473,44 +466,20 @@ def test_vss_verify_all_agrees_with_each_share_off_the_subgroup(g23, f121):
     assert _agrees_with_each(replace(dealing, base=one)) == ("failed", 1)
     trivial = replace(dealing, base=one, commitments=(one,) * 3)
     assert _agrees_with_each(trivial) == ("passed",)
-    # exponents of such a base are not read mod q, and the commitments of
-    # an honest dealing fail the per-share check
-    for comps in OFF_SUBGROUP:
-        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
-        for t, m in ((2, 3), (3, 5)):
-            assert _agrees_with_each(_dealing_over(base, t, m, rng))[0] == "failed"
 
 
 def test_vss_split_rejects_a_base_off_the_subgroup(g23, f121):
+    # exponents of such a base, built here by member, are not read mod q,
+    # and an honest dealing fails the per-share check; the GroupElement
+    # constructor refuses its off-subgroup component, so no dealer sees one
+    # built from outside
     rng = random.Random(21)
-    secret = fe_random(f121, rng)
-    for comps in OFF_SUBGROUP:
-        base = FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
-        with pytest.raises(ValueError, match="outside the order-q subgroup"):
-            vss_split(secret, 2, 3, base, rng)
-        with pytest.raises(ValueError, match="outside the order-q subgroup"):
-            vss_deal(secret, 2, 3, base, rng)
-
-
-def test_subgroup_test_powers_no_identity_and_no_generator(g23, f121, group64, fields64,
-                                                          monkeypatch):
-    powered = []
-
-    def logged(x, e, m):
-        powered.append(x)
-        return pow(x, e, m)
-
-    monkeypatch.setattr(protocols, "pow", logged, raising=False)
-    rng = random.Random(22)
-    for g, fld in ((generator_element(g23), f121), (generator_element(group64), fields64[4])):
-        protocols._in_subgroup.cache_clear()
-        assert protocols._in_subgroup(unit_embed(g, fld))
-        assert powered == []
-        full = scalar_embed(g, fe_random(fld, rng, nonzero=True))
-        assert protocols._in_subgroup(full)
-        assert powered == [c.residue for c in full.components if c.residue != g.residue]
-        powered.clear()
-    protocols._in_subgroup.cache_clear()
+    for comps, outside in zip(OFF_SUBGROUP, (21, 21, 22)):
+        unchecked = FusionBase(g23, f121, tuple(member(g23, r) for r in comps))
+        shares, commitments = vss_split(fe_random(f121, rng), 3, 5, unchecked, rng)
+        assert not all(vss_check(unchecked, commitments, s) for s in shares)
+        with pytest.raises(ValueError, match=f"^residue {outside} is not in the order-11"):
+            FusionBase(g23, f121, tuple(GroupElement(g23, r) for r in comps))
 
 
 def test_vss_dealing_counts_must_agree(g23, f121):
@@ -541,15 +510,12 @@ def test_vss_verify_all_powers_the_base_once_per_commitment(g23, f121, group64, 
         # the per-share loop takes m + m(t - 1) powers: 15, 2 and 9
         dealings = [vss_deal(fe_random(fld, rng), t, m, base, rng)
                     for t, m in ((3, 5), (1, 2), (3, 3))]
-        protocols._in_subgroup.cache_clear()
         monkeypatch.setattr(protocols, "fusion_pow", counted)
         for dealing in dealings:
             calls.clear()
             vss_verify_all(dealing)
             assert tuple(fusion_pow(base, c) for c in calls) == dealing.commitments
         monkeypatch.undo()
-        info = protocols._in_subgroup.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
 
 def test_vss_verify_all_lets_an_arithmetic_fault_through(g23, f121, monkeypatch):
