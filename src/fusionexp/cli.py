@@ -158,20 +158,15 @@ def _size_error(modulus_bits: int, q_bits: int, n: int) -> str | None:
     return None
 
 
-def load_system_config(
-    path: str, irreducible: bool = True
-) -> tuple[GroupParams, FieldParams | tuple[int, int, tuple[int, ...]]]:
-    """The group and field of the config file at path, each invariant checked once.
+def load_system_config(path: str) -> tuple[GroupParams, tuple[int, int, tuple[int, ...]]]:
+    """The group of the config file at path and its field's checked (q, n, f_low).
 
-    Cheapest first: the byte and size caps, the JSON and its decimals, the
-    group order equal to the field's q, GroupParams, then the length of f
-    and the range of its coefficients.  The power is the last check:
-    Ben-Or's X^q and its gcds, whose cost grows with n * bits(q), run when
-    `_field` builds FieldParams.  With irreducible=False they are left to
-    the caller, and the field comes back as its checked (q, n, f_low), so
-    that a command checks its own arguments before it pays for the power.
-    A fault is a FormatError naming the config; an unreadable file raises
-    OSError.
+    Each invariant is checked once, cheapest first: the byte and size caps,
+    the JSON and its decimals, the group order equal to the field's q,
+    GroupParams, then the length of f and the range of its coefficients.
+    Ben-Or's power, the costliest check, is left to `_field`, so that a
+    command checks its own arguments first.  A fault is a FormatError naming
+    the config; an unreadable file raises OSError.
     """
     try:
         # OSError passes through (exit 2); undecodable bytes are a ValueError
@@ -206,8 +201,7 @@ def load_system_config(
     except (RecursionError, KeyError, TypeError, ValueError, FusionExpError) as exc:
         # json.loads raises RecursionError on arrays or objects nested too deep
         raise FormatError(f"bad config {path}: {exc}") from exc
-    spec = (q, n, f_low)
-    return params, (_field(path, spec) if irreducible else spec)
+    return params, (q, n, f_low)
 
 
 def _field(path: str, spec: tuple[int, int, tuple[int, ...]]) -> FieldParams:
@@ -308,7 +302,7 @@ def cmd_vectors(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    group, spec = load_system_config(args.config, irreducible=False)
+    group, spec = load_system_config(args.config)
     q, n, _ = spec
     components = _elements(group, n, args.base, "base")
     exp = _vector(args.exp, n, "exponent", q)
@@ -318,7 +312,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fdlog(args) -> int:
-    group, spec = load_system_config(args.config, irreducible=False)
+    group, spec = load_system_config(args.config)
     if group.q > BRUTE_CAP:
         raise CapExceeded(f"q={group.q} exceeds the desk-scale cap {BRUTE_CAP}")
     if args.solver == "rho" and group.q <= 3:
@@ -425,7 +419,7 @@ def _demo_reductions(group, fld, trials: int, seed: int) -> tuple[dict, bool]:
 def cmd_demo(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise UsageError(f"--trials must lie in [1, {MAX_TRIALS}], got {args.trials}")
-    group, spec = load_system_config(args.config, irreducible=False)
+    group, spec = load_system_config(args.config)
     q, n, _ = spec
     if args.which == "reductions" and args.trials * q**n > MAX_TRIALS * 11**4:
         raise UsageError(f"--trials times the field order must not exceed {MAX_TRIALS} "

@@ -18,18 +18,13 @@ the other k components as a product of k built-in pows, one per lam entry:
 there a product is one machine multiply, and the tables below cost more
 Python work than the squarings they save.  A larger P goes to one
 simultaneous multi-exponentiation kernel, `_multi_pow`, over tables of
-subset products of virtual bases.  Each base B_j is cut into `slices`
-virtual bases B_j ** 2**(p*stripe), stripe = ceil(bits(q) / slices), and
-slice p of an exponent, its bits from p*stripe up, goes with virtual base
-p; per = max(1, 8 // k) consecutive slices share one table of 8 slots, and
-at k > 8 a slice takes one table per 8 bases.  A row makes one pass over
-the bits of a slice, so it costs stripe squarings.  The first full-width
-call on a base takes one slice of bits(q) bits, for that call only.  At a
-q of 64 bits or more, a base that comes back (one of the last 16 seen,
-each noted with a call counter in an lru_cache) gets Lim-Lee comb tables
-of max(4, 8 // k) slices, kept in a second lru_cache for the last 4 such
-bases.  An exponent in the prime subfield skips the kernel: lam is then a
-multiple of the identity.
+subset products of virtual bases, each base cut into slices of the
+exponents' bits (`_comb_tables`).  `_slices` picks the slice count: the
+fewest multiplications on a first call, whose tables serve that call only,
+and Lim-Lee comb tables of max(4, 8 // k) slices for a base that comes back
+(one of the last 16 seen, each noted with a call counter in an lru_cache),
+kept in a second lru_cache for the last 4 such bases.  An exponent in the
+prime subfield skips the kernel: lam is then a multiple of the identity.
 """
 
 from __future__ import annotations
@@ -58,9 +53,6 @@ _TABLE_WIDTH = 8
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # A reused base's exponents are cut into at least this many slices (Lim-Lee comb).
 _COMB_SLICES = 4
-# Below this size of q a comb row costs more time than a plain one: the
-# squarings it saves are cheaper than the Python work per table.
-_COMB_MIN_BITS = 64
 # Reused bases whose comb tables are kept (about 70 kB each at 256 bits, n = 8).
 _COMB_BASES = 4
 # Full-width bases remembered, so that a second call can be recognised.
@@ -158,6 +150,15 @@ def _bit_columns(row: tuple[int, ...], per: int, slices: int, width: int) -> lis
             for p in range(0, slices, per) for run in runs]
 
 
+def _spans(k: int, slices: int) -> tuple[int, list[tuple[int, int]]]:
+    """Slices per table and each table's virtual bases (start, stop): per = max(1, 8 // k)
+    slices, or all when fewer, share 8 slots; at k > 8 a slice takes a table per 8 bases."""
+    per = min(slices, max(1, _TABLE_WIDTH // k))
+    run, total = per * k, slices * k
+    return per, [(s, min(s + _TABLE_WIDTH, r + run, total))
+                 for r in range(0, total, run) for s in range(r, r + run, _TABLE_WIDTH)]
+
+
 @functools.lru_cache(maxsize=_COMB_BASES)
 def _comb_tables(
     residues: tuple[int, ...], modulus: int, bits: int, slices: int
@@ -165,16 +166,12 @@ def _comb_tables(
     """Subset-product tables over `slices` slices of each base, slices per table, and stripe.
 
     The k bases B_j are squared along one chain into the virtual bases
-    B_j ** 2**(p*stripe), p below `slices`, stripe = ceil(bits / slices),
-    so that slice p of an exponent, its bits from p*stripe up, goes with
-    virtual base p.  A table has 8 slots: per = max(1, 8 // k) consecutive
-    slices, or all when fewer, share one, slice p in slot (p mod per)*k + j,
-    and at k > 8 each slice takes one table per 8 bases.  The tables come slice by slice,
-    then 8 bases by 8.  One slice of bits(q) bits is plain simultaneous
-    exponentiation; the cache keeps the comb tables of a reused base.
-    """
+    B_j ** 2**(p*stripe), p below `slices`, stripe = ceil(bits / slices): slice
+    p of an exponent, its bits from p*stripe up, goes with virtual base p, in
+    slot (p mod per)*k + j of a table laid out by _spans.  The cache keeps
+    the comb tables of a reused base."""
     k = len(residues)
-    per = min(slices, max(1, _TABLE_WIDTH // k))
+    per, spans = _spans(k, slices)
     stripe = -(-bits // slices)
     virtual = list(residues)
     for _ in range(1, slices):
@@ -182,10 +179,30 @@ def _comb_tables(
         for _ in range(stripe):
             last = [b * b % modulus for b in last]
         virtual += last
-    run = per * k
-    tables = [_subset_products(virtual[s : min(s + _TABLE_WIDTH, r + run)], modulus)
-              for r in range(0, slices * k, run) for s in range(r, r + run, _TABLE_WIDTH)]
-    return tables, per, stripe
+    return [_subset_products(virtual[a:b], modulus) for a, b in spans], per, stripe
+
+
+@functools.lru_cache
+def _slices(k: int, n: int, bits: int, reused: bool) -> int:
+    """The slice count s of n rows over k bases and exponents of `bits` bits.
+
+    A reused base takes max(_COMB_SLICES, 8 // k).  A first call takes the s
+    with the fewest multiplications: (s - 1)*stripe*k chain squarings, 2**w - 1
+    products per table of w virtual bases, and n*stripe*(1 + tables) for the
+    rows.  From s on, none counts fewer than (s - 1)/s*bits*k, the products of
+    s slices and n*bits*k/8 (8 bases to a table): the scan stops there.
+    """
+    if reused:
+        return max(_COMB_SLICES, _TABLE_WIDTH // k)
+    best, rows = (math.inf, 1), n * bits * k // _TABLE_WIDTH
+    for s in itertools.count(1):
+        spans = _spans(k, s)[1]
+        products = sum(2 ** (b - a) - 1 for a, b in spans)
+        if (s - 1) * bits * k // s + products + rows >= best[0]:
+            break
+        stripe = -(-bits // s)
+        best = min(best, ((s - 1) * stripe * k + products + n * stripe * (1 + len(spans)), s))
+    return best[1]
 
 
 @functools.lru_cache(maxsize=_SEEN_BASES)
@@ -195,21 +212,15 @@ def _visits(modulus: int, residues: tuple[int, ...]) -> itertools.count:
 
 
 def _tables(
-    residues: tuple[int, ...], modulus: int, bits: int
+    residues: tuple[int, ...], modulus: int, bits: int, n: int
 ) -> tuple[list[list[int]], int, int]:
-    """Subset-product tables for _multi_pow, slices per table, and stripe (see _comb_tables).
-
-    The first full-width call on a base builds tables of one slice for
-    that call only; _visits counts it.  A later call takes the base's comb
-    tables of max(_COMB_SLICES, 8 // k) slices, cached for the last
-    _COMB_BASES bases.  A q of fewer than _COMB_MIN_BITS bits always takes
-    the first route.  Two threads that meet a new base at once may both
-    take the first route; the result is the same either way.
-    """
-    if bits >= _COMB_MIN_BITS and next(_visits(modulus, residues)) > 0:
-        slices = max(_COMB_SLICES, _TABLE_WIDTH // len(residues))
-        return _comb_tables(residues, modulus, bits, slices)
-    return _comb_tables.__wrapped__(residues, modulus, bits, 1)
+    """Tables for _multi_pow's n rows, slices per table, and stripe, as _slices
+    picks them: a first call's for that call only, a reused base's from the
+    cache.  Two threads that meet a new base at once may both take the first
+    route; the result is the same either way."""
+    reused = next(_visits(modulus, residues)) > 0
+    build = _comb_tables if reused else _comb_tables.__wrapped__
+    return build(residues, modulus, bits, _slices(len(residues), n, bits, reused))
 
 
 def _multi_pow(
@@ -285,6 +296,6 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
             powered = tuple(math.prod(map(pow, residues, row, mods)) % modulus for row in lam)
         else:
             bits = base.field.q.bit_length()
-            powered = _multi_pow(*_tables(residues, modulus, bits), lam, modulus)
+            powered = _multi_pow(*_tables(residues, modulus, bits, len(lam)), lam, modulus)
     comps = tuple(member(base.group, r) for r in powered)
     return FusionBase(base.group, base.field, comps)

@@ -8,7 +8,6 @@ swappable black box.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .errors import NotPrime, ParamsMismatch, SearchExhausted
@@ -23,9 +22,11 @@ class GroupParams(Value):
 
     q is tested first.  P is then proven prime by Pocklington's criterion
     (Brillhart-Lehmer-Selfridge 1975) when q^2 > P, q divides P-1, g lies in
-    (1, P), g^q = 1 and gcd(g^((P-1)/q) - 1, P) = 1: every prime factor p of
-    P then has q dividing p-1, so p > q > sqrt(P).  Otherwise `is_prime(P)`
-    decides, before any ValueError, so a composite P raises NotPrime.
+    (1, P) and g^q = 1.  Proof: g is not 1 modulo some prime power p^e
+    exactly dividing P, so g has the prime order q modulo p^e; q does not
+    divide P, so q divides p - 1, and p > q > sqrt(P).  Then P = p*m with
+    m < q and m = 1 mod q, so m = 1.  Otherwise `is_prime(P)` decides,
+    before any ValueError, so a composite P raises NotPrime.
     """
 
     __slots__ = ("modulus", "q", "generator")
@@ -36,13 +37,7 @@ class GroupParams(Value):
         divides = (modulus - 1) % q == 0
         in_range = 1 < generator < modulus
         has_order_q = in_range and pow(generator, q, modulus) == 1
-        proven = (
-            q * q > modulus
-            and divides
-            and has_order_q
-            and math.gcd(pow(generator, (modulus - 1) // q, modulus) - 1, modulus) == 1
-        )
-        if not proven and not is_prime(modulus):
+        if not (q * q > modulus and divides and has_order_q) and not is_prime(modulus):
             raise NotPrime(f"modulus {modulus} is not prime")
         if not divides:
             raise ValueError("subgroup order must divide modulus - 1")

@@ -30,6 +30,13 @@ GOLDEN = Path(__file__).parent / "data" / "vectors_golden.json"
 REDUCTIONS_GOLDEN = Path(__file__).parent / "data" / "demo_reductions_golden.json"
 
 
+def load_config(path):
+    """The group and the built field of the config at path: every check, the
+    power last, as a command that reads the config makes them."""
+    group, spec = load_system_config(path)
+    return group, fusionexp.cli._field(path, spec)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -55,7 +62,7 @@ def test_params_generates_expected_shape(capsys, tmp_path):
     assert obj["group"]["q"] == "11" and obj["group"]["modulus"] == "23"
     # q = 11 = 3 mod 4, so degree 2 prefers the modulus X^2 + 1
     assert obj["field"]["f"] == ["1", "0"]
-    group, fld = load_system_config(str(out_file))
+    group, fld = load_config(str(out_file))
     assert group.q == fld.q == 11
 
 
@@ -208,7 +215,7 @@ def test_fdlog_solvers_print_the_same_exponent(capsys, tmp_path):
     assert main(["params", "--q-bits", "4", "--n", "3", "--seed", "1",
                  "--out", str(config)]) == EXIT_OK
     capsys.readouterr()
-    group, field = load_system_config(str(config))
+    group, field = load_config(str(config))
     g = generator_element(group)
     rng = random.Random(22)
     for i in range(20):
@@ -463,7 +470,7 @@ def test_config_load_checks_each_invariant_once(config_path, monkeypatch):
     counted(fusionexp.field, "is_prime")
     counted(fusionexp.field, "is_irreducible")
     fusionexp.field._irreducible.cache_clear()  # a fresh process, as the CLI runs
-    load_system_config(config_path)
+    load_config(config_path)
     assert calls == {"is_prime": 2, "is_irreducible": 1}
 
 
@@ -482,7 +489,7 @@ def test_config_load_tests_q_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fusionexp.primes, "_miller_rabin", logged)
     fusionexp.primes.is_prime.cache_clear()
-    load_system_config(str(cfg))
+    load_config(str(cfg))
     assert rounds == [q] * len(fusionexp.primes._MR_WITNESSES)
 
 
@@ -676,11 +683,11 @@ def test_config_faults_come_before_argument_faults(capsys, tmp_path, monkeypatch
 
 def test_config_load_can_leave_the_power_to_the_command(config_path, monkeypatch):
     no_power(monkeypatch)
-    group, spec = load_system_config(config_path, irreducible=False)
+    group, spec = load_system_config(config_path)
     assert (group.modulus, group.q) == (23, 11)
     assert spec == (11, 2, (1, 0))
     with pytest.raises(Reached):
-        load_system_config(config_path)
+        load_config(config_path)
 
 
 AT_SIZE_CAPS = {
@@ -725,7 +732,7 @@ def test_params_non_residue_characteristic_uses_search(capsys, tmp_path):
     assert code == EXIT_OK
     obj = json.loads(stdout)
     assert int(obj["group"]["q"]) % 4 == 1
-    load_system_config(str(out))  # construction revalidates irreducibility
+    load_config(str(out))  # construction revalidates irreducibility
 
 
 def test_non_utf8_config_is_malformed_input(capsys, tmp_path):
@@ -801,7 +808,7 @@ def scan_configs(tmp_path_factory):
         assert main(["params", "--q-bits", str(q_bits), "--n", str(n), "--seed", "1",
                      "--out", str(path)]) == EXIT_OK
         paths.append(str(path))
-    assert [load_system_config(p)[1].field_order for p in paths] == [11**4, 898_409]
+    assert [load_config(p)[1].field_order for p in paths] == [11**4, 898_409]
     return paths
 
 

@@ -12,6 +12,7 @@ import helpers
 from fusionexp import (
     BadDegree,
     FieldElement,
+    FieldParams,
     NotIrreducible,
     NotPrime,
     ParamsMismatch,
@@ -819,7 +820,7 @@ def test_params_json_roundtrip(f121, tmp_path, capsys):
                  "--out", str(path)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
     assert json.loads(path.read_text())["field"] == {"q": "11", "n": 2, "f": ["1", "0"]}
-    assert load_system_config(str(path))[1] == f121
+    assert FieldParams(*load_system_config(str(path))[1]) == f121
 
 
 def test_fe_constructor_wrong_length(f121):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -310,13 +311,13 @@ def oracle(base, x):
 
 def assert_routes_match_oracle(group, fld, seed):
     rng = random.Random(seed)
-    combs = int(fld.q.bit_length() >= fusion._COMB_MIN_BITS)
+    combs = int(group.modulus.bit_length() > fusion._DIGIT_BITS)
     for base in route_bases(group, fld, rng):
         fusion._visits.cache_clear()
         fusion._comb_tables.cache_clear()
         warm = fe(fld, [rng.randrange(1, fld.q) for _ in range(fld.n)])
         # the first full-width call builds per-call tables, the second the
-        # combs, unless q is too small for them
+        # combs, unless P is one CPython digit and no call reaches the kernel
         for _ in range(2):
             assert residues(fusion_pow(base, warm)) == oracle(base, warm)
         assert fusion._comb_tables.cache_info().currsize == combs
@@ -329,6 +330,11 @@ def route_field(q, n):
     return make_field_params(q, n, find_irreducible(q, n, seed=n))
 
 
+@pytest.fixture(scope="module")
+def group32():
+    return gen_group_params(32, seed=1)
+
+
 @pytest.mark.parametrize("n", ROUTE_DEGREES)
 def test_comb_and_subfield_routes_match_oracle_q11(g23, n, fresh_combs):
     assert_routes_match_oracle(g23, route_field(11, n), seed=40 + n)
@@ -337,6 +343,11 @@ def test_comb_and_subfield_routes_match_oracle_q11(g23, n, fresh_combs):
 @pytest.mark.parametrize("n", ROUTE_DEGREES)
 def test_comb_and_subfield_routes_match_oracle_64_bit(group64, n, fresh_combs):
     assert_routes_match_oracle(group64, route_field(group64.q, n), seed=60 + n)
+
+
+@pytest.mark.parametrize("n", ROUTE_DEGREES)
+def test_comb_and_subfield_routes_match_oracle_32_bit(group32, n, fresh_combs):
+    assert_routes_match_oracle(group32, route_field(group32.q, n), seed=30 + n)
 
 
 def test_comb_and_subfield_routes_match_oracle_256_bit(fresh_combs):
@@ -394,17 +405,20 @@ def counted_kernel(monkeypatch):
 @pytest.mark.parametrize("n", DIGIT_DEGREES)
 @pytest.mark.parametrize("which", ["q11", "one_digit", "two_digits"])
 def test_routes_at_the_one_digit_bound(digit_groups, which, n, monkeypatch, fresh_combs):
-    # up to one digit the kernel never runs; past it the kernel runs, but a
-    # q below _COMB_MIN_BITS bits notes no base
+    # up to one digit the kernel never runs and no base is noted; past it
+    # the kernel runs and notes each base, by its non-identity components
     group = digit_groups[which]
     fld = route_field(group.q, n)
     rng = random.Random(80 + n)
     calls = counted_kernel(monkeypatch)
-    for base in route_bases(group, fld, rng):
+    bases = route_bases(group, fld, rng)
+    for base in bases:
         for x in route_exponents(fld, rng) + [fe_random(fld, rng)]:
             assert residues(fusion_pow(base, x)) == oracle(base, x), (n, x.coeffs)
-    assert bool(calls) == (which == "two_digits")
-    assert fusion._visits.cache_info().currsize == 0
+    past = which == "two_digits"
+    assert bool(calls) == past
+    kept = {tuple(r for r in residues(base) if r != 1) for base in bases}
+    assert fusion._visits.cache_info().currsize == past * len(kept)
 
 
 def test_kernel_runs_at_64_bits(group64, fields64, monkeypatch, fresh_combs):
@@ -622,3 +636,63 @@ def test_full_width_comb_count_is_unchanged(group256, fresh_combs):
     base = counted_base(group256, fld, 8, random.Random(108))
     counts = reused_counts(base, [fe(fld, [fld.q - 1] * 8)] * 3)
     assert counts == [4340, 5108, 2552]
+
+
+# ---------------------------------------------------------------------------
+# The first call on a base: the slice count with the fewest multiplications
+# ---------------------------------------------------------------------------
+
+
+def first_call_count(group, k, n, slices, rng):
+    """Multiplications of one first call cut into `slices` slices: the chain,
+    the tables and n rows over k bases whose every bit is set, the rows for
+    which _slices' count is exact."""
+    P, bits = group.modulus, group.q.bit_length()
+    bases = tuple(helpers.CountingInt(pow(group.generator, rng.randrange(1, group.q), P))
+                  for _ in range(k))
+    e = 2**bits - 1
+    helpers.CountingInt.mults = 0
+    got = fusion._multi_pow(*fusion._comb_tables.__wrapped__(bases, P, bits, slices),
+                            [[e] * k] * n, P)
+    count = helpers.CountingInt.mults
+    assert got == (pow(math.prod(map(int, bases)), e, P),) * n, (k, n, slices)
+    return count
+
+
+# k, n in {1, 2, 4, 8}, and k = 9, n = 11, where at 256 bits one and two
+# slices tie and one product less per table would pick two
+FIRST_CALL_SHAPES = [(k, n) for k, n in itertools.product((1, 2, 4, 8), repeat=2)
+                     if k <= n] + [(9, 11)]
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_first_call_takes_the_counted_best_slice_count(bits, group64, group256):
+    group = {64: group64, 256: group256}[bits]
+    rng = random.Random(bits)
+    for k, n in FIRST_CALL_SHAPES:
+        counts = {s: first_call_count(group, k, n, s, rng) for s in range(1, 17)}
+        pick = fusion._slices(k, n, bits, False)
+        assert pick == min(counts, key=counts.get), (k, n, counts)
+
+
+@pytest.mark.parametrize("k, n, read", [(8, 8, 4), (1, 4, 11)])
+def test_slice_scan_stops_at_its_bound(k, n, read, monkeypatch):
+    # a fresh process scans once per layout; from s on no count is below
+    # (s - 1)/s*bits*k + the products of s slices + n*bits*k/8, which at 256
+    # bits passes the best count at s = 4 (k = n = 8: 1,536 + 1,020 + 2,048
+    # against 4,351 at one slice) and s = 11 (k = 1, n = 4: 232 + 262 + 128,
+    # the 622 of six slices)
+    scanned, spans = [], fusion._spans
+    monkeypatch.setattr(fusion, "_spans", lambda k, s: scanned.append(s) or spans(k, s))
+    fusion._slices.__wrapped__(k, n, 256, False)
+    assert scanned == list(range(1, read + 1))
+
+
+def test_first_call_on_a_unit_embed_base(group256, fresh_combs):
+    # (g^a, 1, 1, 1) at a 256-bit q: six slices of 43 bits share one table,
+    # where one slice took 1,523 multiplications
+    fld = route_field(group256.q, 4)
+    rng = random.Random(109)
+    base = counted_base(group256, fld, 1, rng)
+    assert fusion._slices(1, 4, 256, False) == 6
+    assert reused_counts(base, [fe_random(fld, rng)]) <= [620]

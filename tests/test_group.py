@@ -76,6 +76,15 @@ def test_params_validation():
     assert math.gcd(pow(16, 1246 // 7, 1247) - 1, 1247) == 1
     with pytest.raises(NotPrime):
         GroupParams(modulus=1247, q=7, generator=16)
+    # 35 = 5 * 7 with 17 | 34 and 17^2 > 35: a generator of 1, or of 36 = 1
+    # mod 35, has g^q = 1 but is out of range, so the criterion does not apply
+    for g in (1, 36):
+        with pytest.raises(NotPrime):
+            GroupParams(modulus=35, q=17, generator=g)
+    # 69 = 3 * 23 with 11^2 > 69 and 4^11 = 1, but 11 does not divide 68
+    assert pow(4, 11, 69) == 1
+    with pytest.raises(NotPrime):
+        GroupParams(modulus=69, q=11, generator=4)
     # with P and q both composite, q is named
     with pytest.raises(NotPrime, match="subgroup order 10"):
         GroupParams(modulus=21, q=10, generator=4)
@@ -87,6 +96,19 @@ def test_params_validation():
     for g in (0, 1, 23, 27):
         with pytest.raises(ValueError, match="^generator out of range$"):
             GroupParams(modulus=23, q=11, generator=g)
+
+
+def test_pocklington_criterion_needs_no_gcd():
+    # GroupParams takes P as prime when q is prime, q | P - 1, q^2 > P and
+    # some g in (1, P) has g^q = 1: no odd composite P below 2,000 passes
+    pairs = 0
+    for P in range(9, 2000, 2):
+        if not is_prime(P):
+            for q in range(math.isqrt(P) + 1, P):
+                if (P - 1) % q == 0 and is_prime(q):
+                    pairs += 1
+                    assert all(pow(g, q, P) != 1 for g in range(2, P)), (P, q)
+    assert pairs > 100
 
 
 def test_g_mul_worked_example(g23):
