@@ -293,12 +293,14 @@ def fdlog_solve(inst: FdlogInstance, dlog: DlogOracle) -> FieldElement:
 
     With base = (g^w_0, ..., g^w_{n-1}) and target = (g^z_0, ...), the
     sought exponent is z * w^-1 in the exponent field; w is nonzero because
-    the base is not the identity.
+    the base is not the identity.  The oracle's instances are built
+    unchecked, as their elements come from a checked FdlogInstance; its
+    answers are read through `fe`.
     """
     gen = generator_element(inst.base.group)
     field = inst.base.field
     comps = inst.base.components + inst.target.components
-    logs = [dlog(DlogInstance(gen, c, len(comps))) for c in comps]
+    logs = [dlog(DlogInstance.unchecked(gen, c, len(comps))) for c in comps]
     w, z = fe(field, logs[:field.n]), fe(field, logs[field.n:])
     return fe_mul(z, fe_inv(w))
 
@@ -330,7 +332,7 @@ def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
     n, q = field.n, field.q
     P = inst.base.group.modulus
     # the coefficient matrix of X (of 0 at n = 1, where no step uses it)
-    lam = lambda_entries(fe(field, [int(i == 1) for i in range(n)]))
+    lam = lambda_entries(FieldElement.unchecked(field, tuple(int(i == 1) for i in range(n))))
     steps = [tuple(c.residue for c in inst.base.components)]
     for _ in range(n - 1):
         steps.append(tuple(math.prod(map(pow, steps[-1], row, (P,) * n)) % P for row in lam))
@@ -358,7 +360,7 @@ def fdlog_bruteforce(inst: FdlogInstance) -> FieldElement:
                 if cur_d * pow(h_d, j, P) % P == want_d and all(
                         math.prod(map(pow, col, x, mods)) % P == t
                         for col, t in zip(columns, target)):
-                    return fe(field, x)
+                    return FieldElement.unchecked(field, x)
                 break
             acc = acc * h % P
     raise NotFound("no exponent maps base to target; bijectivity violated")

@@ -66,7 +66,8 @@ class FieldParams(Value):
 
 
 class FieldElement(Value):
-    """Coefficient vector of a field element, reduced mod q."""
+    """Coefficient vector of a field element, reduced mod q; arithmetic
+    results are built by `FieldElement.unchecked`."""
 
     __slots__ = ("params", "coeffs")
 
@@ -95,11 +96,11 @@ def fe(params: FieldParams, coeffs: Sequence[int]) -> FieldElement:
 
 
 def fe_zero(params: FieldParams) -> FieldElement:
-    return FieldElement(params, (0,) * params.n)
+    return FieldElement.unchecked(params, (0,) * params.n)
 
 
 def fe_one(params: FieldParams) -> FieldElement:
-    return FieldElement(params, (1,) + (0,) * (params.n - 1))
+    return FieldElement.unchecked(params, (1,) + (0,) * (params.n - 1))
 
 
 def fe_is_zero(a: FieldElement) -> bool:
@@ -109,19 +110,21 @@ def fe_is_zero(a: FieldElement) -> bool:
 def fe_from_int(params: FieldParams, value: int) -> FieldElement:
     """Element whose coefficients are the base-q digits of value, which must
     lie in [0, q^n): outside it two integers would share one element."""
+    value = operator.index(value)
     if not 0 <= value < params.field_order:
         raise ValueError(f"{value} outside [0, {params.field_order})")
     digits = []
     for _ in range(params.n):
         value, d = divmod(value, params.q)
         digits.append(d)
-    return FieldElement(params, tuple(digits))
+    return FieldElement.unchecked(params, tuple(digits))
 
 
 def fe_random(params: FieldParams, rng: random.Random, nonzero: bool = False) -> FieldElement:
     """Uniformly random element; redraws until nonzero when requested."""
     while True:
-        e = FieldElement(params, tuple(rng.randrange(params.q) for _ in range(params.n)))
+        coeffs = tuple(rng.randrange(params.q) for _ in range(params.n))
+        e = FieldElement.unchecked(params, coeffs)
         if not nonzero or not fe_is_zero(e):
             return e
 
@@ -134,18 +137,20 @@ def _check_same_params(a: FieldElement, b: FieldElement) -> None:
 def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
     _check_same_params(a, b)
     q = a.params.q
-    return FieldElement(a.params, tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)))
+    coeffs = tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs))
+    return FieldElement.unchecked(a.params, coeffs)
 
 
 def fe_neg(a: FieldElement) -> FieldElement:
     q = a.params.q
-    return FieldElement(a.params, tuple(-x % q for x in a.coeffs))
+    return FieldElement.unchecked(a.params, tuple(-x % q for x in a.coeffs))
 
 
 def fe_sub(a: FieldElement, b: FieldElement) -> FieldElement:
     _check_same_params(a, b)
     q = a.params.q
-    return FieldElement(a.params, tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs)))
+    coeffs = tuple((x - y) % q for x, y in zip(a.coeffs, b.coeffs))
+    return FieldElement.unchecked(a.params, coeffs)
 
 
 def _times_x(h: tuple[int, ...], f_low: tuple[int, ...], q: int | None) -> tuple[int, ...]:
@@ -283,7 +288,7 @@ def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
     degree n (`_fold`)."""
     _check_same_params(a, b)
     params = a.params
-    return FieldElement(params, _mul(a.coeffs, b.coeffs, params.f_low, params.q))
+    return FieldElement.unchecked(params, _mul(a.coeffs, b.coeffs, params.f_low, params.q))
 
 
 def fe_pow(a: FieldElement, k: int) -> FieldElement:
@@ -292,7 +297,7 @@ def fe_pow(a: FieldElement, k: int) -> FieldElement:
     if k < 0:
         raise ValueError("negative exponent; invert first")
     params = a.params
-    return FieldElement(params, _pow(a.coeffs, k, params.f_low, params.q))
+    return FieldElement.unchecked(params, _pow(a.coeffs, k, params.f_low, params.q))
 
 
 def fe_inv(a: FieldElement) -> FieldElement:
@@ -305,7 +310,7 @@ def fe_inv(a: FieldElement) -> FieldElement:
     # gcd of a nonzero element with an irreducible modulus is a unit, and
     # the cofactor of a has degree below n
     c_inv = pow(g[0], -1, q)
-    return FieldElement(
+    return FieldElement.unchecked(
         params, tuple(c * c_inv % q for c in u) + (0,) * (params.n - len(u))
     )
 

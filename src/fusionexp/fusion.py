@@ -36,14 +36,7 @@ import sys
 
 from .errors import IdentityBase, ParamsMismatch
 from .field import FieldElement, FieldParams, fe_one, lambda_entries
-from .group import (
-    GroupElement,
-    GroupParams,
-    g_inv,
-    g_mul,
-    identity,
-    member,
-)
+from .group import GroupElement, GroupParams, g_inv, g_mul, identity
 from .value import Value
 
 # A modulus of at most this many bits is one CPython digit (per-entry pow route).
@@ -60,7 +53,8 @@ _SEEN_BASES = 16
 
 
 class FusionBase(Value):
-    """n-tuple of subgroup elements, tied to matching group and field parameters."""
+    """n-tuple of subgroup elements, tied to matching group and field parameters;
+    products, inverses and powers of tuples are built by `FusionBase.unchecked`."""
 
     __slots__ = ("group", "field", "components")
 
@@ -84,7 +78,7 @@ def scalar_embed(g: GroupElement, x: FieldElement) -> FusionBase:
     if g.residue == 1:
         raise IdentityBase("cannot embed the group identity")
     P = g.params.modulus
-    comps = tuple(member(g.params, pow(g.residue, c, P)) for c in x.coeffs)
+    comps = tuple(GroupElement.unchecked(g.params, pow(g.residue, c, P)) for c in x.coeffs)
     return FusionBase(group=g.params, field=x.params, components=comps)
 
 
@@ -109,11 +103,11 @@ def _check_same_params(a: FusionBase, b: FusionBase) -> None:
 def fb_mul(a: FusionBase, b: FusionBase) -> FusionBase:
     _check_same_params(a, b)
     comps = tuple(g_mul(x, y) for x, y in zip(a.components, b.components))
-    return FusionBase(a.group, a.field, comps)
+    return FusionBase.unchecked(a.group, a.field, comps)
 
 
 def fb_inv(a: FusionBase) -> FusionBase:
-    return FusionBase(a.group, a.field, tuple(g_inv(c) for c in a.components))
+    return FusionBase.unchecked(a.group, a.field, tuple(g_inv(c) for c in a.components))
 
 
 def _subset_products(bases: tuple[int, ...], modulus: int) -> list[int]:
@@ -297,5 +291,5 @@ def fusion_pow(base: FusionBase, exp: FieldElement) -> FusionBase:
         else:
             bits = base.field.q.bit_length()
             powered = _multi_pow(*_tables(residues, modulus, bits, len(lam)), lam, modulus)
-    comps = tuple(member(base.group, r) for r in powered)
-    return FusionBase(base.group, base.field, comps)
+    comps = tuple(GroupElement.unchecked(base.group, r) for r in powered)
+    return FusionBase.unchecked(base.group, base.field, comps)

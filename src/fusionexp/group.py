@@ -53,12 +53,13 @@ class GroupParams(Value):
 class GroupElement(Value):
     """Residue in [1, P) that lies in the order-q subgroup, else ValueError.
 
-    The range is checked first.  When P = 2q + 1 the subgroup is the
-    quadratic residues, so membership is the Legendre symbol (r/P) = 1, by
-    reciprocity at a fraction of the cost of r^q at large P (about 32
-    against 120 us at 256 bits); for any other P = kq + 1 it is r^q = 1.
-    Results that are members by construction are built by `member`, which
-    skips the check.
+    The constructor checks a residue from outside, the range first.  When
+    P = 2q + 1 the subgroup is the quadratic residues, so membership is the
+    Legendre symbol (r/P) = 1, by reciprocity at a fraction of the cost of
+    r^q at large P (about 32 against 120 us at 256 bits); for any other
+    P = kq + 1 it is r^q = 1.  Results that are members by construction (a
+    product, inverse or power of members, the generator, the identity) are
+    built by `GroupElement.unchecked`, which skips the check.
     """
 
     __slots__ = ("params", "residue")
@@ -73,25 +74,12 @@ class GroupElement(Value):
         object.__setattr__(self, "residue", residue)
 
 
-def member(params: GroupParams, residue: int) -> GroupElement:
-    """The GroupElement of a residue known to lie in the order-q subgroup, unchecked.
-
-    For results that are members by construction: a product, inverse or
-    power of members, the generator and the identity.  A residue from
-    outside goes through the GroupElement constructor instead.
-    """
-    elem = object.__new__(GroupElement)
-    object.__setattr__(elem, "params", params)
-    object.__setattr__(elem, "residue", residue)
-    return elem
-
-
 def identity(params: GroupParams) -> GroupElement:
-    return member(params, 1)
+    return GroupElement.unchecked(params, 1)
 
 
 def generator_element(params: GroupParams) -> GroupElement:
-    return member(params, params.generator)
+    return GroupElement.unchecked(params, params.generator)
 
 
 def gen_group_params(q_bits: int, seed: int) -> GroupParams:
@@ -131,11 +119,11 @@ def _check_same_params(a: GroupElement, b: GroupElement) -> None:
 
 def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_same_params(a, b)
-    return member(a.params, a.residue * b.residue % a.params.modulus)
+    return GroupElement.unchecked(a.params, a.residue * b.residue % a.params.modulus)
 
 
 def g_inv(a: GroupElement) -> GroupElement:
-    return member(a.params, pow(a.residue, -1, a.params.modulus))
+    return GroupElement.unchecked(a.params, pow(a.residue, -1, a.params.modulus))
 
 
 def pow_sm(base: int, exp: int, modulus: int) -> int:
@@ -153,4 +141,4 @@ def pow_sm(base: int, exp: int, modulus: int) -> int:
 def g_pow(base: GroupElement, exp: int) -> GroupElement:
     """base**exp with the exponent reduced into [0, q)."""
     e = exp % base.params.q
-    return member(base.params, pow_sm(base.residue, e, base.params.modulus))
+    return GroupElement.unchecked(base.params, pow_sm(base.residue, e, base.params.modulus))

@@ -1,11 +1,13 @@
 """Primality testing of arbitrary-precision integers.
 
 `is_prime` is a proof below 3.3·10^24: there, Miller-Rabin with the first
-twelve primes as witnesses has no pseudoprime.  At and above that bound it
-is the Baillie-PSW test (Baillie-Wagstaff 1980): one strong Miller-Rabin
-round to base 2 and one strong Lucas test with Selfridge's parameters.  No
-composite is known to pass it, and unlike a fixed set of Miller-Rabin
-witnesses it cannot be fooled by a composite built for those witnesses.
+thirteen primes as witnesses has no pseudoprime (Sorenson-Webster 2017;
+the first twelve pass the composite 318,665,857,834,031,151,167,461).  At
+and above that bound it is the Baillie-PSW test (Baillie-Wagstaff 1980):
+one strong Miller-Rabin round to base 2 and one strong Lucas test with
+Selfridge's parameters.  No composite is known to pass it, and unlike a
+fixed set of Miller-Rabin witnesses it cannot be fooled by a composite
+built for those witnesses.
 
 `may_be_safe_prime` is a cheaper filter for the safe-prime search, which
 discards most of its draws by three sieves and a base-2 round before any
@@ -32,7 +34,7 @@ _PRESIEVE = 15015
 _SIEVE_LIMIT = 4096
 
 # Witnesses proving primality for every n < 3_317_044_064_679_887_385_961_981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
@@ -54,10 +56,10 @@ def _miller_rabin(n: int, witness: int) -> bool:
 
 
 def _has_small_factor(n: int) -> bool:
-    """True iff n > 1 has a prime factor below 200 other than n itself.
+    """True iff n has a prime factor below 200 other than n itself, or n < 2.
 
     Above 199 that is one gcd with the product of those primes; at and
-    below it, n is checked against the table.
+    below it, n is checked against the table, which holds no n below 2.
     """
     if n <= _SMALL_PRIMES[-1]:
         return n not in _SMALL_PRIMES
@@ -174,14 +176,15 @@ def _baillie_psw(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """True iff n is prime: a proof below 3.3·10^24, Baillie-PSW above.
 
-    Small factors come first: a table below 200, and above it one gcd with
-    the product of the primes below 200.  Below the bound, Miller-Rabin to the first twelve prime bases decides every n exactly.
-    From the bound on, Baillie-PSW decides; no composite is known to pass
-    it.  The last few answers are kept, so a number checked at two
-    boundaries, such as a q that both the group and the field's
+    Small factors come first: a table below 200, which also refuses every
+    n < 2, and above it one gcd with the product of the primes below 200.
+    Below the bound, Miller-Rabin to the first thirteen prime bases decides
+    every n exactly.  From the bound on, Baillie-PSW decides; no composite
+    is known to pass it.  The last few answers are kept, so a number checked
+    at two boundaries, such as a q that both the group and the field's
     irreducibility test check, costs one test.
     """
-    if n < 2 or _has_small_factor(n):
+    if _has_small_factor(n):
         return False
     if n <= _SMALL_PRIMES[-1]:
         return True

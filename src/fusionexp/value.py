@@ -2,23 +2,18 @@
 
 A `Value` subclass lists its fields, two or more, in `__slots__` and sets
 them through `object.__setattr__` in its own `__init__`, which checks its
-invariants.  Equality, hashing, `repr`, pickling and copying go by the
-fields in slot order, as for a frozen dataclass; assigning or deleting a
-field raises AttributeError.  Unlike a dataclass it generates no code at
-import time.
+invariants.  The constructor is the boundary for data from outside;
+`unchecked` is the one way to build an instance without those checks, for
+results that hold the invariants by construction and for unpickling and
+copying.  Equality, hashing, `repr`, pickling and copying go by the fields
+in slot order, as for a frozen dataclass; assigning or deleting a field
+raises AttributeError.  Unlike a dataclass it generates no code at import
+time.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-
-def _rebuild(cls: type, values: tuple) -> Value:
-    """A cls instance holding values, without re-running its checks."""
-    self = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(self, name, value)
-    return self
 
 
 class Value:
@@ -32,6 +27,15 @@ class Value:
         if len(cls.__slots__) < 2:
             raise TypeError(f"{cls.__name__} needs at least two fields")
         cls._values = attrgetter(*cls.__slots__)
+
+    @classmethod
+    def unchecked(cls, *values):
+        """An instance holding one value per field, in slot order, without the
+        constructor's checks: the caller vouches for every invariant."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -48,7 +52,7 @@ class Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return _rebuild, (self.__class__, self._values(self))
+        return self.unchecked, self._values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

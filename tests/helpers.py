@@ -353,14 +353,14 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime_fixed_witnesses(n):
-    """Miller-Rabin with fixed witnesses: the first 12 primes below 3.3e24,
+    """Miller-Rabin with fixed witnesses: the first 13 primes below 3.3e24,
     where that set is a proof, and the first 28 primes from there on."""
     if n < 2:
         return False
     for p in _MR_SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    witnesses = _MR_SMALL_PRIMES[:12] if n < _MR_BOUND else _MR_SMALL_PRIMES[:28]
+    witnesses = _MR_SMALL_PRIMES[:13] if n < _MR_BOUND else _MR_SMALL_PRIMES[:28]
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

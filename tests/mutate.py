@@ -17,10 +17,13 @@ occur once in the module, by NEW (for mutants no operator above makes,
 such as a `try` around a call).  For each mutant, `pyproject.toml`, `src/`
 and `tests/` are copied to a temporary directory, the mutated module is
 written there, and the test files run there under `timeout` (TIMEOUT
-seconds) with bytecode writing off, so that no mutant runs another's cached
-code; a mutant is killed when the tests fail or time out.  The checkout
-itself is never written.  Uses the standard library only; the name keeps
-pytest from collecting this file.  Exits 1 when a mutant survives.
+seconds), with their address space bounded (MEMORY bytes, RLIMIT_AS) and
+bytecode writing off, so that no mutant runs another's cached code.  A
+mutant is killed when the tests fail, time out or hit the memory bound: a
+mutant that allocates without bound meets MemoryError or dies, and either
+way the run fails.  The checkout itself is never written.  Uses the
+standard library only; the name keeps pytest from collecting this file.
+Exits 1 when a mutant survives.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import resource
 import shutil
 import subprocess
 import sys
@@ -36,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120  # seconds per test run
+MEMORY = 3 << 30  # bytes of address space per test run
 
 _COMPARE_FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -139,12 +144,18 @@ def text_mutants(source: str, pairs: list[tuple[str, str]]) -> list[tuple[str, s
     return mutants
 
 
+def _bound_memory() -> None:
+    """Run in the child before exec: cap its address space, inherited by pytest."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def run_tests(workdir: Path, module: Path, source: str, test_files: list[str]) -> bool:
     """Whether the test files pass with `source` in place of the module."""
     (workdir / module).write_text(source)
     cmd = ["timeout", str(TIMEOUT), sys.executable, "-B", "-m", "pytest", "-x", "-q",
            "-p", "no:cacheprovider", *test_files]
-    return subprocess.run(cmd, cwd=workdir, capture_output=True).returncode == 0
+    run = subprocess.run(cmd, cwd=workdir, capture_output=True, preexec_fn=_bound_memory)
+    return run.returncode == 0
 
 
 def main(argv=None) -> int:

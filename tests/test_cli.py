@@ -512,6 +512,27 @@ def test_config_with_composite_order_rejected(capsys, tmp_path, group, named):
     assert out == "" and f"{named} is not prime" in err
 
 
+def test_config_on_a_strong_pseudoprime_to_twelve_bases_rejected(capsys, tmp_path):
+    # q = 318,665,857,834,031,151,167,461 = 399,165,290,221 * 798,330,580,441
+    # passes Miller-Rabin to the first twelve prime bases; P = 108q + 1 is
+    # prime and g has the order of q's smaller factor, so q^2 > P, q | P - 1
+    # and g^q = 1 hold, and only the test of q itself can refuse the config
+    q = 318_665_857_834_031_151_167_461
+    P = 108 * q + 1
+    g = pow(2, (P - 1) // 399_165_290_221, P)
+    bad = tmp_path / "psi12.json"
+    bad.write_text(json.dumps({
+        "version": "1",
+        "group": {"modulus": str(P), "q": str(q), "generator": str(g)},
+        "field": {"q": str(q), "n": 1, "f": ["0"]},
+    }))
+    for argv in (("eval", "--base", json.dumps([str(g)]), "--exp", '["5"]'),
+                 ("demo", "--which", "dh", "--seed", "1")):
+        code, out, err = run(capsys, argv[0], "--config", str(bad), *argv[1:])
+        assert code == EXIT_FORMAT and out == ""
+        assert f"subgroup order {q} is not prime" in err
+
+
 def test_bad_env_seed_rejected(capsys, monkeypatch):
     # int() would read "3_0" as 30 and " 8" as 8; a seed is ASCII digits only
     for env in ("not-a-number", "3_0", " 8", "-1"):

@@ -42,7 +42,7 @@ from fusionexp import (
     scalar_embed,
     unit_embed,
 )
-from fusionexp.group import member, pow_sm
+from fusionexp.group import pow_sm
 
 
 @pytest.fixture(autouse=True)
@@ -490,11 +490,11 @@ def test_rho_rejects_tiny_group(g7):
 @pytest.mark.parametrize("solver", [dlog_bsgs, dlog_pollard_rho])
 def test_square_root_solvers_raise_not_found_outside_subgroup(g23, solver, batch):
     # 5 is not a square mod 23, so no power of g reaches it; the giant steps
-    # run out for BSGS, and rho's step budget bounds its walks (the target
-    # is built by member, since the GroupElement constructor refuses it)
+    # run out for BSGS, and rho's step budget bounds its walks (the target is
+    # built by GroupElement.unchecked, since the constructor refuses it)
     g = generator_element(g23)
     with pytest.raises(NotFound):
-        solver(DlogInstance(g, member(g23, 5), batch))
+        solver(DlogInstance(g, GroupElement.unchecked(g23, 5), batch))
     # the failed target leaves the kept table and walk sound
     assert solver(DlogInstance(g, GroupElement(g23, 13), batch)) == 7
 
@@ -965,7 +965,7 @@ def test_rho_gives_up_after_its_walk_budget(g23):
     # the multipliers
     g = generator_element(g23)
     with pytest.raises(NotFound):
-        dlog_pollard_rho(DlogInstance(g, member(g23, 5)), seed=3)
+        dlog_pollard_rho(DlogInstance(g, GroupElement.unchecked(g23, 5)), seed=3)
     want = random.Random(3)
     for _ in range(20):
         want.randrange(11)
@@ -980,7 +980,7 @@ def test_rho_store_survives_a_target_outside_the_subgroup(g23):
     g = generator_element(g23)
     solve_batches(rho_batches(g23, 2, seed=42), seed=1)
     with pytest.raises(NotFound):
-        dlog_pollard_rho(DlogInstance(g, member(g23, 5), 3), 1)
+        dlog_pollard_rho(DlogInstance(g, GroupElement.unchecked(g23, 5), 3), 1)
     assert_store_sound(g23, 1)
     solve_batches(rho_batches(g23, 20, seed=43), seed=1)
     assert_store_sound(g23, 1)

@@ -116,6 +116,8 @@ def test_rejects_non_integer_values(f121):
     with pytest.raises(TypeError):
         FieldElement(f121, (2.0, 1))
     with pytest.raises(TypeError):
+        fe_from_int(f121, 12.0)
+    with pytest.raises(TypeError):
         is_irreducible(11, [1.0, 0, 1])
     with pytest.raises(TypeError):
         lambda_symbolic(2, [1.9, 0.2])

@@ -8,7 +8,9 @@ import pytest
 import fusionexp.group
 import helpers
 from fusionexp import (
+    DlogInstance,
     FdlogInstance,
+    FieldElement,
     FusionBase,
     GroupElement,
     GroupParams,
@@ -24,7 +26,16 @@ from fusionexp import (
     fdlog_bruteforce,
     fdlog_solve,
     fe,
+    fe_add,
+    fe_from_int,
+    fe_inv,
+    fe_mul,
+    fe_neg,
+    fe_one,
+    fe_pow,
     fe_random,
+    fe_sub,
+    fe_zero,
     fusion_pow,
     g_inv,
     g_mul,
@@ -38,7 +49,7 @@ from fusionexp import (
     vss_verify_all,
 )
 from fusionexp.cli import EXIT_OK, load_system_config, main
-from fusionexp.group import member, pow_sm
+from fusionexp.group import pow_sm
 from fusionexp.primes import is_prime
 
 
@@ -203,7 +214,7 @@ def test_serialization_roundtrip(tmp_path, capsys):
     assert main(["eval", "--config", str(path), "--base", '["13","4"]',
                  "--exp", '["1","0"]']) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == ["13", "4"]
-    assert GroupElement(g, 13) == member(g, 13)
+    assert GroupElement(g, 13) == GroupElement.unchecked(g, 13)
 
 
 def test_gen_group_params_search_exhausted(monkeypatch):
@@ -258,7 +269,7 @@ def membership_agrees_with_the_q_th_power(params, residues):
     members = 0
     for r in residues:
         if pow(r, q, P) == 1:
-            assert GroupElement(params, r) == member(params, r)
+            assert GroupElement(params, r) == GroupElement.unchecked(params, r)
             members += 1
         else:
             with pytest.raises(ValueError, match=f"^residue {r} is not in the order-{q} subgroup$"):
@@ -316,17 +327,21 @@ def test_group_element_checks_the_range_before_membership(params):
 
 def test_built_results_never_pay_the_membership_check(g23, q11_fields, group64, fields64,
                                                       monkeypatch):
-    # results that are members by construction are built by member(); with
-    # both membership routes made to raise, every operation below still runs,
-    # on the per-entry route at q = 11 and the kernel at 64 bits, and each
-    # component it built passes the check afterwards
+    # results that are members by construction are built by
+    # GroupElement.unchecked; with both membership routes made to raise, every
+    # operation below still runs, on the per-entry route at q = 11 and the
+    # kernel at 64 bits, and each component it built passes the check
+    # afterwards.  Field elements, tuples and scalar instances that hold their
+    # invariants by construction skip their constructors too, and pass them
+    # afterwards: only the boundaries counted below run one, on data read
+    # from an oracle or joined from a group and a field
     kq = GroupParams(67, 11, 64)
     systems = []
     for group, fld in ((g23, q11_fields[3]), (group64, fields64[4])):
         gen, P = group.generator, group.modulus
         full = FusionBase(group, fld, tuple(GroupElement(group, pow(gen, k, P))
                                             for k in (1, 2, 5, 7)[: fld.n]))
-        systems.append((group, fld, full))
+        systems.append((group, fld, full, fe(fld, [3, 7, 9, 4][: fld.n])))
 
     def refuse(*args):
         raise AssertionError("membership checked")
@@ -339,25 +354,53 @@ def test_built_results_never_pay_the_membership_check(g23, q11_fields, group64, 
         with pytest.raises(AssertionError, match="membership checked"):
             GroupElement(params, params.generator)
 
-    built = []
+    checked = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            checked.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in (FieldElement, FusionBase, DlogInstance):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+
+    built, elements, tuples = [], [], []
     rng = random.Random(32)
-    for group, fld, full in systems:
+    for group, fld, full, x in systems:
         g = generator_element(group)
         a = g_pow(g, 3)
         built += [identity(group), g, a, g_mul(a, g), g_inv(a)]
-        x = fe(fld, [3, 7, 9, 4][: fld.n])
+        one, w = fe_one(fld), fe_random(fld, rng, nonzero=True)
+        arithmetic = [fe_zero(fld), one, w, fe_from_int(fld, 12), fe_add(x, w), fe_neg(x),
+                      fe_sub(x, w), fe_mul(x, w), fe_pow(x, 5), fe_inv(x)]
+        assert fe_mul(x, arithmetic[-1]) == one
         y = fusion_pow(full, x)
         inst = FdlogInstance(full, y)
-        if group is g23:
-            assert fdlog_bruteforce(inst) == x
-            assert fdlog_solve(inst, dlog_bsgs) == x
         me, peer = fdh_keygen(full, rng), fdh_keygen(full, rng)
         shared = fdh_shared(me, peer.public)
         dealing = vss_deal(fe_random(fld, rng), 2, 3, full, rng)
         vss_verify_all(dealing)
-        tuples = [y, scalar_embed(g, x), unit_embed(g, fld), fb_identity(group, fld),
-                  fb_mul(full, y), fb_inv(y), me.public, peer.public, shared,
-                  *dealing.commitments]
-        built += [c for t in tuples for c in t.components]
+        made = [y, fb_mul(full, y), fb_inv(y), me.public, peer.public, shared,
+                *dealing.commitments]
+        assert checked == []
+        if group is g23:
+            assert fdlog_bruteforce(inst) == x
+            assert checked == []
+            assert fdlog_solve(inst, dlog_bsgs) == x
+            # the exponents w and z of the oracle's 2n answers
+            assert checked == ["FieldElement"] * 2
+            checked.clear()
+        made += [scalar_embed(g, x), unit_embed(g, fld), fb_identity(group, fld)]
+        # each joins a group and a field
+        assert checked == ["FusionBase"] * 3
+        checked.clear()
+        built += [c for t in made for c in t.components]
+        elements += arithmetic
+        tuples += made
     monkeypatch.undo()
     assert all(GroupElement(c.params, c.residue) == c for c in built)
+    assert all(FieldElement(e.params, e.coeffs) == e for e in elements)
+    assert all(FusionBase(t.group, t.field, t.components) == t for t in tuples)

@@ -3,6 +3,7 @@ the fixed-witness Miller-Rabin oracle, and against composites built to fool
 weaker tests."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ import fusionexp.primes
 import helpers
 from fusionexp.primes import (
     _MR_DETERMINISTIC_BOUND,
+    _MR_WITNESSES,
     _baillie_psw,
     _has_small_factor,
     jacobi,
@@ -31,6 +33,13 @@ BASE2_STRONG_PSEUDOPRIMES = (
 COMPOSITE_MERSENNE_EXPONENTS = (83, 97, 101, 103, 109, 113, 131, 137, 139, 149)
 # composites that pass the strong Lucas test with Selfridge's method A (OEIS A217255)
 STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+# composites with U_(n+1) = 0 mod n for those parameters that the strong
+# test refuses: the first Lucas pseudoprimes (OEIS A217120) not in A217255
+LUCAS_PSEUDOPRIMES = (323, 377, 1159, 1829, 3827)
+# the least strong pseudoprimes to the first twelve and the first thirteen
+# prime bases, psi_12 and psi_13 (Sorenson-Webster, Math. Comp. 2017)
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def test_agrees_with_trial_division_below_50000():
@@ -67,8 +76,8 @@ def test_agrees_with_oracle_up_to_next_prime(bits, starts):
             n += 2
 
 
-@pytest.mark.parametrize(
-    "n", BASE2_STRONG_PSEUDOPRIMES + tuple(2**p - 1 for p in COMPOSITE_MERSENNE_EXPONENTS))
+@pytest.mark.parametrize("n", BASE2_STRONG_PSEUDOPRIMES + (PSI_12, PSI_13) + tuple(
+    2**p - 1 for p in COMPOSITE_MERSENNE_EXPONENTS))
 def test_rejects_base2_strong_pseudoprimes(n):
     assert _miller_rabin(n, 2)
     assert not helpers.is_prime_fixed_witnesses(n)
@@ -110,6 +119,29 @@ def test_rejects_prime_squares(p):
     assert not is_prime(p * p)
 
 
+def test_the_witnesses_reach_the_least_pseudoprime_to_the_first_twelve():
+    # psi_12 passes the rounds to 2 .. 37 and fails only the one to 41;
+    # psi_13, the bound, passes all thirteen and is left to Baillie-PSW
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    assert PSI_13 == 1_287_836_182_261 * 2_575_672_364_521 == _MR_DETERMINISTIC_BOUND
+    assert [_miller_rabin(PSI_12, w) for w in _MR_WITNESSES] == [True] * 12 + [False]
+    assert all(_miller_rabin(PSI_13, w) for w in _MR_WITNESSES)
+
+
+def test_a_failing_strong_round_squares_s_minus_1_times():
+    # n - 1 = d * 2^s with d odd: no square past w^(d * 2^(s-1)) can be n - 1,
+    # as that would make every prime factor of n, and so n, 1 mod 2^(s+1); a
+    # round that fails has made exactly those s - 1 squarings
+    failed = 0
+    for n in range(9, 3000, 2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        helpers.CountingModulus.reductions = 0
+        if not _miller_rabin(helpers.CountingModulus(n), 2):
+            assert helpers.CountingModulus.reductions == s - 1, n
+            failed += s > 1
+    assert failed > 100
+
+
 def test_square_of_wieferich_prime_passes_base2_round():
     assert _miller_rabin(1093**2, 2) and _miller_rabin(3511**2, 2)
 
@@ -120,6 +152,54 @@ def test_strong_lucas_pseudoprimes_pass_lucas_half_only(n):
     assert _strong_lucas(n)
     assert not _baillie_psw(n)
     assert not is_prime(n)
+
+
+def selfridge(n):
+    """(D, Q, d, s) of the strong Lucas test of n: n + 1 = d * 2^s, d odd;
+    None when a D shares a factor with n first."""
+    D = 5
+    while jacobi(D, n) != -1:
+        if math.gcd(D, n) > 1:
+            return None
+        D = -D - 2 if D > 0 else -D + 2
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return D, (1 - D) // 4, d, s
+
+
+@pytest.mark.parametrize("n", LUCAS_PSEUDOPRIMES)
+def test_strong_lucas_refuses_plain_lucas_pseudoprimes(n):
+    # U_(n+1) = 0 mod n by the recurrence U_(k+1) = U_k - Q U_(k-1), so only
+    # the strong test's split of n + 1 into d * 2^s refuses n
+    _, Q, _, _ = selfridge(n)
+    u, u_next = 0, 1
+    for _ in range(n + 1):
+        u, u_next = u_next, (u_next - Q * u) % n
+    assert u == 0
+    assert not _strong_lucas(n)
+
+
+def test_a_failing_strong_lucas_test_squares_v_s_minus_1_times():
+    # n + 1 = d * 2^s with d odd: no V past V_(d * 2^(s-1)) can be 0 mod n,
+    # as that would make n = -1 mod 2^(s+1), so a test that fails has made
+    # s - 1 squarings of V, two reductions mod n each.  Before them: one
+    # reduction per Jacobi symbol taken, one of Q, three per bit of d after
+    # the first and three more per set bit
+    failed = 0
+    for n in range(9, 3000, 2):
+        spec = selfridge(n)
+        if helpers.trial_division_prime(n) or math.isqrt(n) ** 2 == n or spec is None:
+            continue
+        D, _, d, s = spec
+        bits = bin(d)[3:]
+        symbols = (abs(D) - 5) // 2 + 1
+        helpers.CountingModulus.reductions = 0
+        if not _strong_lucas(helpers.CountingModulus(n)):
+            steps = symbols + 1 + 3 * len(bits) + 3 * bits.count("1")
+            assert helpers.CountingModulus.reductions == steps + 2 * (s - 1), n
+            failed += s > 1
+    assert failed > 100
 
 
 def test_jacobi_matches_euler_criterion_and_is_multiplicative():

@@ -41,7 +41,6 @@ from fusionexp import (
     vss_verify_all,
 )
 from fusionexp import protocols
-from fusionexp.group import member
 from fusionexp.protocols import share_point
 
 
@@ -82,11 +81,12 @@ def test_fdh_rejects_identity_base(g23, f121):
 
 
 def test_fdh_keygen_rejects_a_base_off_the_subgroup(g23, f121):
-    # over such a base, built here by member, the two sides of an agreement
-    # can disagree; the GroupElement constructor refuses its off-subgroup
-    # component, so no keygen sees one built from outside
+    # over such a base, built here by GroupElement.unchecked, the two sides
+    # of an agreement can disagree; the GroupElement constructor refuses its
+    # off-subgroup component, so no keygen sees one built from outside
     rng = random.Random(1)
-    unchecked = FusionBase(g23, f121, (member(g23, 21), member(g23, 1)))
+    comps = (GroupElement.unchecked(g23, 21), GroupElement.unchecked(g23, 1))
+    unchecked = FusionBase(g23, f121, comps)
     pairs = [(fdh_keygen(unchecked, rng), felgamal_keygen(unchecked, rng)) for _ in range(50)]
     assert any(fdh_shared(a, b.public) != fdh_shared(b, a.public) for a, b in pairs)
     for comps, outside in zip(OFF_SUBGROUP, (21, 21, 22)):
@@ -469,13 +469,13 @@ def test_vss_verify_all_agrees_with_each_share_on_an_identity_base(g23, f121):
 
 
 def test_vss_split_rejects_a_base_off_the_subgroup(g23, f121):
-    # exponents of such a base, built here by member, are not read mod q,
-    # and an honest dealing fails the per-share check; the GroupElement
-    # constructor refuses its off-subgroup component, so no dealer sees one
-    # built from outside
+    # exponents of such a base, built here by GroupElement.unchecked, are not
+    # read mod q, and an honest dealing fails the per-share check; the
+    # GroupElement constructor refuses its off-subgroup component, so no
+    # dealer sees one built from outside
     rng = random.Random(21)
     for comps, outside in zip(OFF_SUBGROUP, (21, 21, 22)):
-        unchecked = FusionBase(g23, f121, tuple(member(g23, r) for r in comps))
+        unchecked = FusionBase(g23, f121, tuple(GroupElement.unchecked(g23, r) for r in comps))
         shares, commitments = vss_split(fe_random(f121, rng), 3, 5, unchecked, rng)
         assert not all(vss_check(unchecked, commitments, s) for s in shares)
         with pytest.raises(ValueError, match=f"^residue {outside} is not in the order-11"):

@@ -1,5 +1,5 @@
 """The immutable value types: equality, hashing, repr, immutability, copying
-and pickling by field, and keyword construction.
+and pickling by field through the unchecked builder, and keyword construction.
 
 The repr strings are those the frozen dataclasses these types replaced
 printed for the same values."""
@@ -61,6 +61,7 @@ def build():
 
 
 VALUES = build()
+TYPES = {type(make()) for make, _ in VALUES.values()}
 
 
 @pytest.fixture(params=sorted(VALUES))
@@ -129,13 +130,51 @@ def test_fields_cannot_be_assigned_or_deleted(case):
     assert not hasattr(a, "__dict__")
 
 
+def test_unchecked_builds_what_the_constructor_builds(case):
+    make, text = case
+    a = make()
+    b = type(a).unchecked(*fields(a))
+    assert b == a and a == b and hash(b) == hash(a) and repr(b) == text
+    assert type(b) is type(a) and fields(b) == fields(a)
+    with pytest.raises(AttributeError):
+        setattr(b, b.__slots__[0], None)
+
+
+def test_unchecked_takes_one_value_per_field_and_skips_the_checks():
+    g = GroupParams(23, 11, 2)
+    with pytest.raises(ValueError):
+        GroupElement.unchecked(g)
+    with pytest.raises(ValueError):
+        GroupElement.unchecked(g, 2, 4)
+    # 5 is not a square mod 23: the constructor refuses it, the builder does not
+    with pytest.raises(ValueError, match="not in the order-11 subgroup"):
+        GroupElement(g, 5)
+    assert GroupElement.unchecked(g, 5).residue == 5
+
+
+def test_pickles_name_the_unchecked_builder(case):
+    make, _ = case
+    a = make()
+    assert a.__reduce__() == (type(a).unchecked, fields(a))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+
+
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda v: pickle.loads(pickle.dumps(v))],
                          ids=["copy", "deepcopy", "pickle"])
-def test_copies_and_pickles_to_an_equal_value(case, clone):
+def test_copies_and_pickles_to_an_equal_value(case, clone, monkeypatch):
     make, text = case
     a = make()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("constructor ran")
+
+    # a copy, nested values included, goes through Value.unchecked
+    for cls in TYPES:
+        monkeypatch.setattr(cls, "__init__", refuse)
     b = clone(a)
+    monkeypatch.undo()
     assert b == a and hash(b) == hash(a) and repr(b) == text
     assert type(b) is type(a)
     with pytest.raises(AttributeError):
